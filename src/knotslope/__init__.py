@@ -36,9 +36,7 @@ from .ktg import (
     SignedMonomial,
     circle,
     delta6j,
-    dplus_circle,
     dplus_delta6j,
-    dplus_framing,
     dplus_theta,
     framing_power,
     theta,
@@ -47,11 +45,8 @@ from .pipeline import Prediction, Report, grid_run, predict, run_verification
 from .qlaurent import (
     LaurentPoly,
     NonExactDivision,
-    NotPolynomial,
-    PolyFraction,
     ZeroPolynomial,
     exact_div,
-    poly_gcd,
     qbinom,
     qfact,
     qint,

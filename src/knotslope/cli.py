@@ -89,14 +89,7 @@ def _cmd_jones(args):
     else:
         poly = colored_jones(params, args.N)
     if args.format == "json":
-        doc = {
-            "params": {"r": params.r, "s": params.s, "t": params.t, "u": params.u},
-            "N": args.N,
-            "polynomial": poly.to_json(),
-            "max_deg": poly.max_deg,
-            "leading_coeff": str(poly.leading_coeff),
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(pipeline.poly_record(params, args.N, poly))
     else:
         print(poly.to_text())
     return 0

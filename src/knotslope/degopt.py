@@ -104,7 +104,8 @@ class QuasiPolynomial:
 def classify(params):
     """Exact quadratic-form coefficients and case tag for the parameters."""
     r, s, t, u = params.astuple()
-    assert (r + s + 1) % 2 == 0 and (r + t) % 2 == 0
+    if (r + s + 1) % 2 or (r + t) % 2:
+        raise ArithmeticError(f"r + s + 1 and r + t must be even, got {params}")
     bb = -(r + s + 1) // 2
     bc = -(r + 1)
     cc = -(r + t) // 2
@@ -119,7 +120,8 @@ def classify(params):
         tag = "2.3"
     else:
         tag = "2.4"
-        assert (r, s, t) == (-3, 4, 5)
+        if (r, s, t) != (-3, 4, 5):
+            raise ArithmeticError(f"case 2.4 away from (r, s, t) = (-3, 4, 5): {params}")
     return Classification(bb, bc, cc, disc, tag)
 
 
@@ -139,7 +141,8 @@ def degree_objective(params, n, colors):
     value += dplus_delta6j(b, n, n, d, n, n)[0]
     for x, w in ((a, r), (b, s), (c, t), (d, u)):
         twist = -w * x * (x + 2)
-        assert twist % 2 == 0
+        if twist % 2:
+            raise ArithmeticError(f"half-integer framing degree at color {x}")
         value += twist // 2
     for x in (a, b, c, d):
         value += 2 * x
@@ -163,7 +166,8 @@ def face_objective(params, n, b, c):
         - 2 * (r + t - 2) * c
         + 4 * u * n
     )
-    assert num % 2 == 0
+    if num % 2:
+        raise ArithmeticError(f"odd face objective numerator {num}")
     return num // 2
 
 
@@ -176,7 +180,8 @@ def line_objective(params, n, b):
         - 4 * (r + t) * n * n
         - 4 * (r - u + t - 2) * n
     )
-    assert num % 2 == 0
+    if num % 2:
+        raise ArithmeticError(f"odd line objective numerator {num}")
     return num // 2
 
 

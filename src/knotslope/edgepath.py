@@ -78,11 +78,6 @@ def circle_vertex(slope):
 INFINITY_VERTEX = DiagramVertex(INFINITY)
 
 
-def vertex_uv(vertex):
-    """Exact uv-coordinates of a diagram vertex."""
-    return vertex.uv()
-
-
 NONHORIZONTAL = "nonhorizontal"
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -163,7 +158,8 @@ def partial_fraction_from_u(near, far, u0):
     q = near.slope.denominator
     w = far.slope.denominator
     f = (Fraction(1) / (1 - u0) - q) / (w - q)
-    assert 0 <= f <= 1
+    if not 0 <= f <= 1:
+        raise ArithmeticError(f"edge weight {f} outside [0, 1] for u0={u0}")
     return f
 
 
@@ -327,7 +323,8 @@ def gamma_system(params):
     cls = classify(params)
     if cls.degree_model != "quadratic":
         raise ValueError(f"no interior-ending system for case {cls.tag} parameters")
-    assert cls.disc < 0
+    if cls.disc >= 0:
+        raise ArithmeticError(f"quadratic case {cls.tag} with discriminant {cls.disc} >= 0")
     u0 = ending_u(params)
 
     lam, k, final_frac = _chain_cut(params)
@@ -357,7 +354,8 @@ def gamma_system(params):
     for path in system.paths:
         if path.ending_point()[0] != u0:
             raise ArithmeticError(f"path ending off u0={u0} for {params}")
-    assert final_frac == partial_fraction_from_u(chain1[k], chain1[k + 1], u0)
+    if final_frac != partial_fraction_from_u(chain1[k], chain1[k + 1], u0):
+        raise ArithmeticError(f"chain cut weight {final_frac} misses u0={u0} for {params}")
     if sum(p.ending_point()[1] for p in system.paths) != 0:
         raise ArithmeticError(f"ending v-coordinates do not cancel for {params}")
     return system

@@ -14,9 +14,10 @@ The total is guaranteed to be a Laurent polynomial; a failed final division
 signals an implementation fault, never bad input.
 
 The accumulation keeps denominators in factored form (a multiset of
-theta(x,n,n) factors) and clears them with exact divisions at the end, so
-no polynomial gcd ever runs on state-sum-sized operands and the result is
-bit-identical however the work is ordered.
+theta(x,n,n) factors) and clears them with exact divisions at the end;
+no polynomial gcd is ever taken, and the result is bit-identical however
+the work is ordered.  summand gives one term as an unreduced
+(numerator, denominator) pair of Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ktg import circle, delta6j, framing_power, is_admissible, theta
-from .qlaurent import ONE, ZERO, PolyFraction, exact_div
+from .qlaurent import ONE, ZERO, exact_div
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,10 @@ class KnotParams:
 
     def astuple(self):
         return (self.r, self.s, self.t, self.u)
+
+    def as_dict(self):
+        """The {"r", "s", "t", "u"} mapping that JSON records and reports carry."""
+        return {"r": self.r, "s": self.s, "t": self.t, "u": self.u}
 
     def key(self):
         """Canonical parameter string, used for cache paths."""
@@ -107,13 +112,17 @@ def _summand_numerator(params, n, colors):
 
 
 def summand(params, n, colors):
-    """One state-sum term as an exact fraction over its theta denominators."""
+    """One state-sum term as the exact pair (numerator, denominator).
+
+    The denominator is the product of the four theta(x,n,n) factors; the
+    pair is never reduced, so callers can clear it over any common multiple.
+    """
     colors.validate()
     num = _summand_numerator(params, n, colors)
     den = ONE
     for x in (colors.a, colors.b, colors.c, colors.d):
         den = den * theta(x, n, n)
-    return PolyFraction(num, den)
+    return num, den
 
 
 def colored_jones(params, N):

@@ -21,7 +21,6 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -178,20 +177,13 @@ def dplus_delta6j(a, b, c, alpha, beta, gamma):
             f"empty summation range for ({a},{b},{c},{alpha},{beta},{gamma})"
         )
     total = a + b + c + alpha + beta + gamma
-    assert (total - max(a + alpha, b + beta, c + gamma)) % 2 == 0
-    z_top = (total - max(a + alpha, b + beta, c + gamma)) // 2
-    assert z_top == zhi
+    if total - max(a + alpha, b + beta, c + gamma) != 2 * zhi:
+        raise ArithmeticError(
+            f"top z-term is not the range end {zhi} for ({a},{b},{c},{alpha},{beta},{gamma})"
+        )
+    z_top = zhi
     g_terms = (qbinom_max_deg(z_top + 1, half + 1),) + tuple(
         qbinom_max_deg(t, z_top - o) for t, o in zip(tops, offsets)
     )
     return sum(g_terms), DeltaDegreeData(z_top, g_terms, (zlo, zhi))
 
-
-def dplus_framing(a):
-    """Maximal degree of f(a): -a(a+2)/2, a half-integer for odd colors."""
-    return Fraction(-a * (a + 2), 2)
-
-
-def dplus_circle(k):
-    """Maximal degree of the k-colored unknot value: 2k."""
-    return 2 * k

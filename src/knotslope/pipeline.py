@@ -119,19 +119,16 @@ def least_period(params):
 class Report:
     """Everything one verification run produced.
 
-    The elapsed time is kept out of the serialized form so that repeated
-    runs emit byte-identical documents.
+    It holds no timings, so that repeated runs emit byte-identical documents.
     """
 
     params: KnotParams
     n_max: int
     prediction: Prediction
-    classification: object
     degrees: list
     n0: int | None
     fitted: object | None
     flags: dict
-    elapsed: float = 0.0
 
     def all_flags_true(self):
         """True when no computed flag is False (unfitted entries are None)."""
@@ -149,8 +146,7 @@ class Report:
                 },
             }
         return {
-            "params": {"r": self.params.r, "s": self.params.s,
-                       "t": self.params.t, "u": self.params.u},
+            "params": self.params.as_dict(),
             "n_max": self.n_max,
             "classification": degopt.report_fragment(self.params, self.n0),
             "prediction": self.prediction.to_json(),
@@ -171,9 +167,7 @@ def run_verification(params, n_max, cache_dir=None):
     """Exact degrees against every prediction for N = 1..n_max."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
-    started = time.monotonic()
     prediction = predict(params)
-    cls = classify(params)
 
     degrees = []
     for N in range(1, n_max + 1):
@@ -218,30 +212,32 @@ def run_verification(params, n_max, cache_dir=None):
         params=params,
         n_max=n_max,
         prediction=prediction,
-        classification=cls,
         degrees=degrees,
         n0=n0,
         fitted=fitted,
         flags=flags,
-        elapsed=time.monotonic() - started,
     )
 
 
 # -- polynomial cache -----------------------------------------------------
 
 
-def cache_store(cache_dir, params, N, poly):
-    """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'."""
-    record = {
-        "params": {"r": params.r, "s": params.s, "t": params.t, "u": params.u},
+def poly_record(params, N, poly):
+    """One polynomial as a JSON line: the cache record and `jones --format json`."""
+    return json.dumps({
+        "params": params.as_dict(),
         "N": N,
         "polynomial": poly.to_json(),
         "max_deg": poly.max_deg,
         "leading_coeff": str(poly.leading_coeff),
-    }
+    }, sort_keys=True)
+
+
+def cache_store(cache_dir, params, N, poly):
+    """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'."""
     path = Path(cache_dir) / params.key() / f"{N}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+    path.write_text(poly_record(params, N, poly) + "\n")
     return path
 
 
@@ -254,8 +250,7 @@ def cache_load(cache_dir, params, N):
         return None
     try:
         record = json.loads(path.read_text())
-        if record["params"] != {"r": params.r, "s": params.s,
-                                "t": params.t, "u": params.u}:
+        if record["params"] != params.as_dict():
             raise ValueError("parameter mismatch")
         if record["N"] != N:
             raise ValueError("color mismatch")
@@ -303,7 +298,10 @@ def parse_grid(spec):
         body = body.strip()
         if ".." in body:
             lo, _, hi = body.partition("..")
-            values = list(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise ValueError(f"reversed range in grid clause {clause!r}")
+            values = list(range(lo, hi + 1))
         else:
             values = [int(x) for x in body.split(",")]
         ranges[name] = values
@@ -325,7 +323,7 @@ def parse_grid(spec):
 def _run_one(args):
     r, s, t, u, n_max, cache_dir = args
     report = run_verification(KnotParams(r, s, t, u), n_max, cache_dir)
-    return report.to_json(), report.all_flags_true(), report.elapsed
+    return report.to_json(), report.all_flags_true()
 
 
 CSV_COLUMNS = [
@@ -376,8 +374,8 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
         results = [_run_one(a) for a in worker_args]
     elapsed = time.monotonic() - started
 
-    docs = [doc for doc, _, _ in results]
-    mismatched = sum(1 for _, ok, _ in results if not ok)
+    docs = [doc for doc, _ in results]
+    mismatched = sum(1 for _, ok in results if not ok)
 
     # Write both outputs even if one of them fails, then re-raise.
     write_error = None

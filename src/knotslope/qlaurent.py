@@ -3,9 +3,10 @@
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
-ring operations, exact division, a polynomial gcd, quantum integers and
-their factorials/binomials/multinomials, and a small field-of-fractions
-layer used while accumulating state sums whose summands are quotients.
+ring operations, exact division, and quantum integers with their
+factorials/binomials/multinomials.  There is no field of fractions: state
+sums bring their quotients over a known common denominator and clear it
+with exact_div, whose failure signals a fault.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
@@ -19,9 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _int_gcd
 
 
 class ZeroPolynomial(ValueError):
@@ -30,10 +29,6 @@ class ZeroPolynomial(ValueError):
 
 class NonExactDivision(ArithmeticError):
     """exact_div was called on a pair with a nonzero remainder."""
-
-
-class NotPolynomial(ArithmeticError):
-    """A fraction whose reduced denominator is not a monomial unit."""
 
 
 class LaurentPoly:
@@ -311,7 +306,7 @@ def qmultinom(parts):
     return result
 
 
-# -- exact division and gcd ---------------------------------------------
+# -- exact division -----------------------------------------------------
 
 
 def exact_div(p, q):
@@ -347,185 +342,3 @@ def exact_div(p, q):
         raise NonExactDivision("nonzero remainder")
     shift = num_off - den_off
     return LaurentPoly({i + shift: c for i, c in enumerate(quot)})
-
-
-def _content_primitive(coeffs):
-    g = 0
-    for c in coeffs:
-        g = _int_gcd(g, c)
-        if g == 1:
-            break
-    if g == 0:
-        return 0, coeffs
-    prim = [c // g for c in coeffs]
-    if prim[-1] < 0:
-        g, prim = -g, [-c for c in prim]
-    return g, prim
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of dense integer polynomial a by b (deg b <= deg a)."""
-    a = a[:]
-    db = len(b) - 1
-    lead_b = b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        da = len(a) - 1
-        lead_a = a[-1]
-        a = [lead_b * c for c in a]
-        for j in range(db + 1):
-            a[da - db + j] -= lead_a * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def poly_gcd(p, q):
-    """Gcd of two Laurent polynomials, up to units.
-
-    Both operands are shifted to ordinary polynomials with nonzero constant
-    term, the primitive Euclidean algorithm runs over the integers, and the
-    integer content gcd is restored.  The result is normalized to an
-    ordinary polynomial (min_deg 0) with positive leading coefficient.
-    """
-    if p.is_zero() and q.is_zero():
-        return ZERO
-    if p.is_zero():
-        return _unit_normalize(q)
-    if q.is_zero():
-        return _unit_normalize(p)
-    a, _ = p._dense()
-    b, _ = q._dense()
-    ca, a = _content_primitive(a)
-    cb, b = _content_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while any(b):
-        r = _pseudo_rem(a, b)
-        a = b
-        if not r:
-            b = []
-            break
-        _, b = _content_primitive(r)
-    content = _int_gcd(abs(ca), abs(cb))
-    return LaurentPoly({i: content * c for i, c in enumerate(a)})
-
-
-def _unit_normalize(p):
-    """Shift to min_deg 0 and make the leading coefficient positive."""
-    q = p.shift(-p.min_deg)
-    if q.leading_coeff < 0:
-        q = -q
-    return q
-
-
-# -- field of fractions ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolyFraction:
-    """Quotient of Laurent polynomials, kept unreduced until asked.
-
-    State-sum summands divide by theta values, so intermediates live here;
-    the final total must convert back to a genuine polynomial.
-    """
-
-    num: LaurentPoly
-    den: LaurentPoly = ONE
-
-    def __post_init__(self):
-        if self.den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-
-    def __add__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return PolyFraction(self.num + other.num, self.den)
-        return PolyFraction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyFraction(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return PolyFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def den_span(self):
-        """Degree span of the denominator, the trigger for gcd reduction."""
-        return self.den.max_deg - self.den.min_deg
-
-    def reduce(self):
-        """Divide out the gcd and normalize the denominator.
-
-        After reduction the denominator has min_deg 0, positive leading
-        coefficient, and shares no non-unit factor with the numerator.
-        """
-        if self.num.is_zero():
-            return PolyFraction(ZERO, ONE)
-        g = poly_gcd(self.num, self.den)
-        num = exact_div(self.num, g)
-        den = exact_div(self.den, g)
-        e = den.min_deg
-        num = num.shift(-e)
-        den = den.shift(-e)
-        if den.leading_coeff < 0:
-            num, den = -num, -den
-        return PolyFraction(num, den)
-
-    def to_poly(self):
-        """Convert to a LaurentPoly; NotPolynomial if the value is not one."""
-        r = self.reduce()
-        if r.den == ONE:
-            return r.num
-        raise NotPolynomial(f"denominator {r.den.to_text()} is not a unit")
-
-    def __eq__(self, other):
-        other = _as_fraction(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-
-def _as_fraction(value):
-    if isinstance(value, PolyFraction):
-        return value
-    if isinstance(value, LaurentPoly):
-        return PolyFraction(value, ONE)
-    if isinstance(value, int):
-        return PolyFraction(LaurentPoly.monomial(0, value), ONE)
-    return NotImplemented
-
-
-def frac_sum(fractions, reduce_span=64):
-    """Sum fractions with thresholded reduction.
-
-    The running value is reduced whenever its denominator span exceeds
-    reduce_span, and once at the end.  Batching the gcd work this way is
-    much cheaper than reducing after every addition.
-    """
-    acc = PolyFraction(ZERO, ONE)
-    for f in fractions:
-        acc = acc + f
-        if acc.den_span() > reduce_span:
-            acc = acc.reduce()
-    return acc.reduce()

@@ -23,17 +23,16 @@ from knotslope.edgepath import (
     seifert_system,
     slope_report,
     twist,
-    vertex_uv,
 )
 from knotslope.jones import KnotParams
 
 F = Fraction
 
 
-def test_vertex_uv_examples():
-    assert vertex_uv(arc(F(0))) == (0, 0)
-    assert vertex_uv(arc(F(1, 3))) == (F(2, 3), F(1, 3))
-    assert vertex_uv(arc(F(-1, 2))) == (F(1, 2), F(-1, 2))
+def test_arc_uv_examples():
+    assert arc(F(0)).uv() == (0, 0)
+    assert arc(F(1, 3)).uv() == (F(2, 3), F(1, 3))
+    assert arc(F(-1, 2)).uv() == (F(1, 2), F(-1, 2))
 
 
 def test_interp_point_examples():

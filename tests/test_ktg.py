@@ -1,6 +1,5 @@
 """Building-block evaluators against hand expansions and degree laws."""
 
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,9 +9,7 @@ from knotslope.ktg import (
     NonRealPhase,
     circle,
     delta6j,
-    dplus_circle,
     dplus_delta6j,
-    dplus_framing,
     dplus_theta,
     framing_power,
     is_admissible,
@@ -79,6 +76,7 @@ def test_circle_examples():
     assert circle(2) == qint(3)
     for k in range(21):
         assert circle(k) == (1 if k % 2 == 0 else -1) * qint(k + 1)
+        assert circle(k).max_deg == 2 * k
 
 
 def test_framing_power_examples():
@@ -132,15 +130,6 @@ def test_dplus_delta6j_example():
     assert data.z_range == (3, 4)
     with pytest.raises(InadmissibleColoring):
         dplus_delta6j(4, 0, 0, 0, 2, 2)
-
-
-def test_dplus_atoms():
-    assert dplus_circle(2) == 4 == circle(2).max_deg
-    assert dplus_circle(0) == 0
-    assert dplus_framing(2) == -4
-    assert dplus_framing(0) == 0
-    assert dplus_framing(1) == Fraction(-3, 2)
-    assert dplus_framing(2) == framing_power(2, 1).exponent
 
 
 def test_theta_degree_law_sweep():

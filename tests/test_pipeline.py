@@ -79,6 +79,8 @@ def test_parse_grid():
         parse_grid("r=-3;s=2;t=3")
     with pytest.raises(ValueError):
         parse_grid("r=-3;s=2;t=3;u=-1;x=1")
+    with pytest.raises(ValueError, match="r=-3..-5"):
+        parse_grid("r=-3..-5;s=2..4;t=3..5;u=-3..-1")
 
 
 def test_grid_run_small(tmp_path):
@@ -208,10 +210,15 @@ def test_cli_usage_error_exit_code(capsys):
     assert err.value.code == 1
 
 
-def test_cli_invalid_params_exit_code(capsys):
+def test_cli_invalid_params_exit_code(tmp_path, capsys):
     rc = main(["jones", "-r", "-4", "-s", "2", "-t", "3", "-u", "-3", "-N", "2"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+    out = tmp_path / "x.json"
+    rc = main(["verify", "--grid", "r=-3..-5;s=2..4;t=3..5;u=-3..-1", "--out", str(out)])
+    assert rc == 1
+    assert "'r=-3..-5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_jones_cache_flag(tmp_path, capsys):
@@ -230,9 +237,9 @@ def test_cli_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     real = pipeline_mod._run_one
 
     def flipped(args):
-        doc, _, elapsed = real(args)
+        doc, _ = real(args)
         doc["flags"]["slope_match"] = False
-        return doc, False, elapsed
+        return doc, False
 
     monkeypatch.setattr(pipeline_mod, "_run_one", flipped)
     rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "4",

@@ -1,4 +1,4 @@
-"""Ring, division, gcd and fraction behavior of the Laurent layer."""
+"""Ring, exact division and quantum-integer behavior of the Laurent layer."""
 
 from fractions import Fraction
 
@@ -11,12 +11,8 @@ from knotslope.qlaurent import (
     ZERO,
     LaurentPoly,
     NonExactDivision,
-    NotPolynomial,
-    PolyFraction,
     ZeroPolynomial,
     exact_div,
-    frac_sum,
-    poly_gcd,
     qbinom,
     qfact,
     qint,
@@ -142,41 +138,6 @@ def test_degree_accessors():
         _ = ZERO.min_deg
 
 
-def test_gcd_basics():
-    g = poly_gcd(qint(2) * qint(3), qint(2) * qint(4))
-    # gcd normalized to an ordinary polynomial: v^2*[2] = v^4 + 1.
-    assert g == qint(2).shift(2)
-    assert poly_gcd(ZERO, qint(3)) == qint(3).shift(4)
-    assert poly_gcd(LaurentPoly({0: 4}), LaurentPoly({0: 6})) == LaurentPoly({0: 2})
-
-
-def test_fraction_reduce_examples():
-    f = PolyFraction(qint(2) * qint(2), qint(2)).reduce()
-    assert f.num == qint(2) and f.den == ONE
-    half = PolyFraction(ONE, qint(2))
-    s = (half + half).reduce()
-    assert s == PolyFraction(LaurentPoly({0: 2}), qint(2))
-    assert s.den.min_deg == 0 and s.den.leading_coeff > 0
-    assert PolyFraction(qint(2) * qint(3), qint(3)).to_poly() == qint(2)
-    with pytest.raises(NotPolynomial):
-        PolyFraction(ONE, qint(2)).to_poly()
-    with pytest.raises(ZeroDivisionError):
-        PolyFraction(ONE, ZERO)
-
-
-def test_fraction_value_equality():
-    a = PolyFraction(qint(3), qint(2))
-    b = PolyFraction(qint(3) * qint(4), qint(2) * qint(4))
-    assert a == b
-
-
-def test_frac_sum_matches_direct():
-    parts = [PolyFraction(qint(k), qint(2)) for k in range(1, 6)]
-    total = frac_sum(parts, reduce_span=4)
-    direct = sum((qint(k) for k in range(1, 6)), ZERO)
-    assert total == PolyFraction(direct, qint(2))
-
-
 def test_text_round_trip():
     p = LaurentPoly({4: 2, 0: -1, -3: 7})
     assert p.to_text() == "2*v^4 + -1*v^0 + 7*v^-3"
@@ -225,14 +186,3 @@ def test_exact_div_inverts_mul(p, q):
     if q.is_zero():
         return
     assert exact_div(p * q, q) == p
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys, small_polys)
-def test_reduce_preserves_value(p, q, g):
-    if q.is_zero() or g.is_zero():
-        return
-    f = PolyFraction(p * g, q * g)
-    r = f.reduce()
-    assert r == f
-    assert r.den.min_deg == 0 and r.den.leading_coeff > 0
