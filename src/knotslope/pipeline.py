@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -234,10 +235,20 @@ def poly_record(params, N, poly):
 
 
 def cache_store(cache_dir, params, N, poly):
-    """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'."""
+    """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'.
+
+    The record goes to a temporary file beside it and is renamed into
+    place, so a reader never sees a partial record and a failed write
+    leaves any earlier record intact and no temporary file behind.
+    """
     path = Path(cache_dir) / params.key() / f"{N}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(poly_record(params, N, poly) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(poly_record(params, N, poly) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -284,7 +295,8 @@ def parse_grid(spec):
 
     Values may also be comma lists.  Returns (valid KnotParams list,
     skipped count); tuples violating the family constraints are skipped
-    silently but counted.
+    silently but counted.  A reversed range, a repeated variable and a
+    repeated comma value each raise ValueError naming the clause.
     """
     ranges = {}
     for clause in spec.split(";"):
@@ -295,6 +307,8 @@ def parse_grid(spec):
         name = name.strip()
         if name not in ("r", "s", "t", "u"):
             raise ValueError(f"unknown grid variable {name!r}")
+        if name in ranges:
+            raise ValueError(f"repeated grid variable in clause {clause!r}")
         body = body.strip()
         if ".." in body:
             lo, _, hi = body.partition("..")
@@ -304,6 +318,8 @@ def parse_grid(spec):
             values = list(range(lo, hi + 1))
         else:
             values = [int(x) for x in body.split(",")]
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate value in grid clause {clause!r}")
         ranges[name] = values
     missing = {"r", "s", "t", "u"} - set(ranges)
     if missing:

@@ -81,6 +81,12 @@ def test_parse_grid():
         parse_grid("r=-3;s=2;t=3;u=-1;x=1")
     with pytest.raises(ValueError, match="r=-3..-5"):
         parse_grid("r=-3..-5;s=2..4;t=3..5;u=-3..-1")
+    with pytest.raises(ValueError, match="'r=-5'"):
+        parse_grid("r=-3;s=2;t=3;u=-1;r=-5")
+    with pytest.raises(ValueError, match="'t=3,3'"):
+        parse_grid("r=-3;s=2;t=3,3;u=-1")
+    with pytest.raises(ValueError, match="'u=-1,-3,-1'"):
+        parse_grid("r=-3;s=2;t=3;u=-1,-3,-1")
 
 
 def test_grid_run_small(tmp_path):
@@ -159,6 +165,26 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     assert cache_load(tmp_path, params, 2) == poly
 
 
+def test_cache_store_is_atomic(tmp_path, monkeypatch):
+    import knotslope.pipeline as pipeline_mod
+
+    params = KnotParams(-3, 2, 3, -3)
+    path = cache_store(tmp_path, params, 2, colored_jones(params, 2))
+    before = path.read_bytes()
+    assert before == (pipeline_mod.poly_record(params, 2, colored_jones(params, 2))
+                      + "\n").encode()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pipeline_mod.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache_store(tmp_path, params, 2, colored_jones(params, 3))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == ["2.json"]
+    assert cache_load(tmp_path, params, 2) == colored_jones(params, 2)
+
+
 def test_verification_cache_transparent(tmp_path):
     params = KnotParams(-3, 2, 3, -3)
     cold = run_verification(params, 4, cache_dir=tmp_path)
@@ -219,6 +245,12 @@ def test_cli_invalid_params_exit_code(tmp_path, capsys):
     assert rc == 1
     assert "'r=-3..-5'" in capsys.readouterr().err
     assert not out.exists()
+    for grid, clause in (("r=-3;s=2;t=3;u=-1;r=-5", "'r=-5'"),
+                         ("r=-3;s=2;t=3,3;u=-1", "'t=3,3'")):
+        rc = main(["verify", "--grid", grid, "--out", str(out)])
+        assert rc == 1
+        assert clause in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_jones_cache_flag(tmp_path, capsys):

@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotslope import qlaurent
 from knotslope.qlaurent import (
     ONE,
     ZERO,
     LaurentPoly,
     NonExactDivision,
     ZeroPolynomial,
+    _mul_loop,
+    _mul_packed,
+    _peel,
+    _stride,
     exact_div,
     qbinom,
     qfact,
@@ -186,3 +191,149 @@ def test_exact_div_inverts_mul(p, q):
     if q.is_zero():
         return
     assert exact_div(p * q, q) == p
+
+
+# -- packed multiply and strided division against their references ---------
+
+HUGE = 2 ** 1000
+
+coefficients = st.one_of(
+    st.integers(1, 9),
+    st.integers(-9, -1),
+    st.integers(HUGE, 4 * HUGE),
+    st.integers(-4 * HUGE, -HUGE),
+)
+
+
+@st.composite
+def strided_terms(draw, max_terms=24):
+    """A nonzero term map on offset + stride * k, stride 1 to 4."""
+    stride = draw(st.sampled_from([1, 2, 3, 4]))
+    offset = draw(st.integers(-12, 12))
+    ks = draw(st.sets(st.integers(0, 30), min_size=1, max_size=max_terms))
+    return {offset + stride * k: draw(coefficients) for k in sorted(ks)}
+
+
+def dispatched(a, b):
+    return LaurentPoly(a) * LaurentPoly(b)
+
+
+def test_stride_examples():
+    assert _stride({3: 1, 7: 2, 15: 1}) == 4
+    assert _stride({3: 1, 7: 2}, {-2: 1, 6: 5}) == 4
+    assert _stride({3: 1, 7: 2}, {-2: 1, 4: 5}) == 2
+    assert _stride({5: 1}, {-2: 1}) == 1
+    assert _stride({5: 1}, {-2: 1, 7: 1}) == 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(strided_terms(), strided_terms())
+def test_mul_packed_matches_loop(a, b):
+    expected = _mul_loop(a, b)
+    for g in (_stride(a, b), 1):
+        got = _mul_packed(a, b, g)
+        assert got == expected
+        assert all(got.values())
+    assert dispatched(a, b) == LaurentPoly(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]), st.integers(-12, 12), st.integers(1, 40),
+       coefficients, coefficients)
+def test_mul_packed_cancellation(g, offset, k, c, d):
+    # c*(1 + x + ... + x^(k-1)) times d*(1 - x) with x = v^g: every
+    # middle coefficient of the product cancels to zero.
+    a = {offset + g * i: c for i in range(k)}
+    b = {0: d, g: -d}
+    expected = {offset: c * d, offset + g * k: -c * d}
+    assert _mul_loop(a, b) == expected
+    assert _mul_packed(a, b, g) == expected
+    assert _mul_packed(a, b, 1) == expected
+
+
+def test_mul_packed_at_the_slot_bound():
+    # Equal coefficients make the middle product coefficient reach the
+    # bound min(len) * max|a| * max|b| exactly, including bounds whose bit
+    # length fills whole bytes, where only the sign bit keeps slots apart.
+    for m in range(1, 6):
+        for c in (127, 128, 255, 256, 2 ** 16 - 1, 2 ** 64 - 1, HUGE - 1):
+            for sign in (1, -1):
+                a = {4 * i: c for i in range(m)}
+                b = {4 * i + 1: sign * c for i in range(m)}
+                expected = _mul_loop(a, b)
+                assert max(abs(x) for x in expected.values()) == m * c * c
+                assert _mul_packed(a, b, 4) == expected
+                assert _mul_packed(a, b, 1) == expected
+
+
+def refuse(*args):
+    raise AssertionError("this multiply path must not run here")
+
+
+def test_mul_large_operands_take_packed_path(monkeypatch):
+    # Dense products far above the crossover, huge coefficients included.
+    p, q = qfact(12), qfact(11) * qint(9)
+    big = p * HUGE + ONE
+    expected = [LaurentPoly(_mul_loop(p._terms, q._terms)),
+                LaurentPoly(_mul_loop(big._terms, (-q)._terms))]
+    monkeypatch.setattr(qlaurent, "_mul_loop", refuse)
+    assert [p * q, big * (-q)] == expected
+
+
+def test_mul_small_and_sparse_operands_take_loop(monkeypatch):
+    # Below the crossover, and operands spread over a span far wider than
+    # their term count with stride 1, which packing would expand into
+    # billions of slots.
+    a = {i * 10 ** 9 + (i % 2): 1 + i for i in range(40)}
+    b = {-(i * 10 ** 9) - 3 * i: i - 17 for i in range(40)}
+    expected = LaurentPoly(_mul_loop(a, b))
+    monkeypatch.setattr(qlaurent, "_mul_packed", refuse)
+    assert dispatched(a, b) == expected
+    assert qint(2) * qint(2) == LaurentPoly({4: 1, 0: 2, -4: 1})
+
+
+def stride1_div(p, q):
+    """exact_div's peel on uncompressed (stride 1) coefficient arrays."""
+    num, num_off = p._dense()
+    den, den_off = q._dense()
+    quot = _peel(num, den)
+    return LaurentPoly({num_off - den_off + i: c for i, c in enumerate(quot)})
+
+
+def division_outcome(divide, p, q):
+    try:
+        return divide(p, q)
+    except NonExactDivision:
+        return NonExactDivision
+
+
+@settings(max_examples=60, deadline=None)
+@given(strided_terms(12), strided_terms(12), strided_terms(6), st.booleans())
+def test_strided_exact_div_matches_stride1(a, b, c, perturb):
+    p, q = LaurentPoly(a), LaurentPoly(b)
+    prod = p * q
+    assert exact_div(prod, q) == p == stride1_div(prod, q)
+    # Near misses and unrelated pairs: both paths agree, including on
+    # raising NonExactDivision; dividend and divisor strides may differ.
+    other = prod + LaurentPoly(c) if perturb else LaurentPoly(c)
+    if other.is_zero():
+        return
+    outcome = division_outcome(exact_div, other, q)
+    assert outcome == division_outcome(stride1_div, other, q)
+    if outcome is not NonExactDivision:
+        assert outcome * q == other
+
+
+def test_strided_exact_div_examples():
+    q = qint(3)  # stride 4
+    p = qint(4) * q  # stride 4
+    assert exact_div(p, q) == qint(4)
+    # A dividend of stride 2 over a divisor of stride 4: common stride 2.
+    p2 = q * LaurentPoly({0: 1, 2: 3})
+    assert exact_div(p2, q) == LaurentPoly({0: 1, 2: 3})
+    with pytest.raises(NonExactDivision):
+        exact_div(p2 + LaurentPoly.monomial(1), q)
+    with pytest.raises(NonExactDivision):
+        exact_div(p + LaurentPoly.monomial(p.min_deg + 2), q)
+    with pytest.raises(NonExactDivision):
+        exact_div(qint(2), qint(3))
