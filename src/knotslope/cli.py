@@ -100,6 +100,9 @@ def _cmd_degree(args):
     if args.n_max < 1:
         print("error: --n-max must be >= 1", file=sys.stderr)
         return 1
+    if args.method == "exact" and args.n_max > HARD_N_CEILING:
+        print(f"error: --n-max above the ceiling {HARD_N_CEILING}", file=sys.stderr)
+        return 1
     rows = []
     for N in range(1, args.n_max + 1):
         if args.method == "exact":

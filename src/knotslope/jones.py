@@ -13,20 +13,29 @@ where D_n is the set of even (a,b,c,d) in [0, 2n] with (a,b,c) admissible.
 The total is guaranteed to be a Laurent polynomial; a failed final division
 signals an implementation fault, never bad input.
 
-The accumulation keeps denominators in factored form (a multiset of
-theta(x,n,n) factors) and clears them with exact divisions at the end;
-no polynomial gcd is ever taken, and the result is bit-identical however
-the work is ordered.  summand gives one term as an unreduced
-(numerator, denominator) pair of Laurent polynomials.
+Every theta(x,n,n) is a signed monomial times a product of cyclotomic
+polynomials Phi_d(v^4), with multiplicities given by floor counts
+(theta_exponents).  colored_jones brings every level of the grouped sum
+over the one common denominator L = lcm_x theta(x,n,n), the product of
+Phi_d(v^4) to the largest of those multiplicities, and divides L^4 out
+at the end.  The cofactors L / theta(x,n,n) and the final division are
+exact divisions, so a wrong exponent vector or a total that is not a
+Laurent polynomial raises NonExactDivision.  No polynomial gcd is ever
+taken, and the result is bit-identical however the work is ordered.
+summand gives one term as an unreduced (numerator, denominator) pair of
+Laurent polynomials.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ktg import circle, delta6j, framing_power, is_admissible, theta
-from .qlaurent import ONE, ZERO, exact_div
+from .qlaurent import ONE, ZERO, cyclotomic, exact_div
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -125,13 +134,44 @@ def summand(params, n, colors):
     return num, den
 
 
+def theta_exponents(x, n):
+    """Cyclotomic exponent vector of theta(x,n,n), as {d: m} with m > 0.
+
+    With h = x/2 + n, theta(x,n,n) = +/-[h+1] [h]! / ([n-x/2]! [x/2]!^2),
+    and [k] is a monomial times the product of Phi_d(v^4) over d | k,
+    d > 1.  So theta(x,n,n) is a signed monomial times prod_d Phi_d(v^4)^m
+    with m = [d | h+1] + floor(h/d) - floor((n-x/2)/d) - 2 floor((x/2)/d).
+    """
+    k = x // 2
+    h = k + n
+    exponents = {}
+    for d in range(2, h + 2):
+        m = ((h + 1) % d == 0) + h // d - (n - k) // d - 2 * (k // d)
+        if m:
+            exponents[d] = m
+    return exponents
+
+
+def theta_lcm_exponents(n):
+    """Exponent vector of L = lcm_x theta(x,n,n) over the even x in [0, 2n].
+
+    The per-d maximum of the theta_exponents vectors.
+    """
+    exponents = {}
+    for x in range(0, 2 * n + 1, 2):
+        for d, m in theta_exponents(x, n).items():
+            exponents[d] = max(exponents.get(d, 0), m)
+    return exponents
+
+
 def colored_jones(params, N):
     """The N-colored Jones polynomial of the knot, exactly.
 
-    The sum is grouped so that the inner d-sum is formed once per b-value
-    and each level is brought over the common denominator by multiplying
-    with cached cofactor products; the single final division clears the
-    theta factors and doubles as an integrality tripwire.
+    The sum is grouped so that the inner d-sum is formed once per b-value.
+    Each level is brought over L = lcm_x theta(x,n,n), built from the
+    per-d maximum of the exponent vectors, by multiplying with the
+    cofactors L / theta(x,n,n).  The total then carries L^4, and the four
+    final divisions by L double as an integrality tripwire.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
@@ -141,14 +181,18 @@ def colored_jones(params, N):
     evens = range(0, top + 1, 2)
 
     thetas = {x: theta(x, n, n) for x in evens}
-    cof = _cofactors([thetas[x] for x in evens])
-    cof = dict(zip(evens, cof))
+    lcm_exponents = theta_lcm_exponents(n)
+    lcm = ONE
+    for d, m in lcm_exponents.items():
+        lcm = lcm * cyclotomic(d) ** m
+    # Exact: a wrong exponent vector raises NonExactDivision here.
+    cof = {x: exact_div(lcm, thetas[x]) for x in evens}
 
     def twisted(x, w):
         m = framing_power(x, w)
         return (circle(x) * cof[x]).shift(m.exponent, m.sign)
 
-    # Inner d-sum per b, over the common denominator prod_x theta(x,n,n).
+    # Inner d-sum per b, over the common denominator L.
     d_factor = {d: twisted(d, u) for d in evens}
     w_num = {}
     for b in evens:
@@ -185,26 +229,24 @@ def colored_jones(params, N):
             continue
         total = total + mid * a_factor[a]
 
-    # total == J_sum * prod_x theta(x,n,n)^4; peel the factors off exactly.
-    for x in evens:
-        for _ in range(4):
-            total = exact_div(total, thetas[x])
+    log.debug(
+        "colored_jones n=%d: L has %d cyclotomic factors, span %d "
+        "(product of thetas %d); total span %d before the peel",
+        n, sum(lcm_exponents.values()), _span(lcm),
+        sum(_span(p) for p in thetas.values()), _span(total),
+    )
+    # total == J_sum * L^4; peel L off exactly.
+    for _ in range(4):
+        total = exact_div(total, lcm)
 
     prefactor = framing_power(n, -4 * u)
     sign = prefactor.sign * (-1 if n % 2 else 1)
     return total.shift(prefactor.exponent, sign)
 
 
-def _cofactors(factors):
-    """cof[i] = product of all factors except the i-th, via prefix/suffix."""
-    k = len(factors)
-    prefix = [ONE] * (k + 1)
-    for i, f in enumerate(factors):
-        prefix[i + 1] = prefix[i] * f
-    suffix = [ONE] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * factors[i]
-    return [prefix[i] * suffix[i + 1] for i in range(k)]
+def _span(poly):
+    """Degree span max_deg - min_deg, 0 for the zero polynomial."""
+    return poly.max_deg - poly.min_deg if poly else 0
 
 
 def exact_dplus(params, N):

@@ -253,7 +253,12 @@ def cache_store(cache_dir, params, N, poly):
 
 
 def cache_load(cache_dir, params, N):
-    """Load a cached polynomial, discarding corrupt records with a warning."""
+    """Load a cached polynomial, discarding corrupt records with a warning.
+
+    Besides the stored degree and leading coefficient, a record must meet
+    two cheap invariants of every colored Jones polynomial: the classical
+    limit J_N(1) = N (the coefficient sum) and even exponents only.
+    """
     from .qlaurent import LaurentPoly
 
     path = Path(cache_dir) / params.key() / f"{N}.json"
@@ -270,6 +275,11 @@ def cache_load(cache_dir, params, N):
             raise ValueError("degree mismatch")
         if str(poly.leading_coeff) != record["leading_coeff"]:
             raise ValueError("leading coefficient mismatch")
+        terms = poly.terms()
+        if sum(c for _, c in terms) != N:
+            raise ValueError("coefficient sum is not N (classical limit)")
+        if any(e % 2 for e, _ in terms):
+            raise ValueError("odd exponent")
         return poly
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         log.warning("discarding corrupt cache record %s: %s", path, exc)

@@ -3,10 +3,11 @@
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
-ring operations, exact division, and quantum integers with their
-factorials/binomials/multinomials.  There is no field of fractions: state
-sums bring their quotients over a known common denominator and clear it
-with exact_div, whose failure signals a fault.
+ring operations, exact division, quantum integers with their
+factorials/binomials/multinomials, and the cyclotomic polynomials
+Phi_d(v^4) that quantum integers factor into.  There is no field of
+fractions: state sums bring their quotients over a known common
+denominator and clear it with exact_div, whose failure signals a fault.
 
 The state sum's polynomials have every exponent in v^k Z[v^4], so the two
 hot kernels first divide exponent offsets by the operands' common stride
@@ -363,6 +364,23 @@ def qint(k):
     if k < 0:
         raise ValueError(f"quantum integer undefined for negative {k}")
     return LaurentPoly._raw({2 * k - 2 - 4 * i: 1 for i in range(k)})
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Cyclotomic polynomial Phi_d(v^4), d >= 1.
+
+    Built as v^(4d) - 1 divided exactly by Phi_e(v^4) for every proper
+    divisor e of d.  Each quantum integer factors as
+    [k] = v^(-2(k-1)) * prod over d | k, d > 1, of Phi_d(v^4).
+    """
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomial undefined for {d}")
+    p = LaurentPoly._raw({4 * d: 1, 0: -1})
+    for e in range(1, d):
+        if d % e == 0:
+            p = exact_div(p, cyclotomic(e))
+    return p
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 """State-sum assembly: domain, summands, the polynomial and its degree."""
 
+import hashlib
+import logging
 import random
 
 import pytest
@@ -12,9 +14,11 @@ from knotslope.jones import (
     domain_points,
     exact_dplus,
     summand,
+    theta_exponents,
+    theta_lcm_exponents,
 )
 from knotslope.ktg import circle, delta6j, framing_power, theta
-from knotslope.qlaurent import ONE, ZERO, exact_div
+from knotslope.qlaurent import ONE, ZERO, NonExactDivision, cyclotomic, exact_div
 
 
 def flat_state_sum(params, N, points=None):
@@ -140,6 +144,67 @@ def test_colored_jones_equals_summand_total():
         params = KnotParams(*tup)
         for N in range(1, 5):
             assert colored_jones(params, N) == flat_state_sum(params, N)
+
+
+# SHA-256 of colored_jones(...).to_text(), recorded from the product-
+# denominator implementation that the LCM denominator replaced.
+POLY_DIGESTS = {
+    ((-3, 2, 3, -3), 5): "aa5d91d1c1adf572000a64f31e176050b236558fea8d3ca5b595e669e41f11c5",
+    ((-3, 2, 3, -3), 6): "41af03258aa4dad45f66cbd89566c80906af8d85669b051f98e0633df5375798",
+    ((-3, 2, 3, -3), 7): "386569d9e5284f026092af8f3bf3784e8a045eb6de12a69160def2bdaf787b7f",
+    ((-3, 6, 5, -3), 5): "795e8e5fff61f49701b6f36049cf16f8ce72338494216d333df0fe513ade3052",
+    ((-3, 6, 5, -3), 6): "115b9156dd74ea97962c8fab0246b72ff08cae2006a91b633b7bab26ca8621a6",
+    ((-3, 6, 5, -3), 7): "d1f2def84c4eb3b68e31dc5a9a382691313b9b89f3a03361668d983a4a8e7aa3",
+}
+
+
+def test_colored_jones_digest_pin():
+    for (tup, N), digest in POLY_DIGESTS.items():
+        text = colored_jones(KnotParams(*tup), N).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def cyclotomic_power_product(exponents):
+    result = ONE
+    for d, m in exponents.items():
+        result = result * cyclotomic(d) ** m
+    return result
+
+
+def test_theta_is_monomial_times_cyclotomic_powers():
+    for n in range(13):
+        for x in range(0, 2 * n + 1, 2):
+            value = theta(x, n, n)
+            product = cyclotomic_power_product(theta_exponents(x, n))
+            sign = value.leading_coeff
+            assert sign in (1, -1)
+            assert value == product.shift(value.max_deg - product.max_deg, sign)
+
+
+def test_lcm_missing_a_factor_is_not_divisible():
+    # L is a common multiple of the thetas, and the least one: dropping
+    # one Phi_d from L breaks the division by a theta that carries Phi_d
+    # to the full multiplicity.
+    n = 7
+    lcm = theta_lcm_exponents(n)
+    full = cyclotomic_power_product(lcm)
+    for x in range(0, 2 * n + 1, 2):
+        exact_div(full, theta(x, n, n))
+    for d, top in lcm.items():
+        short = exact_div(full, cyclotomic(d))
+        x = next(x for x in range(0, 2 * n + 1, 2) if theta_exponents(x, n).get(d) == top)
+        with pytest.raises(NonExactDivision):
+            exact_div(short, theta(x, n, n))
+
+
+def test_colored_jones_logs_denominator_spans(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="knotslope.jones"):
+        colored_jones(KnotParams(-3, 2, 3, -3), 4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "knotslope.jones"]
+    assert len(lines) == 1
+    assert lines[0].startswith("colored_jones n=3: L has ")
+    assert "product of thetas" in lines[0] and "before the peel" in lines[0]
+    assert capsys.readouterr().out == ""
 
 
 def test_summand_order_independence():

@@ -165,6 +165,34 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     assert cache_load(tmp_path, params, 2) == poly
 
 
+def test_cache_discards_records_failing_invariants(tmp_path, caplog):
+    # Middle-term corruption keeps the stored degree and leading
+    # coefficient right; only J_N(1) = N and the even exponents catch it.
+    params = KnotParams(-3, 2, 3, -3)
+    poly = colored_jones(params, 4)
+    path = cache_store(tmp_path, params, 4, poly)
+    pristine = json.loads(path.read_text())
+    mid = len(pristine["polynomial"]) // 2
+
+    def corrupt(coeff_delta, exp_delta):
+        record = json.loads(json.dumps(pristine))
+        pairs = record["polynomial"]
+        pairs[mid][1] = str(int(pairs[mid][1]) + coeff_delta)
+        pairs[mid + 1][0] += exp_delta
+        path.write_text(json.dumps(record))
+
+    corrupt(7, 1)
+    with caplog.at_level("WARNING"):
+        assert cache_load(tmp_path, params, 4) is None
+    assert "corrupt" in caplog.text
+    corrupt(7, 0)
+    assert cache_load(tmp_path, params, 4) is None
+    corrupt(0, 1)
+    assert cache_load(tmp_path, params, 4) is None
+    corrupt(0, 0)
+    assert cache_load(tmp_path, params, 4) == poly
+
+
 def test_cache_store_is_atomic(tmp_path, monkeypatch):
     import knotslope.pipeline as pipeline_mod
 
@@ -219,6 +247,17 @@ def test_cli_degree_methods_agree(capsys):
         assert main(base + ["--method", method]) == 0
         outputs[method] = json.loads(capsys.readouterr().out)["degrees"]
     assert outputs["exact"] == outputs["brute"] == outputs["fast"] == outputs["closed"]
+
+
+def test_cli_degree_exact_ceiling(capsys):
+    base = ["degree", "-r", "-3", "-s", "2", "-t", "3", "-u", "-1", "--n-max", "10"]
+    assert main(base + ["--method", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n-max above the ceiling 9\n"
+    assert captured.out == ""
+    for method in ("brute", "fast", "closed"):
+        assert main(base + ["--method", method]) == 0
+        assert capsys.readouterr().out.count("\n") == 10
 
 
 def test_cli_slope(capsys):

@@ -17,6 +17,7 @@ from knotslope.qlaurent import (
     _mul_packed,
     _peel,
     _stride,
+    cyclotomic,
     exact_div,
     qbinom,
     qfact,
@@ -337,3 +338,38 @@ def test_strided_exact_div_examples():
         exact_div(p + LaurentPoly.monomial(p.min_deg + 2), q)
     with pytest.raises(NonExactDivision):
         exact_div(qint(2), qint(3))
+
+
+# Phi_d(x) for d <= 12 as ascending coefficient lists in x.
+KNOWN_CYCLOTOMIC = {
+    1: [-1, 1],
+    2: [1, 1],
+    3: [1, 1, 1],
+    4: [1, 0, 1],
+    5: [1, 1, 1, 1, 1],
+    6: [1, -1, 1],
+    7: [1] * 7,
+    8: [1, 0, 0, 0, 1],
+    9: [1, 0, 0, 1, 0, 0, 1],
+    10: [1, -1, 1, -1, 1],
+    11: [1] * 11,
+    12: [1, 0, -1, 0, 1],
+}
+
+
+def test_cyclotomic_known_values():
+    for d, coeffs in KNOWN_CYCLOTOMIC.items():
+        expected = LaurentPoly({4 * i: c for i, c in enumerate(coeffs)})
+        assert cyclotomic(d) == expected
+    with pytest.raises(ValueError):
+        cyclotomic(0)
+
+
+def test_qint_factors_into_cyclotomics():
+    # [k] = v^(-2(k-1)) * prod over d | k, d > 1, of Phi_d(v^4).
+    for k in range(1, 25):
+        product = ONE
+        for d in range(2, k + 1):
+            if k % d == 0:
+                product = product * cyclotomic(d)
+        assert qint(k) == product.shift(-2 * (k - 1))
