@@ -22,6 +22,15 @@ at the end.  The cofactors L / theta(x,n,n) and the final division are
 exact divisions, so a wrong exponent vector or a total that is not a
 Laurent polynomial raises NonExactDivision.  No polynomial gcd is ever
 taken, and the result is bit-identical however the work is ordered.
+
+The grouped sum runs on packed integers (qlaurent.PackedRing): each
+factor is evaluated once at v^4 = 2^w, every level of the sum is
+big-integer arithmetic, and only the total is read back into a Laurent
+polynomial.  The slot width w comes from a first run of the same grouped
+sum over the factors' l1 norms, which bounds every coefficient of the
+total.  The final divisions and the classical limit J_N(1) = N check the
+result, so a slot too narrow for it raises ArithmeticError.
+
 summand gives one term as an unreduced (numerator, denominator) pair of
 Laurent polynomials.
 """
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ktg import circle, delta6j, framing_power, is_admissible, theta
-from .qlaurent import ONE, ZERO, cyclotomic, exact_div
+from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div, slot_bytes
 
 log = logging.getLogger(__name__)
 
@@ -88,6 +97,11 @@ class ColorTuple(NamedTuple):
             raise ValueError(f"({self.a}, {self.b}, {self.c}) is not admissible")
 
 
+def _c_range(a, b, n):
+    """The even c in [0, 2n] that make (a, b, c) admissible."""
+    return range(abs(a - b), min(a + b, 2 * n) + 1, 2)
+
+
 def domain_points(n):
     """The summation domain at ambient color n, in lexicographic order."""
     if n < 0:
@@ -96,9 +110,7 @@ def domain_points(n):
     points = []
     for a in range(0, top + 1, 2):
         for b in range(0, top + 1, 2):
-            c_lo = abs(a - b)
-            c_hi = min(a + b, top)
-            for c in range(c_lo, c_hi + 1, 2):
+            for c in _c_range(a, b, n):
                 for d in range(0, top + 1, 2):
                     points.append(ColorTuple(a, b, c, d, n))
     return points
@@ -164,84 +176,124 @@ def theta_lcm_exponents(n):
     return exponents
 
 
+class _Leaves(NamedTuple):
+    """The factors of the grouped state sum at one ambient color n.
+
+    a, b, c, d map each even color x to its twisted factor
+    O^x f(x)^w L / theta(x,n,n), with w = r, s, t, u; bd maps (b, d) to
+    delta6j(b,n,n,d,n,n); theta and delta map each admissible (a, b, c)
+    to theta(a,b,c) and delta6j(a,b,c,n,n,n).
+    """
+
+    a: dict
+    b: dict
+    c: dict
+    d: dict
+    bd: dict
+    theta: dict
+    delta: dict
+
+    def map(self, f):
+        """The same tables with f applied to every factor."""
+        return _Leaves(*({k: f(v) for k, v in table.items()} for table in self))
+
+
+def _leaves(params, n, lcm):
+    """The factor tables of the state sum, brought over L = lcm.
+
+    Each cofactor L / theta(x,n,n) is an exact division, so an L that
+    misses a factor of some theta raises NonExactDivision here.
+    """
+    evens = range(0, 2 * n + 1, 2)
+    base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
+
+    def twisted(w):
+        table = {}
+        for x in evens:
+            m = framing_power(x, w)
+            table[x] = base[x].shift(m.exponent, m.sign)
+        return table
+
+    triples = [(a, b, c) for a in evens for b in evens for c in _c_range(a, b, n)]
+    return _Leaves(
+        *(twisted(w) for w in params.astuple()),
+        bd={(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens},
+        theta={abc: theta(*abc) for abc in triples},
+        delta={abc: delta6j(*abc, n, n, n) for abc in triples},
+    )
+
+
+def _grouped_sum(n, f):
+    """The grouped state sum over the factor tables f: J_sum * L^4.
+
+    The inner d-sum is formed once per b-value.  Only + and * are applied
+    to the factors, so the same traversal runs over LaurentPoly factors,
+    over packed integers, and over l1 norms, where it gives an upper
+    bound of the l1 norm of the total, because ||PQ|| <= ||P|| ||Q|| and
+    ||P + Q|| <= ||P|| + ||Q||.
+    """
+    evens = range(0, 2 * n + 1, 2)
+    w = {b: f.b[b] * sum(f.bd[b, d] * f.d[d] for d in evens) for b in evens}
+    total = 0
+    for a in evens:
+        mid = 0
+        for b in evens:
+            inner = sum(f.theta[a, b, c] * f.delta[a, b, c] * f.delta[a, b, c] * f.c[c]
+                        for c in _c_range(a, b, n))
+            mid = mid + inner * w[b]
+        total = total + mid * f.a[a]
+    return total
+
+
 def colored_jones(params, N):
     """The N-colored Jones polynomial of the knot, exactly.
 
-    The sum is grouped so that the inner d-sum is formed once per b-value.
-    Each level is brought over L = lcm_x theta(x,n,n), built from the
-    per-d maximum of the exponent vectors, by multiplying with the
-    cofactors L / theta(x,n,n).  The total then carries L^4, and the four
-    final divisions by L double as an integrality tripwire.
+    The grouped sum runs twice over the same factor tables: once over
+    their l1 norms, which bounds every coefficient of the total, and once
+    over the factors packed into integers at v^4 = 2^w, with w one bit
+    wider than that bound, rounded up to whole bytes.  Only the total is
+    unpacked.  It carries L^4, and the four final divisions by L and the
+    classical limit J_N(1) = N double as tripwires for the integrality of
+    the sum and for the slot width.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
     n = N - 1
-    r, s, t, u = params.astuple()
-    top = 2 * n
-    evens = range(0, top + 1, 2)
-
-    thetas = {x: theta(x, n, n) for x in evens}
     lcm_exponents = theta_lcm_exponents(n)
     lcm = ONE
     for d, m in lcm_exponents.items():
         lcm = lcm * cyclotomic(d) ** m
-    # Exact: a wrong exponent vector raises NonExactDivision here.
-    cof = {x: exact_div(lcm, thetas[x]) for x in evens}
 
-    def twisted(x, w):
-        m = framing_power(x, w)
-        return (circle(x) * cof[x]).shift(m.exponent, m.sign)
+    leaves = _leaves(params, n, lcm)
+    bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
+    ring = PackedRing(slot_bytes(bound), 4)
+    packed = leaves.map(ring.pack)
+    del leaves  # only the packed tables are used from here; free the rest
+    total = ring.unpack(_grouped_sum(n, packed))
 
-    # Inner d-sum per b, over the common denominator L.
-    d_factor = {d: twisted(d, u) for d in evens}
-    w_num = {}
-    for b in evens:
-        acc = ZERO
-        for d in evens:
-            term = delta6j(b, n, n, d, n, n)
-            if term.is_zero():
-                continue
-            acc = acc + term * d_factor[d]
-        w_num[b] = acc
-
-    b_factor = {b: twisted(b, s) * w_num[b] for b in evens}
-    c_factor = {c: twisted(c, t) for c in evens}
-    a_factor = {a: twisted(a, r) for a in evens}
-
-    total = ZERO
-    for a in evens:
-        mid = ZERO
-        for b in evens:
-            if w_num[b].is_zero():
-                continue
-            inner = ZERO
-            c_lo = abs(a - b)
-            c_hi = min(a + b, top)
-            for c in range(c_lo, c_hi + 1, 2):
-                d1 = delta6j(a, b, c, n, n, n)
-                if d1.is_zero():
-                    continue
-                inner = inner + theta(a, b, c) * d1 * d1 * c_factor[c]
-            if inner.is_zero():
-                continue
-            mid = mid + inner * b_factor[b]
-        if mid.is_zero():
-            continue
-        total = total + mid * a_factor[a]
-
-    log.debug(
-        "colored_jones n=%d: L has %d cyclotomic factors, span %d "
-        "(product of thetas %d); total span %d before the peel",
-        n, sum(lcm_exponents.values()), _span(lcm),
-        sum(_span(p) for p in thetas.values()), _span(total),
-    )
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "colored_jones n=%d: L has %d cyclotomic factors, span %d "
+            "(product of thetas %d); total span %d before the peel; "
+            "%d-bit slots for an l1 bound of %d bits, total max |coef| "
+            "%d bits; %d packed multiplies, %d packed adds",
+            n, sum(lcm_exponents.values()), _span(lcm),
+            sum(_span(theta(x, n, n)) for x in range(0, 2 * n + 1, 2)),
+            _span(total), 8 * ring.width, bound.bit_length(),
+            max((abs(c) for _, c in total.terms()), default=0).bit_length(),
+            ring.muls, ring.adds,
+        )
     # total == J_sum * L^4; peel L off exactly.
     for _ in range(4):
         total = exact_div(total, lcm)
 
-    prefactor = framing_power(n, -4 * u)
+    prefactor = framing_power(n, -4 * params.u)
     sign = prefactor.sign * (-1 if n % 2 else 1)
-    return total.shift(prefactor.exponent, sign)
+    result = total.shift(prefactor.exponent, sign)
+    at_one = sum(c for _, c in result.terms())
+    if at_one != N:
+        raise ArithmeticError(f"J_{N}(1) = {at_one}, not {N}")
+    return result
 
 
 def _span(poly):

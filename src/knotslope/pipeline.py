@@ -223,29 +223,39 @@ def run_verification(params, n_max, cache_dir=None):
 # -- polynomial cache -----------------------------------------------------
 
 
-def poly_record(params, N, poly):
-    """One polynomial as a JSON line: the cache record and `jones --format json`."""
-    return json.dumps({
+# Version of the cache record layout; cache_load discards other versions.
+CACHE_FORMAT = 1
+
+
+def _poly_fields(params, N, poly):
+    return {
         "params": params.as_dict(),
         "N": N,
         "polynomial": poly.to_json(),
         "max_deg": poly.max_deg,
         "leading_coeff": str(poly.leading_coeff),
-    }, sort_keys=True)
+    }
+
+
+def poly_record(params, N, poly):
+    """One polynomial as the JSON line that `jones --format json` prints."""
+    return json.dumps(_poly_fields(params, N, poly), sort_keys=True)
 
 
 def cache_store(cache_dir, params, N, poly):
     """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'.
 
-    The record goes to a temporary file beside it and is renamed into
-    place, so a reader never sees a partial record and a failed write
-    leaves any earlier record intact and no temporary file behind.
+    The record is the poly_record fields plus "format": CACHE_FORMAT.  It
+    goes to a temporary file beside it and is renamed into place, so a
+    reader never sees a partial record and a failed write leaves any
+    earlier record intact and no temporary file behind.
     """
     path = Path(cache_dir) / params.key() / f"{N}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    record = dict(_poly_fields(params, N, poly), format=CACHE_FORMAT)
     try:
-        tmp.write_text(poly_record(params, N, poly) + "\n")
+        tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -255,9 +265,10 @@ def cache_store(cache_dir, params, N, poly):
 def cache_load(cache_dir, params, N):
     """Load a cached polynomial, discarding corrupt records with a warning.
 
-    Besides the stored degree and leading coefficient, a record must meet
-    two cheap invariants of every colored Jones polynomial: the classical
-    limit J_N(1) = N (the coefficient sum) and even exponents only.
+    A record must carry format CACHE_FORMAT.  Besides the stored degree
+    and leading coefficient, it must meet two cheap invariants of every
+    colored Jones polynomial: the classical limit J_N(1) = N (the
+    coefficient sum) and even exponents only.
     """
     from .qlaurent import LaurentPoly
 
@@ -266,6 +277,9 @@ def cache_load(cache_dir, params, N):
         return None
     try:
         record = json.loads(path.read_text())
+        fmt = record.get("format") if isinstance(record, dict) else None
+        if fmt != CACHE_FORMAT:
+            raise ValueError(f"record format {fmt!r}, expected {CACHE_FORMAT}")
         if record["params"] != params.as_dict():
             raise ValueError("parameter mismatch")
         if record["N"] != N:

@@ -19,6 +19,13 @@ dict loop, which also stays as the reference the packed product is tested
 against.  exact_div runs its schoolbook peel on the stride-compressed
 coefficient arrays, with every divisibility and remainder check in place.
 
+PackedRing keeps whole computations packed: its values are Laurent
+polynomials of one coset v^k Z[v^stride], held as integers evaluated at
+v^stride = 2^w, so that a sum of products is big-integer arithmetic from
+the packed factors to the one result that is read back.  The slot code
+(slot_bytes, _pack_slots, _unpack_slots) is shared with the packed
+product.
+
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
     [1] = 1, [2] = v^2 + v^-2;
@@ -117,6 +124,10 @@ class LaurentPoly:
 
     def __len__(self):
         return len(self._terms)
+
+    def l1_norm(self):
+        """Sum of the absolute values of the coefficients."""
+        return sum(map(abs, self._terms.values()))
 
     # -- ring operations ----------------------------------------------
 
@@ -317,42 +328,154 @@ def _mul_packed(a, b, g):
     """Product of two nonzero term maps by Kronecker substitution.
 
     Exponents are taken as offsets from each map's lowest one, divided by
-    the stride g, which must divide them all.  Each map becomes one integer
-    whose w-bit slots hold its coefficients; one big-integer product then
-    holds the product's coefficients in the same slots.  No product
-    coefficient exceeds min(len) * max|a| * max|b| in magnitude, so with w
-    at least one bit wider than that bound every slot reads back exactly
-    as a balanced digit: stored biased by half = 2^(w-1), so it is never
-    negative, and read back minus half.
+    the stride g, which must divide them all.  Each map is packed into one
+    integer (_pack_slots), one big-integer product then holds the
+    product's coefficients in the same slots, and _unpack_slots reads them
+    back.  No product coefficient exceeds min(len) * max|a| * max|b| in
+    magnitude, and slot_bytes makes the slots wide enough for that bound.
     """
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
+    width = slot_bytes(bound)
     alo, blo = min(a), min(b)
-    na = (max(a) - alo) // g + 1
-    nb = (max(b) - blo) // g + 1
-    bound = (min(len(a), len(b)) * max(abs(c) for c in a.values())
-             * max(abs(c) for c in b.values()))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot
+    packed = _pack_slots(a, alo, g, width) * _pack_slots(b, blo, g, width)
+    return _unpack_slots(packed, alo + blo, g, width)
+
+
+# -- Kronecker slots ---------------------------------------------------------
+#
+# A term map whose exponents lie on lo + stride * k, k >= 0, is packed as
+# the integer sum of c * 2^(w k) with w = 8 * width: its value at
+# v^stride = 2^w, divided by v^lo.  Each coefficient sits in one w-bit
+# slot as a balanced digit: stored biased by half = 2^(w-1), so the slot
+# is never negative, and read back minus half.  A slot therefore holds
+# exactly the coefficients of magnitude below 2^(w-1).
+
+
+def slot_bytes(bound):
+    """Bytes per slot for coefficients of magnitude at most bound.
+
+    One bit wider than the bound, for the sign of the balanced digit,
+    rounded up to whole bytes.
+    """
+    return (bound.bit_length() + 8) // 8
+
+
+def _bias(count, width):
+    """half = 2^(8*width - 1) in each of count slots."""
+    half_slot = (1 << (8 * width - 1)).to_bytes(width, "little")
+    return int.from_bytes(half_slot * count, "little")
+
+
+def _pack_slots(terms, lo, stride, width):
+    """A nonzero term map as one integer with one slot per stride step.
+
+    lo must be the lowest exponent and stride must divide every offset
+    from it.  A coefficient too wide for its slot raises OverflowError.
+    """
     half = 1 << (8 * width - 1)
-    half_slot = half.to_bytes(width, "little")
+    count = (max(terms) - lo) // stride + 1
+    slots = [half] * count
+    for e, c in terms.items():
+        slots[(e - lo) // stride] = c + half
+    biased = int.from_bytes(
+        b"".join([c.to_bytes(width, "little") for c in slots]), "little")
+    return biased - _bias(count, width)
 
-    def pack(terms, lo, count):
-        slots = [half] * count
-        for e, c in terms.items():
-            slots[(e - lo) // g] = c + half
-        biased = int.from_bytes(
-            b"".join([c.to_bytes(width, "little") for c in slots]), "little")
-        return biased - int.from_bytes(half_slot * count, "little")
 
-    n = na + nb - 1
-    packed = pack(a, alo, na) * pack(b, blo, nb)
-    raw = (packed + int.from_bytes(half_slot * n, "little")).to_bytes(
-        n * width, "little")
-    lo = alo + blo
-    out = {}
-    for k in range(n):
-        c = int.from_bytes(raw[k * width:(k + 1) * width], "little") - half
-        if c:
-            out[lo + k * g] = c
-    return out
+def _unpack_slots(value, lo, stride, width):
+    """The term map whose packed integer is value; zero gives {}.
+
+    Exact when every coefficient has magnitude below 2^(8*width - 1): the
+    top nonzero slot of such a value lies at or below bit_length / w,
+    w = 8 * width.  One slot more than that keeps value plus the bias
+    positive and below 2^(w * count) for any value, so a value packed
+    from wider coefficients still reads back, as wrong digits, for the
+    caller's exactness checks to catch.
+    """
+    count = abs(value).bit_length() // (8 * width) + 2
+    half = 1 << (8 * width - 1)
+    raw = (value + _bias(count, width)).to_bytes(count * width, "little")
+    from_bytes = int.from_bytes
+    digits = [from_bytes(raw[i:i + width], "little") - half
+              for i in range(0, count * width, width)]
+    return {lo + k * stride: c for k, c in enumerate(digits) if c}
+
+
+class PackedRing:
+    """Laurent polynomials of one coset v^k Z[v^stride] as packed integers.
+
+    A packed value v^lo * P(v^stride), with P a polynomial, is held as
+    the integer P(2^w) and lo, w = 8 * width.  Evaluation at
+    v^stride = 2^w is a ring homomorphism, so products and sums of packed
+    values take big-integer arithmetic only, and intermediate values may
+    have any coefficients.  unpack reads a result back exactly when its
+    coefficients have magnitude below 2^(w-1) (see slot_bytes); pack
+    raises OverflowError for a coefficient too wide for its slot.  The
+    ring counts the products and sums it forms.
+    """
+
+    def __init__(self, width, stride):
+        self.width = width
+        self.stride = stride
+        self.muls = 0
+        self.adds = 0
+
+    def pack(self, poly):
+        if not poly:
+            return Packed(0, 0, self)
+        terms = poly._terms
+        lo = min(terms)
+        if any((e - lo) % self.stride for e in terms):
+            raise ArithmeticError(f"exponents outside one coset mod {self.stride}")
+        return Packed(_pack_slots(terms, lo, self.stride, self.width), lo, self)
+
+    def unpack(self, packed):
+        return LaurentPoly._raw(
+            _unpack_slots(packed.value, packed.lo, self.stride, self.width))
+
+
+class Packed:
+    """One value of a PackedRing: v^lo times the polynomial packed in value.
+
+    Supports * and + with values of the same ring, and + with the int 0,
+    so that sum() works.  A sum aligns the two exponents by a left shift
+    of w bits per stride step and raises ArithmeticError when they lie in
+    different cosets; zero belongs to every coset.
+    """
+
+    __slots__ = ("value", "lo", "ring")
+
+    def __init__(self, value, lo, ring):
+        self.value = value
+        self.lo = lo
+        self.ring = ring
+
+    def __mul__(self, other):
+        self.ring.muls += 1
+        return Packed(self.value * other.value, self.lo + other.lo, self.ring)
+
+    def __add__(self, other):
+        if not isinstance(other, Packed):
+            if other == 0:
+                return self
+            return NotImplemented
+        if not other.value:
+            return self
+        if not self.value:
+            return other
+        low, high = (self, other) if self.lo <= other.lo else (other, self)
+        ring = self.ring
+        steps, rem = divmod(high.lo - low.lo, ring.stride)
+        if rem:
+            raise ArithmeticError(
+                f"adding v^{low.lo} and v^{high.lo} terms across cosets "
+                f"mod {ring.stride}")
+        ring.adds += 1
+        return Packed(low.value + (high.value << (8 * ring.width * steps)),
+                      low.lo, ring)
+
+    __radd__ = __add__
 
 
 # -- quantum integers ---------------------------------------------------

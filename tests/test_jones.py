@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import random
+import re
 
 import pytest
 
@@ -10,6 +11,8 @@ from knotslope.degopt import brute_max_objective, closed_form_dplus
 from knotslope.jones import (
     ColorTuple,
     KnotParams,
+    _grouped_sum,
+    _leaves,
     colored_jones,
     domain_points,
     exact_dplus,
@@ -18,7 +21,16 @@ from knotslope.jones import (
     theta_lcm_exponents,
 )
 from knotslope.ktg import circle, delta6j, framing_power, theta
-from knotslope.qlaurent import ONE, ZERO, NonExactDivision, cyclotomic, exact_div
+from knotslope.qlaurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    NonExactDivision,
+    PackedRing,
+    cyclotomic,
+    exact_div,
+    slot_bytes,
+)
 
 
 def flat_state_sum(params, N, points=None):
@@ -155,6 +167,9 @@ POLY_DIGESTS = {
     ((-3, 6, 5, -3), 5): "795e8e5fff61f49701b6f36049cf16f8ce72338494216d333df0fe513ade3052",
     ((-3, 6, 5, -3), 6): "115b9156dd74ea97962c8fab0246b72ff08cae2006a91b633b7bab26ca8621a6",
     ((-3, 6, 5, -3), 7): "d1f2def84c4eb3b68e31dc5a9a382691313b9b89f3a03361668d983a4a8e7aa3",
+    # Recorded from the dict-arithmetic state sum that packed integers replaced.
+    ((-3, 2, 3, -3), 8): "4d236bc50c00f6a7453abe79334cce4a973e8670aa7a2c49f0719ac61b85fe3f",
+    ((-3, 6, 5, -3), 8): "03f797f397a356acd7fefba99f4229b7abe8b188df2a1d41fbd872db75947659",
 }
 
 
@@ -204,7 +219,53 @@ def test_colored_jones_logs_denominator_spans(caplog, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("colored_jones n=3: L has ")
     assert "product of thetas" in lines[0] and "before the peel" in lines[0]
+    slot, bound, coef, muls, adds = map(int, re.search(
+        r"(\d+)-bit slots for an l1 bound of (\d+) bits, total max \|coef\| "
+        r"(\d+) bits; (\d+) packed multiplies, (\d+) packed adds", lines[0]).groups())
+    assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
+    assert 0 < coef <= bound
+    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 3
+    # products per admissible (a, b, c), then 16 (a, b) and 4 a products.
+    # Each sum adds all but the first term of its group.
+    triples = len({p[:3] for p in domain_points(3)})
+    assert (muls, adds) == (16 + 4 + 3 * triples + 16 + 4,
+                            4 * 3 + (triples - 16) + 4 * 3 + 3)
     assert capsys.readouterr().out == ""
+
+
+def test_l1_bound_covers_the_total():
+    # The grouped sum over dict-arithmetic factors is the reference for
+    # the packed total, and its coefficients stay within the l1 bound.
+    for tup in FLAT_ORACLE_TUPLES:
+        params = KnotParams(*tup)
+        for N in range(1, 8):
+            n = N - 1
+            leaves = _leaves(params, n, cyclotomic_power_product(theta_lcm_exponents(n)))
+            total = _grouped_sum(n, leaves)
+            bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
+            assert max(abs(c) for _, c in total.terms()) <= bound
+            ring = PackedRing(slot_bytes(bound), 4)
+            assert ring.unpack(_grouped_sum(n, leaves.map(ring.pack))) == total
+
+
+def test_colored_jones_rejects_too_narrow_slots(monkeypatch):
+    # A unit norm for every factor makes the bound, and so the slots, far
+    # too narrow for the total; its misread digits fail the final peel.
+    monkeypatch.setattr(LaurentPoly, "l1_norm", lambda self: 1)
+    for N in (3, 4):
+        with pytest.raises(ArithmeticError) as info:
+            colored_jones(KnotParams(-3, 2, 3, -3), N)
+        assert not isinstance(info.value, OverflowError)
+
+
+def test_colored_jones_checks_the_classical_limit(monkeypatch):
+    # A total off by L^4 passes the four divisions by L; only J_N(1) = N
+    # catches it.
+    lcm4 = cyclotomic_power_product(theta_lcm_exponents(3)) ** 4
+    unpack = PackedRing.unpack
+    monkeypatch.setattr(PackedRing, "unpack", lambda ring, p: unpack(ring, p) + lcm4)
+    with pytest.raises(ArithmeticError, match=r"J_4\(1\)"):
+        colored_jones(KnotParams(-3, 2, 3, -3), 4)
 
 
 def test_summand_order_independence():

@@ -193,14 +193,40 @@ def test_cache_discards_records_failing_invariants(tmp_path, caplog):
     assert cache_load(tmp_path, params, 4) == poly
 
 
+def test_cache_discards_records_of_another_format(tmp_path, caplog):
+    # A record without "format", as earlier versions wrote it, or with a
+    # different one is discarded and recomputed; a current record loads.
+    import knotslope.pipeline as pipeline_mod
+
+    params = KnotParams(-3, 2, 3, -3)
+    poly = colored_jones(params, 3)
+    path = tmp_path / params.key() / "3.json"
+    path.parent.mkdir(parents=True)
+    for fmt in (None, pipeline_mod.CACHE_FORMAT + 1):
+        record = json.loads(pipeline_mod.poly_record(params, 3, poly))
+        if fmt is not None:
+            record["format"] = fmt
+        path.write_text(json.dumps(record, sort_keys=True) + "\n")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cache_load(tmp_path, params, 3) is None
+        assert "format" in caplog.text
+        assert pipeline_mod.jones_cached(params, 3, tmp_path) == poly
+        assert json.loads(path.read_text())["format"] == pipeline_mod.CACHE_FORMAT
+        caplog.clear()
+        assert cache_load(tmp_path, params, 3) == poly
+        assert not caplog.text
+
+
 def test_cache_store_is_atomic(tmp_path, monkeypatch):
     import knotslope.pipeline as pipeline_mod
 
     params = KnotParams(-3, 2, 3, -3)
     path = cache_store(tmp_path, params, 2, colored_jones(params, 2))
     before = path.read_bytes()
-    assert before == (pipeline_mod.poly_record(params, 2, colored_jones(params, 2))
-                      + "\n").encode()
+    record = json.loads(pipeline_mod.poly_record(params, 2, colored_jones(params, 2)))
+    record["format"] = pipeline_mod.CACHE_FORMAT
+    assert before == (json.dumps(record, sort_keys=True) + "\n").encode()
 
     def failing_replace(src, dst):
         raise OSError("disk full")

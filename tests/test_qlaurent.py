@@ -12,6 +12,7 @@ from knotslope.qlaurent import (
     ZERO,
     LaurentPoly,
     NonExactDivision,
+    PackedRing,
     ZeroPolynomial,
     _mul_loop,
     _mul_packed,
@@ -23,6 +24,7 @@ from knotslope.qlaurent import (
     qfact,
     qint,
     qmultinom,
+    slot_bytes,
 )
 
 
@@ -291,6 +293,59 @@ def test_mul_small_and_sparse_operands_take_loop(monkeypatch):
     monkeypatch.setattr(qlaurent, "_mul_packed", refuse)
     assert dispatched(a, b) == expected
     assert qint(2) * qint(2) == LaurentPoly({4: 1, 0: 2, -4: 1})
+
+
+WIDE = 2 ** 200
+
+ring_coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(WIDE, 4 * WIDE),
+    st.integers(-4 * WIDE, -WIDE),
+)
+
+
+@st.composite
+def packed_ring_operands(draw):
+    """Sparse signed term maps p, q, r, stride 1 or 4, with p * q and r in
+    one coset mod the stride but at different lowest exponents."""
+    stride = draw(st.sampled_from([1, 4]))
+
+    def terms(coset):
+        lo = coset + stride * draw(st.integers(-6, 6))
+        ks = draw(st.sets(st.integers(0, 40), max_size=10))
+        return {lo + stride * k: draw(ring_coefficients) for k in ks}
+
+    cp, cq = draw(st.integers(0, stride - 1)), draw(st.integers(0, stride - 1))
+    return stride, terms(cp), terms(cq), terms((cp + cq) % stride)
+
+
+@settings(max_examples=120, deadline=None)
+@given(packed_ring_operands())
+def test_packed_ring_matches_dict_arithmetic(operands):
+    stride, a, b, c = operands
+    p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    norms = [x.l1_norm() for x in (p, q, r)]
+    ring = PackedRing(slot_bytes(max(*norms, norms[0] * norms[1] + norms[2])), stride)
+    pp, pq, pr = ring.pack(p), ring.pack(q), ring.pack(r)
+    product = LaurentPoly(_mul_loop(p._terms, q._terms))
+    assert ring.unpack(pp * pq + pr) == product + r
+    assert ring.unpack(sum([pr, pp * pq])) == product + r
+    # Cancellation to zero, in the same coset and at another lowest exponent.
+    assert ring.unpack(pp * pq + ring.pack(-product)) == ZERO
+    assert ring.unpack(pr + ring.pack(-r)) == ZERO
+    assert ring.muls == 3
+
+
+def test_packed_sum_across_cosets_raises():
+    ring = PackedRing(2, 4)
+    two, one = ring.pack(qint(2)), ring.pack(ONE)  # v^2 + v^-2 and 1
+    with pytest.raises(ArithmeticError):
+        two + one
+    with pytest.raises(ArithmeticError):
+        ring.pack(LaurentPoly({0: 1, 2: 1}))
+    # Zero lies in every coset; v^4 * 1 lies in the coset of 1.
+    assert ring.unpack(two + ring.pack(ZERO)) == qint(2)
+    assert ring.unpack(one + ring.pack(LaurentPoly.monomial(4, -3))) == LaurentPoly({0: 1, 4: -3})
 
 
 def stride1_div(p, q):
