@@ -7,50 +7,4 @@ ratios by Hatcher-Oertel edgepath systems, and machine verification that
 the degree coefficients match the surface invariants on parameter grids.
 """
 
-from .degopt import (
-    BelowThreshold,
-    Classification,
-    NoQuadraticFit,
-    QuasiPolynomial,
-    ResidueData,
-    brute_max_objective,
-    classify,
-    closed_form_dplus,
-    degree_objective,
-    fast_max_objective,
-    fit_quasi,
-)
-from .edgepath import (
-    boundary_slope,
-    check_admissible,
-    euler_ratio,
-    gamma_system,
-    seifert_system,
-    twist,
-)
-from .jones import ColorTuple, KnotParams, colored_jones, domain_points, exact_dplus, summand
-from .ktg import (
-    FractionalExponent,
-    InadmissibleColoring,
-    NonRealPhase,
-    SignedMonomial,
-    circle,
-    delta6j,
-    dplus_delta6j,
-    dplus_theta,
-    framing_power,
-    theta,
-)
-from .pipeline import Prediction, Report, grid_run, predict, run_verification
-from .qlaurent import (
-    LaurentPoly,
-    NonExactDivision,
-    ZeroPolynomial,
-    exact_div,
-    qbinom,
-    qfact,
-    qint,
-    qmultinom,
-)
-
 __version__ = "0.1.0"

@@ -4,7 +4,6 @@ Projective curve systems [a, b, c] on the four-punctured sphere are plotted
 in the uv-plane via u = b/(a+b), v = c/(a+b).  Vertices of the diagram:
 
   arc <p/q>      curve system [1, q-1, p],  uv = ((q-1)/q, p/q)
-  circle <p/q>o  curve system [0, p, q],    uv = (1, p/q)
   arc <inf>      uv = (-1, 0)
 
 An edgepath is stored as its edge list in ending-to-starting order, each
@@ -33,7 +32,6 @@ from fractions import Fraction
 from .degopt import classify
 
 ARC = "arc"
-CIRCLE = "circle"
 INFINITY = "infinity"
 
 
@@ -46,24 +44,17 @@ class DiagramVertex:
         if self.kind == ARC:
             q = self.slope.denominator
             return (Fraction(q - 1, q), self.slope)
-        if self.kind == CIRCLE:
-            return (Fraction(1), self.slope)
         return (Fraction(-1), Fraction(0))
 
     def curve_system(self):
         if self.kind == ARC:
             p, q = self.slope.numerator, self.slope.denominator
             return (1, q - 1, p)
-        if self.kind == CIRCLE:
-            p, q = self.slope.numerator, self.slope.denominator
-            return (0, p, q)
         raise ValueError("the infinity vertex carries no projective class")
 
     def __str__(self):
         if self.kind == ARC:
             return f"<{self.slope}>"
-        if self.kind == CIRCLE:
-            return f"<{self.slope}>o"
         return "<inf>"
 
 
@@ -71,15 +62,7 @@ def arc(slope):
     return DiagramVertex(ARC, Fraction(slope))
 
 
-def circle_vertex(slope):
-    return DiagramVertex(CIRCLE, Fraction(slope))
-
-
-INFINITY_VERTEX = DiagramVertex(INFINITY)
-
-
 NONHORIZONTAL = "nonhorizontal"
-HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 INFINITY_EDGE = "infinity"
 CONSTANT = "constant"
@@ -381,8 +364,6 @@ def check_admissible(system):
 
 def _starts_on_tangle(path):
     start = path.start_vertex()
-    if path.is_constant():
-        return start.kind in (ARC, CIRCLE) and start.slope == path.tangle
     return start.kind == ARC and start.slope == path.tangle
 
 
@@ -398,13 +379,9 @@ def _joined(v1, v2):
     if INFINITY in (v1.kind, v2.kind):
         other = v2 if v1.kind == INFINITY else v1
         return other.kind == ARC and other.slope.denominator == 1
-    if v1.kind == v2.kind == ARC:
-        ps = v1.slope.numerator * v2.slope.denominator
-        qr = v1.slope.denominator * v2.slope.numerator
-        return abs(ps - qr) == 1
-    if v1.kind == v2.kind == CIRCLE:
-        return False
-    return v1.slope == v2.slope  # horizontal edge arc <-> circle
+    ps = v1.slope.numerator * v2.slope.denominator
+    qr = v1.slope.denominator * v2.slope.numerator
+    return abs(ps - qr) == 1
 
 
 def _is_minimal(path):

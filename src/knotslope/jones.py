@@ -181,8 +181,10 @@ class _Leaves(NamedTuple):
 
     a, b, c, d map each even color x to its twisted factor
     O^x f(x)^w L / theta(x,n,n), with w = r, s, t, u; bd maps (b, d) to
-    delta6j(b,n,n,d,n,n); theta and delta map each admissible (a, b, c)
-    to theta(a,b,c) and delta6j(a,b,c,n,n,n).
+    delta6j(b,n,n,d,n,n); theta and delta map each admissible sorted
+    triple a <= b <= c to theta(a,b,c) and delta6j(a,b,c,n,n,n), which are
+    symmetric in (a, b, c): permuting the triple permutes the four
+    quantum binomials of each z-term and leaves the z-range unchanged.
     """
 
     a: dict
@@ -214,7 +216,8 @@ def _leaves(params, n, lcm):
             table[x] = base[x].shift(m.exponent, m.sign)
         return table
 
-    triples = [(a, b, c) for a in evens for b in evens for c in _c_range(a, b, n)]
+    triples = [(a, b, c) for a in evens for b in evens for c in _c_range(a, b, n)
+               if a <= b <= c]
     return _Leaves(
         *(twisted(w) for w in params.astuple()),
         bd={(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens},
@@ -238,8 +241,10 @@ def _grouped_sum(n, f):
     for a in evens:
         mid = 0
         for b in evens:
-            inner = sum(f.theta[a, b, c] * f.delta[a, b, c] * f.delta[a, b, c] * f.c[c]
-                        for c in _c_range(a, b, n))
+            inner = 0
+            for c in _c_range(a, b, n):
+                abc = tuple(sorted((a, b, c)))
+                inner = inner + f.theta[abc] * f.delta[abc] * f.delta[abc] * f.c[c]
             mid = mid + inner * w[b]
         total = total + mid * f.a[a]
     return total

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qlaurent import ZERO, LaurentPoly, qbinom, qint, qmultinom
+from .qlaurent import ZERO, qbinom, qint, qmultinom
 
 
 class InadmissibleColoring(ValueError):
@@ -58,9 +58,6 @@ class SignedMonomial(NamedTuple):
 
     sign: int
     exponent: int
-
-    def to_poly(self):
-        return LaurentPoly.monomial(self.exponent, self.sign)
 
 
 @dataclass(frozen=True)

@@ -9,22 +9,19 @@ Phi_d(v^4) that quantum integers factor into.  There is no field of
 fractions: state sums bring their quotients over a known common
 denominator and clear it with exact_div, whose failure signals a fault.
 
-The state sum's polynomials have every exponent in v^k Z[v^4], so the two
-hot kernels first divide exponent offsets by the operands' common stride
-(the gcd of the offsets, 4 there).  Large products then go through
-Kronecker substitution: each operand is packed into one Python integer,
-the integers are multiplied once, and the product's coefficients are read
-back from fixed-width slots.  Small or sparse products keep the schoolbook
-dict loop, which also stays as the reference the packed product is tested
-against.  exact_div runs its schoolbook peel on the stride-compressed
-coefficient arrays, with every divisibility and remainder check in place.
+LaurentPoly has one product: the schoolbook loop over term pairs of the
+two dicts.  The state sum's polynomials have every exponent in
+v^k Z[v^4], so exact_div first divides exponent offsets by the operands'
+common stride (the gcd of the offsets, 4 there) and runs its schoolbook
+peel on the compressed coefficient arrays, with every divisibility and
+remainder check in place.
 
-PackedRing keeps whole computations packed: its values are Laurent
-polynomials of one coset v^k Z[v^stride], held as integers evaluated at
-v^stride = 2^w, so that a sum of products is big-integer arithmetic from
-the packed factors to the one result that is read back.  The slot code
-(slot_bytes, _pack_slots, _unpack_slots) is shared with the packed
-product.
+Kronecker substitution lives only in PackedRing, which keeps whole
+computations packed: its values are Laurent polynomials of one coset
+v^k Z[v^stride], held as integers evaluated at v^stride = 2^w, so that a
+sum of products is big-integer arithmetic from the packed factors to the
+one result that is read back from fixed-width slots (slot_bytes,
+_pack_slots, _unpack_slots).
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
@@ -40,17 +37,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-# When __mul__ packs.  The loop costs one step per term pair; the packed
-# product costs a fixed overhead plus about 3.5 loop steps per dense slot
-# (CPython 3.11, ~100-bit coefficients).  On dense operands it wins above
-# about 15 x 15 terms, so products of fewer pairs, or of fewer than 4 pairs
-# per slot (lopsided or sparse operands), stay on the loop.  On the state
-# sum's own products, any threshold from 128 to 512 pairs gives the same
-# total within about 1%.
-MUL_PACK_MIN_PAIRS = 256
-MUL_PACK_PAIRS_PER_SLOT = 4
-
 
 class ZeroPolynomial(ValueError):
     """Degree or leading coefficient requested for the zero polynomial."""
@@ -167,11 +153,9 @@ class LaurentPoly:
     def __mul__(self, other):
         """Product with a LaurentPoly or an int.
 
-        Two polynomials are multiplied by _mul_packed (Kronecker
-        substitution on stride-compressed exponents) when the term pairs
-        reach MUL_PACK_MIN_PAIRS and MUL_PACK_PAIRS_PER_SLOT per dense
-        slot, and by the reference dict loop _mul_loop otherwise.  Both
-        give the same canonical term map.
+        Two polynomials are multiplied by the schoolbook loop over their
+        term pairs, accumulating into one dict; the result is canonical.
+        Packed (Kronecker) products are PackedRing's job.
         """
         if isinstance(other, int):
             if other == 0:
@@ -180,15 +164,20 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
-        pairs = len(a) * len(b)
-        if pairs >= MUL_PACK_MIN_PAIRS:
-            g = _stride(a, b)
-            slots = (max(a) - min(a) + max(b) - min(b)) // g + 2
-            if pairs >= MUL_PACK_PAIRS_PER_SLOT * slots:
-                return LaurentPoly._raw(_mul_packed(a, b, g))
-        return LaurentPoly._raw(_mul_loop(a, b))
+        if len(a) > len(b):
+            a, b = b, a
+        out = {}
+        get = out.get
+        bitems = list(b.items())
+        for ea, ca in a.items():
+            for eb, cb in bitems:
+                e = ea + eb
+                s = get(e, 0) + ca * cb
+                if s:
+                    out[e] = s
+                elif e in out:
+                    del out[e]
+        return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -233,22 +222,6 @@ class LaurentPoly:
             return "0"
         return " + ".join(f"{c}*v^{e}" for e, c in self.terms())
 
-    @classmethod
-    def from_text(cls, text):
-        text = text.strip()
-        if text == "0":
-            return ZERO
-        terms = {}
-        for part in text.split(" + "):
-            coeff_str, _, exp_str = part.partition("*v^")
-            if not exp_str:
-                raise ValueError(f"malformed polynomial term: {part!r}")
-            e = int(exp_str)
-            if e in terms:
-                raise ValueError(f"duplicate exponent {e} in {text!r}")
-            terms[e] = int(coeff_str)
-        return cls(terms)
-
     def to_json(self):
         return [[e, str(c)] for e, c in self.terms()]
 
@@ -284,62 +257,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly._raw({})
 ONE = LaurentPoly._raw({0: 1})
-
-
-# -- multiplication kernels ------------------------------------------------
-
-
-def _stride(*term_maps):
-    """Common stride of nonzero term maps.
-
-    The gcd of every exponent's offset from its own map's lowest exponent,
-    or 1 when every map is a single term.
-    """
-    g = 0
-    for t in term_maps:
-        lo = min(t)
-        g = math.gcd(g, *[e - lo for e in t])
-    return g or 1
-
-
-def _mul_loop(a, b):
-    """Product of two term maps by the schoolbook loop over term pairs.
-
-    The reference that the packed product is tested against, and the
-    faster path for small operands.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    out = {}
-    get = out.get
-    bitems = list(b.items())
-    for ea, ca in a.items():
-        for eb, cb in bitems:
-            e = ea + eb
-            s = get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _mul_packed(a, b, g):
-    """Product of two nonzero term maps by Kronecker substitution.
-
-    Exponents are taken as offsets from each map's lowest one, divided by
-    the stride g, which must divide them all.  Each map is packed into one
-    integer (_pack_slots), one big-integer product then holds the
-    product's coefficients in the same slots, and _unpack_slots reads them
-    back.  No product coefficient exceeds min(len) * max|a| * max|b| in
-    magnitude, and slot_bytes makes the slots wide enough for that bound.
-    """
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    width = slot_bytes(bound)
-    alo, blo = min(a), min(b)
-    packed = _pack_slots(a, alo, g, width) * _pack_slots(b, blo, g, width)
-    return _unpack_slots(packed, alo + blo, g, width)
 
 
 # -- Kronecker slots ---------------------------------------------------------
@@ -552,6 +469,19 @@ def qmultinom(parts):
 
 
 # -- exact division -----------------------------------------------------
+
+
+def _stride(*term_maps):
+    """Common stride of nonzero term maps.
+
+    The gcd of every exponent's offset from its own map's lowest exponent,
+    or 1 when every map is a single term.
+    """
+    g = 0
+    for t in term_maps:
+        lo = min(t)
+        g = math.gcd(g, *[e - lo for e in t])
+    return g or 1
 
 
 def exact_div(p, q):

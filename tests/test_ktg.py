@@ -83,7 +83,8 @@ def test_framing_power_examples():
     assert framing_power(2, 1) == (-1, -4)
     assert framing_power(0, 5) == (1, 0)
     assert framing_power(1, 4) == (1, -6)
-    assert framing_power(2, 1).to_poly() == LaurentPoly({-4: -1})
+    sign, exponent = framing_power(2, 1)
+    assert LaurentPoly.monomial(exponent, sign) == LaurentPoly({-4: -1})
     with pytest.raises(NonRealPhase):
         framing_power(1, 1)
     with pytest.raises(ValueError):
@@ -115,6 +116,21 @@ def test_delta6j_against_factorial_oracle():
     ]
     for args in cases:
         assert delta6j(*args) == delta_oracle(*args), args
+
+
+def test_delta6j_symmetric_in_the_first_triple():
+    # With alpha = beta = gamma = n, permuting (a, b, c) permutes the four
+    # quantum binomials of each z-term, so the state sum may share one
+    # value per sorted triple.
+    for n in range(0, 6):
+        evens = range(0, 2 * n + 1, 2)
+        for a in evens:
+            for b in evens[a // 2:]:
+                for c in evens[b // 2:]:
+                    if not is_admissible(a, b, c):
+                        continue
+                    values = {delta6j(*perm, n, n, n) for perm in permutations((a, b, c))}
+                    assert len(values) == 1, (a, b, c, n)
 
 
 def test_dplus_theta_examples():
