@@ -29,10 +29,6 @@ from .jones import domain_points
 from .ktg import dplus_delta6j, dplus_theta
 
 
-class BelowThreshold(ValueError):
-    """Closed form requested below the recorded stabilization threshold."""
-
-
 class NoQuadraticFit(ValueError):
     """A residue class has too few samples to pin a quadratic."""
 
@@ -137,8 +133,8 @@ def degree_objective(params, n, colors):
     r, s, t, u = params.astuple()
     a, b, c, d = colors.a, colors.b, colors.c, colors.d
     value = dplus_theta(a, b, c)
-    value += 2 * dplus_delta6j(a, b, c, n, n, n)[0]
-    value += dplus_delta6j(b, n, n, d, n, n)[0]
+    value += 2 * dplus_delta6j(a, b, c, n, n, n)
+    value += dplus_delta6j(b, n, n, d, n, n)
     for x, w in ((a, r), (b, s), (c, t), (d, u)):
         twist = -w * x * (x + 2)
         if twist % 2:
@@ -302,18 +298,15 @@ def constant_term(params, j):
     return Fraction(-2 * params.u)
 
 
-def closed_form_dplus(params, N, threshold=None):
+def closed_form_dplus(params, N):
     """Degree of the N-colored invariant by the closed form.
 
     Quadratic cases: aN^2 + 2bN + c_j with j = N mod (s+t-1)/2; linear
-    cases: 2u(N-1).  The formula is only guaranteed above the empirically
-    recorded stabilization threshold; pass it to enforce the guard, leave
-    it None to request the raw value.
+    cases: 2u(N-1).  The formula is only guaranteed from the stabilization
+    threshold on; below it this is the raw value.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
-    if threshold is not None and N < threshold:
-        raise BelowThreshold(f"N={N} below recorded threshold {threshold}")
     if classify(params).degree_model != "quadratic":
         return 2 * params.u * (N - 1)
     j = N % period(params)

@@ -1,10 +1,10 @@
 """Edgepath systems in the Hatcher-Oertel diagram, specialized to M(1/r, 1/(s-1/u), 1/t).
 
 Projective curve systems [a, b, c] on the four-punctured sphere are plotted
-in the uv-plane via u = b/(a+b), v = c/(a+b).  Vertices of the diagram:
+in the uv-plane via u = b/(a+b), v = c/(a+b).  The systems built here
+visit only arc vertices:
 
   arc <p/q>      curve system [1, q-1, p],  uv = ((q-1)/q, p/q)
-  arc <inf>      uv = (-1, 0)
 
 An edgepath is stored as its edge list in ending-to-starting order, each
 edge traversed from its right (larger-u) vertex to its left vertex; the
@@ -20,8 +20,8 @@ conditions are
       to zero,
   E4  paths proceed monotonically right to left.
 
-The twist of a system is the sum of -2 * sign * length over non-constant
-edges; boundary slopes are twist differences against the Seifert system.
+The twist of a system is the sum of -2 * sign * length over its edges;
+boundary slopes are twist differences against the Seifert system.
 """
 
 from __future__ import annotations
@@ -31,41 +31,26 @@ from fractions import Fraction
 
 from .degopt import classify
 
-ARC = "arc"
-INFINITY = "infinity"
-
 
 @dataclass(frozen=True)
 class DiagramVertex:
-    kind: str
-    slope: Fraction | None = None
+    """The arc vertex <p/q> of the diagram."""
+
+    slope: Fraction
 
     def uv(self):
-        if self.kind == ARC:
-            q = self.slope.denominator
-            return (Fraction(q - 1, q), self.slope)
-        return (Fraction(-1), Fraction(0))
+        q = self.slope.denominator
+        return (Fraction(q - 1, q), self.slope)
 
     def curve_system(self):
-        if self.kind == ARC:
-            p, q = self.slope.numerator, self.slope.denominator
-            return (1, q - 1, p)
-        raise ValueError("the infinity vertex carries no projective class")
+        return (1, self.slope.denominator - 1, self.slope.numerator)
 
     def __str__(self):
-        if self.kind == ARC:
-            return f"<{self.slope}>"
-        return "<inf>"
+        return f"<{self.slope}>"
 
 
 def arc(slope):
-    return DiagramVertex(ARC, Fraction(slope))
-
-
-NONHORIZONTAL = "nonhorizontal"
-VERTICAL = "vertical"
-INFINITY_EDGE = "infinity"
-CONSTANT = "constant"
+    return DiagramVertex(Fraction(slope))
 
 
 @dataclass(frozen=True)
@@ -73,21 +58,15 @@ class DiagramEdge:
     """One edge, traversed from its right vertex toward its left vertex.
 
     fraction is 1 for a complete edge and k/m in (0, 1) for a partial edge
-    ending at the interpolated point; constant edges carry fraction 0 plus
-    the horizontal position of the point they sit at.
+    ending at the interpolated point.
     """
 
-    kind: str
     right: DiagramVertex
     left: DiagramVertex
     fraction: Fraction = Fraction(1)
-    position: Fraction | None = None
 
     def endpoint(self):
         """The uv-point reached at the left end of the traversal."""
-        if self.kind == CONSTANT:
-            _, uv = interp_point(self.right, self.left, self.position)
-            return uv
         if self.fraction == 1:
             return self.left.uv()
         _, uv = interp_point(self.right, self.left, self.fraction)
@@ -95,14 +74,9 @@ class DiagramEdge:
 
 
 def nonhorizontal_edge(right, left, fraction=Fraction(1)):
-    ps = right.slope.numerator * left.slope.denominator
-    qr = right.slope.denominator * left.slope.numerator
-    if abs(ps - qr) != 1:
+    if not _joined(right, left):
         raise ValueError(f"{right} and {left} are not joined by a diagram edge")
-    kind = NONHORIZONTAL
-    if right.slope.denominator == 1 and left.slope.denominator == 1:
-        kind = VERTICAL
-    return DiagramEdge(kind, right, left, Fraction(fraction))
+    return DiagramEdge(right, left, Fraction(fraction))
 
 
 def interp_point(near, far, fraction):
@@ -119,8 +93,6 @@ def interp_point(near, far, fraction):
     fa, fb, fc = far.curve_system()
     curve = (k * fa + (m - k) * na, k * fb + (m - k) * nb, k * fc + (m - k) * nc)
     a, b, c = curve
-    if a + b == 0:
-        raise ValueError("interpolated class has no uv-coordinates")
     return curve, (Fraction(b, a + b), Fraction(c, a + b))
 
 
@@ -149,13 +121,8 @@ def partial_fraction_from_u(near, far, u0):
 def edge_measure(edge):
     """(sign, length) of an edge.
 
-    Sign is +1/-1 as v increases/decreases right to left, 0 for infinity
-    edges; constant edges have length 0 (their sign never enters a twist).
+    Sign is +1/-1 as v increases/decreases right to left, 0 if v stays.
     """
-    if edge.kind == CONSTANT:
-        return 0, Fraction(0)
-    if edge.kind == INFINITY_EDGE:
-        return 0, Fraction(1)
     _, v_right = edge.right.uv()
     _, v_end = edge.endpoint()
     if v_end > v_right:
@@ -180,11 +147,8 @@ class Edgepath:
     def ending_point(self):
         return self.edges[0].endpoint()
 
-    def is_constant(self):
-        return all(e.kind == CONSTANT for e in self.edges)
-
     def length(self):
-        return sum((edge_measure(e)[1] for e in self.edges), Fraction(0))
+        return sum((e.fraction for e in self.edges), Fraction(0))
 
 
 AT_ZERO_VERTEX = "zero_vertex"
@@ -220,12 +184,10 @@ class AdmissibilityReport:
 
 
 def twist(system):
-    """Total twist: sum of -2 * sign * length over non-constant edges."""
+    """Total twist: sum of -2 * sign * length over all edges."""
     total = Fraction(0)
     for path in system.paths:
         for edge in path.edges:
-            if edge.kind == CONSTANT:
-                continue
             sign, length = edge_measure(edge)
             total += -2 * sign * length
     return total
@@ -353,18 +315,13 @@ def check_admissible(system):
     e4 = all(_is_monotone(p) for p in system.paths)
 
     u_end = endings[0][0]
-    signs = set()
-    for p in system.paths:
-        final = p.edges[0]
-        if final.kind != CONSTANT:
-            signs.add(edge_measure(final)[0])
+    signs = {edge_measure(p.edges[0])[0] for p in system.paths}
     lemma41 = e3 and u_end > 0 and len(signs) == 1 and 0 not in signs
     return AdmissibilityReport(e1, e2, e3, e4, lemma41)
 
 
 def _starts_on_tangle(path):
-    start = path.start_vertex()
-    return start.kind == ARC and start.slope == path.tangle
+    return path.start_vertex().slope == path.tangle
 
 
 def _traversal_vertices(path):
@@ -376,9 +333,6 @@ def _traversal_vertices(path):
 
 def _joined(v1, v2):
     """True when two vertices are joined by an edge of the diagram."""
-    if INFINITY in (v1.kind, v2.kind):
-        other = v2 if v1.kind == INFINITY else v1
-        return other.kind == ARC and other.slope.denominator == 1
     ps = v1.slope.numerator * v2.slope.denominator
     qr = v1.slope.denominator * v2.slope.numerator
     return abs(ps - qr) == 1
@@ -386,15 +340,9 @@ def _joined(v1, v2):
 
 def _is_minimal(path):
     """No stopping or retracing, and no two sides of a triangle in a row."""
-    if path.is_constant():
-        return True
     vertices = _traversal_vertices(path)
-    seen = set()
-    for v in vertices:
-        key = (v.kind, v.slope)
-        if key in seen:
-            return False
-        seen.add(key)
+    if len(set(vertices)) < len(vertices):
+        return False
     for i in range(len(vertices) - 1):
         if not _joined(vertices[i], vertices[i + 1]):
             return False
@@ -405,49 +353,26 @@ def _is_minimal(path):
 
 
 def _is_monotone(path):
-    for edge in path.edges:
-        if edge.kind == CONSTANT:
-            continue
-        u_right = edge.right.uv()[0]
-        u_end = edge.endpoint()[0]
-        if u_end > u_right:
-            return False
-        if u_end == u_right and edge.kind != VERTICAL:
-            return False
-    return True
+    """Every edge ends strictly left of its right vertex."""
+    return all(e.endpoint()[0] < e.right.uv()[0] for e in path.edges)
 
 
 def euler_ratio(system):
     """The ratio (Euler characteristic)/(number of sheets) of the surface.
 
-    For a system ending at the origin vertex the negative ratio is the
-    total length minus 2.  For an interior ending at u0 it is
+    For a system ending at the origin vertex it is 2 minus the total
+    length.  For an interior ending at u0 it is
 
-        sum of non-constant path lengths + N_const - N
-        + (N - 2 - sum over constant paths of 1/q) / (1 - u0)
+        N - total length - (N - 2) / (1 - u0)
 
     with N = 3 tangles here.
     """
-    n_paths = len(system.paths)
     if system.ending_kind == AT_ZERO_VERTEX:
         return 2 - system.total_length()
     if system.ending_kind != INTERIOR_U:
         raise ValueError(f"unsupported ending kind {system.ending_kind}")
-    u0 = system.ending_u()
-    const_paths = [p for p in system.paths if p.is_constant()]
-    moving_length = sum(
-        (p.length() for p in system.paths if not p.is_constant()), Fraction(0)
-    )
-    const_q = sum(
-        (Fraction(1, p.tangle.denominator) for p in const_paths), Fraction(0)
-    )
-    neg_ratio = (
-        moving_length
-        + len(const_paths)
-        - n_paths
-        + (n_paths - 2 - const_q) / (1 - u0)
-    )
-    return -neg_ratio
+    n_paths = len(system.paths)
+    return n_paths - system.total_length() - (n_paths - 2) / (1 - system.ending_u())
 
 
 def boundary_slope(params):

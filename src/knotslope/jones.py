@@ -229,22 +229,23 @@ def _leaves(params, n, lcm):
 def _grouped_sum(n, f):
     """The grouped state sum over the factor tables f: J_sum * L^4.
 
-    The inner d-sum is formed once per b-value.  Only + and * are applied
-    to the factors, so the same traversal runs over LaurentPoly factors,
-    over packed integers, and over l1 norms, where it gives an upper
-    bound of the l1 norm of the total, because ||PQ|| <= ||P|| ||Q|| and
-    ||P + Q|| <= ||P|| + ||Q||.
+    The inner d-sum is formed once per b-value, and the product
+    theta(a,b,c) delta6j(a,b,c,n,n,n)^2 once per sorted triple.  Only + and
+    * are applied to the factors, so the same traversal runs over
+    LaurentPoly factors, over packed integers, and over l1 norms, where it
+    gives an upper bound of the l1 norm of the total, because
+    ||PQ|| <= ||P|| ||Q|| and ||P + Q|| <= ||P|| + ||Q||.
     """
     evens = range(0, 2 * n + 1, 2)
     w = {b: f.b[b] * sum(f.bd[b, d] * f.d[d] for d in evens) for b in evens}
+    tri = {abc: f.theta[abc] * f.delta[abc] * f.delta[abc] for abc in f.theta}
     total = 0
     for a in evens:
         mid = 0
         for b in evens:
             inner = 0
             for c in _c_range(a, b, n):
-                abc = tuple(sorted((a, b, c)))
-                inner = inner + f.theta[abc] * f.delta[abc] * f.delta[abc] * f.c[c]
+                inner = inner + tri[tuple(sorted((a, b, c)))] * f.c[c]
             mid = mid + inner * w[b]
         total = total + mid * f.a[a]
     return total

@@ -20,7 +20,6 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -58,19 +57,6 @@ class SignedMonomial(NamedTuple):
 
     sign: int
     exponent: int
-
-
-@dataclass(frozen=True)
-class DeltaDegreeData:
-    """Degree bookkeeping for one 6j quotient.
-
-    z_top is the largest summation index; the degree formula is the value
-    of the top term: one binomial-degree contribution per factor.
-    """
-
-    z_top: int
-    g_terms: tuple[int, int, int, int]
-    z_range: tuple[int, int]
 
 
 def circle(k):
@@ -161,10 +147,10 @@ def dplus_theta(a, b, c):
 
 
 def dplus_delta6j(a, b, c, alpha, beta, gamma):
-    """Maximal degree of the 6j quotient, with its bookkeeping data.
+    """Maximal degree of the 6j quotient.
 
-    The degree is the top z-term's: the binomial degrees at z = z_top,
-    where 2*z_top = a+b+c+alpha+beta+gamma - max(a+alpha, b+beta, c+gamma).
+    The degree is the top z-term's: the binomial degrees at the range end
+    z = zhi, where 2*zhi = a+b+c+alpha+beta+gamma - max(a+alpha, b+beta, c+gamma).
     Raises InadmissibleColoring when the z-range is empty (zero value has
     no degree).
     """
@@ -178,9 +164,7 @@ def dplus_delta6j(a, b, c, alpha, beta, gamma):
         raise ArithmeticError(
             f"top z-term is not the range end {zhi} for ({a},{b},{c},{alpha},{beta},{gamma})"
         )
-    z_top = zhi
-    g_terms = (qbinom_max_deg(z_top + 1, half + 1),) + tuple(
-        qbinom_max_deg(t, z_top - o) for t, o in zip(tops, offsets)
+    return qbinom_max_deg(zhi + 1, half + 1) + sum(
+        qbinom_max_deg(t, zhi - o) for t, o in zip(tops, offsets)
     )
-    return sum(g_terms), DeltaDegreeData(z_top, g_terms, (zlo, zhi))
 

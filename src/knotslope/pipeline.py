@@ -183,22 +183,17 @@ def run_verification(params, n_max, cache_dir=None):
     fitted = None
     fit_matches = None
     p = prediction.period
-    samples = [(N, d) for N, d, *_ in degrees]
-    class_sizes = {}
-    for N, _ in samples:
-        class_sizes[N % p] = class_sizes.get(N % p, 0) + 1
-    if len(class_sizes) == p and min(class_sizes.values()) >= 3:
-        try:
-            fitted = fit_quasi(samples, p)
-        except NoQuadraticFit:
-            fitted = None
-        if fitted is not None:
-            fit_matches = all(
-                fitted.coeffs[j][0] == prediction.growth
-                and fitted.coeffs[j][1] == prediction.two_b
-                and fitted.coeffs[j][2] == prediction.constants[j]
-                for j in range(p)
-            )
+    try:
+        fitted = fit_quasi([(N, d) for N, d, *_ in degrees], p)
+    except NoQuadraticFit:
+        pass
+    else:
+        fit_matches = all(
+            fitted.coeffs[j][0] == prediction.growth
+            and fitted.coeffs[j][1] == prediction.two_b
+            and fitted.coeffs[j][2] == prediction.constants[j]
+            for j in range(p)
+        )
 
     flags = {
         "slope_match": prediction.slope_match,

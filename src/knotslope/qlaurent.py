@@ -101,9 +101,6 @@ class LaurentPoly:
     def leading_coeff(self):
         return self._terms[self.max_deg]
 
-    def coeff(self, exponent):
-        return self._terms.get(exponent, 0)
-
     def terms(self):
         """Term list as (exponent, coefficient) pairs, descending exponent."""
         return sorted(self._terms.items(), reverse=True)

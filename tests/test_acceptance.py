@@ -153,14 +153,14 @@ def test_criterion_5_building_block_degree_laws():
                     value = delta6j(a, b, c, n, n, n)
                     if value.is_zero():
                         continue
-                    ok = ok and value.max_deg == dplus_delta6j(a, b, c, n, n, n)[0]
+                    ok = ok and value.max_deg == dplus_delta6j(a, b, c, n, n, n)
                     count += 1
         for b in range(0, top + 1, 2):
             for d in range(0, top + 1, 2):
                 value = delta6j(b, n, n, d, n, n)
                 if value.is_zero():
                     continue
-                ok = ok and value.max_deg == dplus_delta6j(b, n, n, d, n, n)[0]
+                ok = ok and value.max_deg == dplus_delta6j(b, n, n, d, n, n)
                 count += 1
     elapsed = time.monotonic() - started
     ok = ok and elapsed <= 60

@@ -224,11 +224,13 @@ def test_colored_jones_logs_denominator_spans(caplog, capsys):
         r"(\d+) bits; (\d+) packed multiplies, (\d+) packed adds", lines[0]).groups())
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
     assert 0 < coef <= bound
-    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 3
-    # products per admissible (a, b, c), then 16 (a, b) and 4 a products.
-    # Each sum adds all but the first term of its group.
+    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 2
+    # products per sorted admissible triple and 1 per admissible (a, b, c),
+    # then 16 (a, b) and 4 a products.  Each sum adds all but the first
+    # term of its group.
     triples = len({p[:3] for p in domain_points(3)})
-    assert (muls, adds) == (16 + 4 + 3 * triples + 16 + 4,
+    sorted_triples = len({tuple(sorted(p[:3])) for p in domain_points(3)})
+    assert (muls, adds) == (16 + 4 + 2 * sorted_triples + triples + 16 + 4,
                             4 * 3 + (triples - 16) + 4 * 3 + 3)
     assert capsys.readouterr().out == ""
 

@@ -1,11 +1,14 @@
 """Prediction assembly, verification runs, grids, caching, CLI, determinism."""
 
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from knotslope.cli import main
+from knotslope.edgepath import slope_report
 from knotslope.jones import KnotParams, colored_jones
 from knotslope.pipeline import (
     cache_load,
@@ -33,6 +36,22 @@ def test_predict_examples():
     assert pred.growth == 6 == pred.edgepath_slope
     assert Fraction(pred.two_b, 2) == -3 == pred.euler
     assert pred.slope_match and pred.euler_match
+
+
+# SHA-256 of the slope report and the prediction, one sorted-key JSON line
+# per tuple, over a grid that reaches all five case tags and the chain
+# cuts k = 0..6 of the interior-ending system.
+SLOPE_GRID = ((-3, -5, -7, -9), (2, 4, 6, 8), (3, 5, 7, 9), (-1, -3, -5))
+SLOPE_DIGEST = "b495091ac883953ad7992db5bc0a1bd4630fbaba1ede1900aa0cf30baa171ab8"
+
+
+def test_slope_report_digest_pin():
+    digest = hashlib.sha256()
+    for tup in itertools.product(*SLOPE_GRID):
+        params = KnotParams(*tup)
+        doc = {"slope_report": slope_report(params), "predict": predict(params).to_json()}
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == SLOPE_DIGEST
 
 
 def test_least_period():
