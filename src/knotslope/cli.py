@@ -103,6 +103,7 @@ def _cmd_degree(args):
     if args.method == "exact" and args.n_max > HARD_N_CEILING:
         print(f"error: --n-max above the ceiling {HARD_N_CEILING}", file=sys.stderr)
         return 1
+    model = degopt.degree_model(params) if args.method == "closed" else None
     rows = []
     for N in range(1, args.n_max + 1):
         if args.method == "exact":
@@ -116,7 +117,7 @@ def _cmd_degree(args):
                 else degopt.fast_max_objective(params, N - 1)
             )
         else:
-            value = degopt.closed_form_dplus(params, N)
+            value = degopt.closed_form_dplus(model, N)
         rows.append((N, value))
     if args.format == "json":
         print(json.dumps({"method": args.method,
@@ -130,7 +131,7 @@ def _cmd_degree(args):
 
 def _cmd_slope(args):
     params = _params_from(args)
-    print(json.dumps(edgepath.slope_report(params), sort_keys=True, indent=2))
+    print(json.dumps(edgepath.slope_report(params).report, sort_keys=True, indent=2))
     return 0
 
 

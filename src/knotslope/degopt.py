@@ -17,7 +17,11 @@ d = 2n, the parameter space splits into
   tag "2.4"  A, C < 0, disc = 0, r = -3, s = 4, t = 5
 
 Tags "1" and "2.1" give a quadratic degree with period (s+t-1)/2 in the
-color; the rest give the linear degree 2u(N-1).
+color; the rest give the linear degree 2u(N-1).  degree_model makes that
+split once per tuple and returns one frozen DegreeModel (period, growth,
+two_b, residues, constants), which closed_form_dplus,
+stabilization_threshold and report_fragment read.  fast_max_objective
+keeps its own case analysis, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -74,6 +78,22 @@ class ResidueData:
     def to_json(self):
         return {"j": self.j, "v_j": self.nearest_odd,
                 "beta_j": str(self.offset), "c_j": str(self.constant)}
+
+
+@dataclass(frozen=True)
+class DegreeModel:
+    """Per-residue quadratic degree model: growth*N^2 + two_b*N + constants[j].
+
+    j = N mod period.  residues holds the ResidueData of each class in the
+    quadratic cases and is empty in the linear ones.
+    """
+
+    classification: Classification
+    period: int
+    growth: Fraction
+    two_b: int
+    residues: tuple
+    constants: tuple
 
 
 @dataclass(frozen=True)
@@ -229,27 +249,21 @@ def fast_max_objective(params, n):
     return max(best, face_objective(params, n, 0, 0))
 
 
-def period(params):
-    """Degree-model period: (s+t-1)/2 in the quadratic cases, else 1."""
-    if classify(params).degree_model == "quadratic":
-        return (params.s + params.t - 1) // 2
-    return 1
+def degree_model(params):
+    """The closed-form degree model of one tuple, built once.
 
-
-def quadratic_coefficient(params):
-    """Growth rate of the degree: 2(t-1)^2/(s+t-1) - 2(r+t), or 0."""
+    Quadratic cases: period (s+t-1)/2, growth 2(t-1)^2/(s+t-1) - 2(r+t),
+    two_b = 2(r+u+3) and one residue class per j.  Linear cases: period 1,
+    growth 0, two_b = 2u, constant -2u and no residue table.
+    """
+    cls = classify(params)
     r, s, t, u = params.astuple()
-    if classify(params).degree_model == "quadratic":
-        return Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
-    return Fraction(0)
-
-
-def linear_coefficient(params):
-    """The full linear coefficient (twice the half-coefficient b)."""
-    r, s, t, u = params.astuple()
-    if classify(params).degree_model == "quadratic":
-        return 2 * (r + u + 3)
-    return 2 * u
+    if cls.degree_model != "quadratic":
+        return DegreeModel(cls, 1, Fraction(0), 2 * u, (), (Fraction(-2 * u),))
+    residues = tuple(residue_data(params, j) for j in range((s + t - 1) // 2))
+    growth = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
+    return DegreeModel(cls, len(residues), growth, 2 * (r + u + 3), residues,
+                       tuple(res.constant for res in residues))
 
 
 def residue_data(params, j):
@@ -284,47 +298,26 @@ def _nearest_odd(x):
     return [lo, hi]
 
 
-def residue_table(params):
-    """All residue classes of the quadratic model, in order."""
-    if classify(params).degree_model != "quadratic":
-        return []
-    return [residue_data(params, j) for j in range(period(params))]
+def closed_form_dplus(model, N):
+    """Degree of the N-colored invariant by the closed form of a DegreeModel.
 
-
-def constant_term(params, j):
-    """Constant coefficient of the degree model on residue class j."""
-    if classify(params).degree_model == "quadratic":
-        return residue_data(params, j).constant
-    return Fraction(-2 * params.u)
-
-
-def closed_form_dplus(params, N):
-    """Degree of the N-colored invariant by the closed form.
-
-    Quadratic cases: aN^2 + 2bN + c_j with j = N mod (s+t-1)/2; linear
-    cases: 2u(N-1).  The formula is only guaranteed from the stabilization
-    threshold on; below it this is the raw value.
+    growth*N^2 + two_b*N + c_j with j = N mod period, which is 2u(N-1) in
+    the linear cases.  The formula is only guaranteed from the
+    stabilization threshold on; below it this is the raw value.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
-    if classify(params).degree_model != "quadratic":
-        return 2 * params.u * (N - 1)
-    j = N % period(params)
-    value = (
-        quadratic_coefficient(params) * N * N
-        + linear_coefficient(params) * N
-        + constant_term(params, j)
-    )
+    value = model.growth * N * N + model.two_b * N + model.constants[N % model.period]
     if value.denominator != 1:
         raise ArithmeticError(f"closed form not integral at N={N}")
     return int(value)
 
 
-def report_fragment(params, n0=None):
+def report_fragment(model, n0=None):
     """Classification and residue table as one JSON-ready fragment."""
-    fragment = classify(params).to_json()
-    fragment["period"] = period(params)
-    fragment["residues"] = [r.to_json() for r in residue_table(params)]
+    fragment = model.classification.to_json()
+    fragment["period"] = model.period
+    fragment["residues"] = [r.to_json() for r in model.residues]
     fragment["N0"] = n0
     return fragment
 
@@ -376,7 +369,7 @@ def _eval_quad(model, N):
     return a * N * N + two_b * N + c
 
 
-def stabilization_threshold(params, degrees):
+def stabilization_threshold(model, degrees):
     """Least N from which every computed degree matches the closed form.
 
     degrees is a list of (N, value) pairs.  Returns None when even the
@@ -384,7 +377,7 @@ def stabilization_threshold(params, degrees):
     """
     n0 = None
     for N, value in sorted(degrees, reverse=True):
-        if closed_form_dplus(params, N) == value:
+        if closed_form_dplus(model, N) == value:
             n0 = N
         else:
             break

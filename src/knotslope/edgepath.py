@@ -22,6 +22,9 @@ conditions are
 
 The twist of a system is the sum of -2 * sign * length over its edges;
 boundary slopes are twist differences against the Seifert system.
+slope_report builds the Seifert system once per tuple and the
+interior-ending system once, in the quadratic cases only; the slope, the
+Euler ratio, the admissibility check and the report all read those builds.
 """
 
 from __future__ import annotations
@@ -375,38 +378,56 @@ def euler_ratio(system):
     return n_paths - system.total_length() - (n_paths - 2) / (1 - system.ending_u())
 
 
-def boundary_slope(params):
+def boundary_slope(seifert, gamma):
     """Boundary slope of the distinguished essential surface.
 
-    Quadratic cases: twist difference of the interior-ending system against
-    the Seifert system.  Linear cases: the Seifert surface itself, slope 0.
+    Quadratic cases: twist difference of the interior-ending system gamma
+    against the Seifert system.  Linear cases (gamma None): the Seifert
+    surface itself, slope 0.
     """
-    if classify(params).degree_model == "quadratic":
-        return twist(gamma_system(params)) - twist(seifert_system(params))
-    return Fraction(0)
+    if gamma is None:
+        return Fraction(0)
+    return twist(gamma) - twist(seifert)
+
+
+@dataclass(frozen=True)
+class SurfaceSide:
+    """Boundary slope and Euler ratio of the distinguished surface, plus the
+    JSON-ready report fragment of the slope CLI and the verification report."""
+
+    slope: Fraction
+    euler: Fraction
+    report: dict
 
 
 def slope_report(params):
-    """Report fragment for the slope CLI and the verification pipeline."""
-    case1 = classify(params).degree_model == "quadratic"
+    """The surface side of one tuple, building each edgepath system once.
+
+    The Seifert system is always built; the interior-ending system only in
+    the quadratic cases, where it is the distinguished surface (otherwise
+    the Seifert surface is).  check_admissible runs on the distinguished
+    system alone.
+    """
     seifert = seifert_system(params)
+    gamma = gamma_system(params) if classify(params).degree_model == "quadratic" else None
+    surface = seifert if gamma is None else gamma
+    slope = boundary_slope(seifert, gamma)
+    euler = euler_ratio(surface)
     report = {
         "u0": None,
         "k": None,
         "gamma_lengths": None,
         "twists": {"seifert": str(twist(seifert)), "gamma": None},
-        "slope": str(boundary_slope(params)),
+        "slope": str(slope),
         "euler_ratio_seifert": str(euler_ratio(seifert)),
         "euler_ratio_gamma": None,
-        "admissibility": check_admissible(seifert).to_json(),
+        "admissibility": check_admissible(surface).to_json(),
     }
-    if case1:
-        gamma = gamma_system(params)
+    if gamma is not None:
         _, k, _ = _chain_cut(params)
         report["u0"] = str(ending_u(params))
         report["k"] = k
         report["gamma_lengths"] = [str(p.length()) for p in gamma.paths]
         report["twists"]["gamma"] = str(twist(gamma))
-        report["euler_ratio_gamma"] = str(euler_ratio(gamma))
-        report["admissibility"] = check_admissible(gamma).to_json()
-    return report
+        report["euler_ratio_gamma"] = str(euler)
+    return SurfaceSide(slope, euler, report)

@@ -1,8 +1,9 @@
 """Verification pipeline: predictions, exact runs, grids, caching, reports.
 
-A prediction pairs the degree side (growth rate, linear coefficient and
-per-residue constants of the quadratic model) with the surface side
-(edgepath boundary slope and Euler ratio) and records whether the two
+A prediction pairs the degree side (the tuple's one DegreeModel: growth
+rate, linear coefficient and per-residue constants) with the surface side
+(one SurfaceSide from a single build of each edgepath system: boundary
+slope, Euler ratio and the edgepath report) and records whether the two
 identities
 
     growth rate  == boundary slope
@@ -11,7 +12,9 @@ identities
 hold exactly.  A verification run additionally computes the invariant
 itself for N = 1..N_max, checks the degrees against the closed form and
 the exhaustive maximization, and fits a quadratic quasi-polynomial when
-enough samples exist per residue class.
+enough samples exist per residue class.  The closed form, the report's
+classification, least period and edgepath fragment all read the
+prediction's model and surface side; nothing is rebuilt per report.
 
 All rationals are serialized as "p/q" strings and every JSON document is
 dumped with sorted keys, so identical runs produce byte-identical output.
@@ -31,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import degopt, edgepath
-from .degopt import NoQuadraticFit, classify, fit_quasi
+from .degopt import NoQuadraticFit, fit_quasi
 from .jones import KnotParams, colored_jones
 
 log = logging.getLogger(__name__)
@@ -42,78 +45,50 @@ HARD_N_CEILING = 9
 
 @dataclass(frozen=True)
 class Prediction:
-    """Degree-model coefficients next to the edgepath invariants."""
+    """The degree model of one tuple next to its surface side."""
 
-    params: KnotParams
-    case_tag: str
-    period: int
-    growth: Fraction
-    two_b: int
-    constants: dict
-    residues: tuple
-    edgepath_slope: Fraction
-    euler: Fraction
-    slope_match: bool
-    euler_match: bool
+    model: degopt.DegreeModel
+    surface: edgepath.SurfaceSide
+
+    @property
+    def slope_match(self):
+        return self.model.growth == self.surface.slope
+
+    @property
+    def euler_match(self):
+        return Fraction(self.model.two_b, 2) == self.surface.euler
 
     def to_json(self):
+        model = self.model
         return {
-            "case": self.case_tag,
-            "period": self.period,
-            "a": str(self.growth),
-            "two_b": str(Fraction(self.two_b)),
-            "b": str(Fraction(self.two_b, 2)),
-            "constants": {str(j): str(c) for j, c in sorted(self.constants.items())},
-            "residues": [r.to_json() for r in self.residues],
-            "edgepath_slope": str(self.edgepath_slope),
-            "euler_ratio": str(self.euler),
+            "case": model.classification.tag,
+            "period": model.period,
+            "a": str(model.growth),
+            "two_b": str(Fraction(model.two_b)),
+            "b": str(Fraction(model.two_b, 2)),
+            "constants": {str(j): str(c) for j, c in enumerate(model.constants)},
+            "residues": [r.to_json() for r in model.residues],
+            "edgepath_slope": str(self.surface.slope),
+            "euler_ratio": str(self.surface.euler),
             "slope_match": self.slope_match,
             "euler_match": self.euler_match,
         }
 
 
 def predict(params):
-    """Combine classification, closed-form coefficients and edgepath data."""
-    cls = classify(params)
-    growth = degopt.quadratic_coefficient(params)
-    two_b = degopt.linear_coefficient(params)
-    p = degopt.period(params)
-    constants = {j: degopt.constant_term(params, j) for j in range(p)}
-    residues = tuple(degopt.residue_table(params))
-    slope = edgepath.boundary_slope(params)
-    if cls.degree_model == "quadratic":
-        euler = edgepath.euler_ratio(edgepath.gamma_system(params))
-    else:
-        euler = edgepath.euler_ratio(edgepath.seifert_system(params))
-    return Prediction(
-        params=params,
-        case_tag=cls.tag,
-        period=p,
-        growth=growth,
-        two_b=two_b,
-        constants=constants,
-        residues=residues,
-        edgepath_slope=slope,
-        euler=euler,
-        slope_match=growth == slope,
-        euler_match=Fraction(two_b, 2) == euler,
-    )
+    """The degree model and the surface side of one tuple, each built once."""
+    return Prediction(degopt.degree_model(params), edgepath.slope_report(params))
 
 
-def least_period(params):
+def least_period(model):
     """Least divisor of the model period with identical residue constants.
 
     The model period is a period of the degree sequence but may not be the
     least one; this reports the least one visible in the closed form.
     """
-    p = degopt.period(params)
-    constants = [degopt.constant_term(params, j) for j in range(p)]
-    for q in range(1, p + 1):
-        if p % q:
-            continue
-        if all(constants[j] == constants[j % q] for j in range(p)):
-            return q
-    return p
+    p, constants = model.period, model.constants
+    return next(q for q in range(1, p + 1) if p % q == 0
+                and all(constants[j] == constants[j % q] for j in range(p)))
 
 
 @dataclass
@@ -136,6 +111,7 @@ class Report:
         return not any(v is False for v in self.flags.values())
 
     def to_json(self):
+        model = self.prediction.model
         fitted = None
         if self.fitted is not None:
             fitted = {
@@ -149,16 +125,16 @@ class Report:
         return {
             "params": self.params.as_dict(),
             "n_max": self.n_max,
-            "classification": degopt.report_fragment(self.params, self.n0),
+            "classification": degopt.report_fragment(model, self.n0),
             "prediction": self.prediction.to_json(),
-            "edgepath": edgepath.slope_report(self.params),
+            "edgepath": self.prediction.surface.report,
             "degrees": [
                 {"N": N, "dplus": d, "leading": str(lead), "brute": bm,
                  "closed_form": cf}
                 for N, d, lead, bm, cf in self.degrees
             ],
             "N0": self.n0,
-            "least_period": least_period(self.params),
+            "least_period": least_period(model),
             "fit": fitted,
             "flags": dict(sorted(self.flags.items())),
         }
@@ -169,30 +145,28 @@ def run_verification(params, n_max, cache_dir=None):
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     prediction = predict(params)
+    model = prediction.model
 
     degrees = []
     for N in range(1, n_max + 1):
         poly = jones_cached(params, N, cache_dir)
         d, lead = poly.max_deg, poly.leading_coeff
         brute, _ = degopt.brute_max_objective(params, N - 1)
-        closed = degopt.closed_form_dplus(params, N)
+        closed = degopt.closed_form_dplus(model, N)
         degrees.append((N, d, lead, brute, closed))
 
-    n0 = degopt.stabilization_threshold(params, [(N, d) for N, d, *_ in degrees])
+    n0 = degopt.stabilization_threshold(model, [(N, d) for N, d, *_ in degrees])
 
     fitted = None
     fit_matches = None
-    p = prediction.period
     try:
-        fitted = fit_quasi([(N, d) for N, d, *_ in degrees], p)
+        fitted = fit_quasi([(N, d) for N, d, *_ in degrees], model.period)
     except NoQuadraticFit:
         pass
     else:
         fit_matches = all(
-            fitted.coeffs[j][0] == prediction.growth
-            and fitted.coeffs[j][1] == prediction.two_b
-            and fitted.coeffs[j][2] == prediction.constants[j]
-            for j in range(p)
+            fitted.coeffs[j] == (model.growth, model.two_b, c)
+            for j, c in enumerate(model.constants)
         )
 
     flags = {
@@ -397,13 +371,17 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
 
     Returns a summary dict with verified/mismatched/skipped counts.  The
     JSON array and CSV are written deterministically; partial results are
-    flushed if writing fails midway.
+    flushed if writing fails midway.  jobs below 1 is an error; at most
+    min(jobs, tuple count, CPU count) worker processes are started.
     """
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     tuples, skipped = parse_grid(spec)
     worker_args = [(p.r, p.s, p.t, p.u, n_max, cache_dir) for p in tuples]
+    workers = min(jobs, len(worker_args), os.cpu_count() or 1)
     started = time.monotonic()
-    if jobs > 1 and len(worker_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, worker_args))
     else:
         results = [_run_one(a) for a in worker_args]

@@ -16,6 +16,7 @@ from knotslope.degopt import (
     brute_max_objective,
     classify,
     closed_form_dplus,
+    degree_model,
     fast_max_objective,
     stabilization_threshold,
 )
@@ -74,11 +75,12 @@ def test_criterion_1_degree_closed_form_case1(exact_degrees):
     started = time.monotonic()
     params = KnotParams(*CASE1_TUPLE)
     table = exact_degrees[CASE1_TUPLE]
-    n0 = stabilization_threshold(params, [(N, d) for N, (d, _) in table.items()])
+    model = degree_model(params)
+    n0 = stabilization_threshold(model, [(N, d) for N, (d, _) in table.items()])
     ok = n0 is not None and n0 <= 4
     for N in range(n0, 7):
         expected = 2 * N * N - 6 * N + (2 if N % 2 == 0 else 4)
-        ok = ok and table[N][0] == expected == closed_form_dplus(params, N)
+        ok = ok and table[N][0] == expected == closed_form_dplus(model, N)
     elapsed = time.monotonic() - started
     ok = ok and elapsed <= 300
     print(f"\n  recorded N0 = {n0}, elapsed {elapsed:.1f}s")
@@ -110,12 +112,13 @@ def test_criterion_3_triple_oracle_agreement():
             fast = fast_max_objective(params, n)
             ok = ok and brute == fast
             brute_by_n[n] = brute
+        model = degree_model(params)
         n0 = stabilization_threshold(
-            params, [(n + 1, v) for n, v in brute_by_n.items()]
+            model, [(n + 1, v) for n, v in brute_by_n.items()]
         )
         ok = ok and n0 is not None
         for n in range(n0 - 1 if n0 > 1 else 1, 9):
-            ok = ok and brute_by_n[n] == closed_form_dplus(params, n + 1)
+            ok = ok and brute_by_n[n] == closed_form_dplus(model, n + 1)
     elapsed = time.monotonic() - started
     ok = ok and elapsed <= 120
     print(f"\n  {len(GRID)} tuples, tags {sorted(tags)}, elapsed {elapsed:.1f}s")
@@ -179,7 +182,7 @@ def test_criterion_6_slope_identity():
             expected = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
         else:
             expected = Fraction(0)
-        ok = ok and pred.edgepath_slope == expected == pred.growth
+        ok = ok and pred.surface.slope == expected == pred.model.growth
     _report("criterion 6 (quadratic coefficient = boundary slope on the grid)", ok)
 
 
@@ -191,7 +194,7 @@ def test_criterion_7_euler_identity():
         ok = ok and pred.euler_match
         r, s, t, u = tup
         expected = r + u + 3 if classify(params).degree_model == "quadratic" else u
-        ok = ok and pred.euler == expected == Fraction(pred.two_b, 2)
+        ok = ok and pred.surface.euler == expected == Fraction(pred.model.two_b, 2)
     _report("criterion 7 (half linear coefficient = Euler ratio on the grid)", ok)
 
 

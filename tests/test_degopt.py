@@ -7,18 +7,13 @@ from knotslope.degopt import (
     brute_max_objective,
     classify,
     closed_form_dplus,
-    constant_term,
+    degree_model,
     degree_objective,
     face_objective,
     fast_max_objective,
     fit_quasi,
     line_objective,
     line_peak,
-    linear_coefficient,
-    period,
-    quadratic_coefficient,
-    residue_data,
-    residue_table,
     stabilization_threshold,
 )
 from knotslope.jones import ColorTuple, KnotParams, domain_points
@@ -85,7 +80,7 @@ def test_brute_examples():
     params = KnotParams(-3, 2, 3, -3)
     assert brute_max_objective(params, 0) == (0, [ColorTuple(0, 0, 0, 0, 0)])
     best, argmax = brute_max_objective(params, 4)
-    assert best == closed_form_dplus(params, 5) == 24
+    assert best == closed_form_dplus(degree_model(params), 5) == 24
     assert all(p.d == 8 and p.a == p.b + p.c for p in argmax)
 
     best, argmax = brute_max_objective(KnotParams(-3, 4, 5, -1), 3)
@@ -144,49 +139,50 @@ def test_line_tie_gives_equal_values():
 
 
 def test_closed_form_examples():
-    params = KnotParams(-3, 2, 3, -3)
+    model = degree_model(KnotParams(-3, 2, 3, -3))
     for N in range(2, 10):
         expected = 2 * N * N - 6 * N + (2 if N % 2 == 0 else 4)
-        assert closed_form_dplus(params, N) == expected
-    params = KnotParams(-3, 4, 5, -1)
+        assert closed_form_dplus(model, N) == expected
+    linear = degree_model(KnotParams(-3, 4, 5, -1))
     for N in range(1, 10):
-        assert closed_form_dplus(params, N) == -2 * (N - 1)
+        assert closed_form_dplus(linear, N) == -2 * (N - 1)
     # raw value below the stabilization threshold
-    assert closed_form_dplus(KnotParams(-3, 2, 3, -3), 2) == -2
+    assert closed_form_dplus(model, 2) == -2
 
 
 def test_residue_data_tie_and_values():
-    params = KnotParams(-3, 2, 3, -3)
-    r0 = residue_data(params, 0)
+    model = degree_model(KnotParams(-3, 2, 3, -3))
+    r0, r1 = model.residues
     # 2(t-1)j/(s+t-1) = 0 is an even integer: both odd neighbors agree.
     assert r0.nearest_odd == -1 and r0.constant == 2
-    r1 = residue_data(params, 1)
     assert r1.nearest_odd == 1 and r1.offset == -1 and r1.constant == 4
-    assert [r.j for r in residue_table(params)] == [0, 1]
-    assert constant_term(KnotParams(-3, 4, 5, -1), 0) == 2
+    assert [r.j for r in model.residues] == [0, 1]
+    assert model.constants == (2, 4)
+    linear = degree_model(KnotParams(-3, 4, 5, -1))
+    assert linear.constants == (2,) and linear.residues == ()
 
 
 def test_coefficients():
-    params = KnotParams(-3, 2, 3, -3)
-    assert quadratic_coefficient(params) == 2
-    assert linear_coefficient(params) == -6
-    assert period(params) == 2
-    params = KnotParams(-3, 4, 5, -1)
-    assert quadratic_coefficient(params) == 0
-    assert linear_coefficient(params) == -2
-    assert period(params) == 1
-    assert quadratic_coefficient(KnotParams(-5, 2, 3, -1)) == 6
+    model = degree_model(KnotParams(-3, 2, 3, -3))
+    assert model.growth == 2
+    assert model.two_b == -6
+    assert model.period == 2
+    model = degree_model(KnotParams(-3, 4, 5, -1))
+    assert model.growth == 0
+    assert model.two_b == -2
+    assert model.period == 1
+    assert degree_model(KnotParams(-5, 2, 3, -1)).growth == 6
 
 
 def test_fit_quasi_on_generator():
-    params = KnotParams(-3, 2, 3, -3)
-    samples = [(N, closed_form_dplus(params, N)) for N in range(2, 10)]
+    model = degree_model(KnotParams(-3, 2, 3, -3))
+    samples = [(N, closed_form_dplus(model, N)) for N in range(2, 10)]
     fitted = fit_quasi(samples, 2)
     assert fitted.n0 == 2
     for j, constant in ((0, 2), (1, 4)):
         a, two_b, c = fitted.coeffs[j]
         assert (a, two_b, c) == (2, -6, constant)
-    assert fitted.evaluate(12) == closed_form_dplus(params, 12)
+    assert fitted.evaluate(12) == closed_form_dplus(model, 12)
 
 
 def test_fit_quasi_linear_and_constant():
@@ -212,7 +208,7 @@ def test_fit_quasi_needs_three_per_class():
 def test_stabilization_threshold():
     params = KnotParams(-5, 6, 7, -1)
     degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(1, 8)]
-    assert stabilization_threshold(params, degrees) == 3
+    assert stabilization_threshold(degree_model(params), degrees) == 3
     params = KnotParams(-3, 2, 3, -3)
     degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(0, 7)]
-    assert stabilization_threshold(params, degrees) == 1
+    assert stabilization_threshold(degree_model(params), degrees) == 1

@@ -159,7 +159,8 @@ def test_gamma_twist_euler_slope():
         system = gamma_system(params)
         assert twist(system) == F(2 * (t - 1) ** 2, s + t - 1) - 2 * (u + r + t)
         assert euler_ratio(system) == u + r + 3
-        assert boundary_slope(params) == F(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
+        slope = F(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
+        assert boundary_slope(seifert_system(params), system) == slope
         report = check_admissible(system)
         assert report.all_conditions() and report.lemma41
 
@@ -172,10 +173,11 @@ def test_gamma_rejects_linear_cases():
 
 
 def test_boundary_slope_examples():
-    assert boundary_slope(KnotParams(-3, 2, 3, -3)) == 2
-    assert boundary_slope(KnotParams(-5, 2, 3, -1)) == 6
-    assert boundary_slope(KnotParams(-3, 4, 5, -1)) == 0
-    assert boundary_slope(KnotParams(-3, 6, 5, -3)) == 0
+    assert slope_report(KnotParams(-3, 2, 3, -3)).slope == 2
+    assert slope_report(KnotParams(-5, 2, 3, -1)).slope == 6
+    assert slope_report(KnotParams(-3, 4, 5, -1)).slope == 0
+    assert slope_report(KnotParams(-3, 6, 5, -3)).slope == 0
+    assert boundary_slope(seifert_system(KnotParams(-3, 4, 5, -1)), None) == 0
 
 
 def test_ending_u_and_line_check():
@@ -218,11 +220,11 @@ def test_two_triangle_sides_fail_minimality():
 
 
 def test_slope_report_shape():
-    report = slope_report(KnotParams(-3, 2, 3, -3))
+    report = slope_report(KnotParams(-3, 2, 3, -3)).report
     assert report["u0"] == "1/2" and report["k"] == 0
     assert report["twists"] == {"seifert": "6", "gamma": "8"}
     assert report["slope"] == "2"
     assert report["admissibility"]["lemma41"] is True
-    report = slope_report(KnotParams(-3, 4, 5, -1))
+    report = slope_report(KnotParams(-3, 4, 5, -1)).report
     assert report["u0"] is None and report["slope"] == "0"
     assert report["euler_ratio_seifert"] == "-1"

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from knotslope.degopt import brute_max_objective, closed_form_dplus
+from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_model
 from knotslope.jones import (
     ColorTuple,
     KnotParams,
@@ -304,7 +304,7 @@ def test_exact_dplus_matches_closed_form_case1():
     params = KnotParams(-3, 2, 3, -3)
     for N in range(2, 6):
         expected = 2 * N * N - 6 * N + (2 if N % 2 == 0 else 4)
-        assert closed_form_dplus(params, N) == expected
+        assert closed_form_dplus(degree_model(params), N) == expected
         assert exact_dplus(params, N)[0] == expected
 
 

@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from knotslope.cli import main
+from knotslope.degopt import degree_model
 from knotslope.edgepath import slope_report
 from knotslope.jones import KnotParams, colored_jones
 from knotslope.pipeline import (
@@ -23,18 +25,18 @@ from knotslope.pipeline import (
 
 def test_predict_examples():
     pred = predict(KnotParams(-3, 2, 3, -3))
-    assert pred.growth == 2 and pred.two_b == -6
-    assert pred.edgepath_slope == 2 and pred.euler == -3
+    assert pred.model.growth == 2 and pred.model.two_b == -6
+    assert pred.surface.slope == 2 and pred.surface.euler == -3
     assert pred.slope_match and pred.euler_match
 
     pred = predict(KnotParams(-3, 4, 5, -1))
-    assert pred.growth == 0 and pred.two_b == -2
-    assert pred.edgepath_slope == 0 and pred.euler == -1
+    assert pred.model.growth == 0 and pred.model.two_b == -2
+    assert pred.surface.slope == 0 and pred.surface.euler == -1
     assert pred.slope_match and pred.euler_match
 
     pred = predict(KnotParams(-5, 2, 3, -1))
-    assert pred.growth == 6 == pred.edgepath_slope
-    assert Fraction(pred.two_b, 2) == -3 == pred.euler
+    assert pred.model.growth == 6 == pred.surface.slope
+    assert Fraction(pred.model.two_b, 2) == -3 == pred.surface.euler
     assert pred.slope_match and pred.euler_match
 
 
@@ -49,14 +51,63 @@ def test_slope_report_digest_pin():
     digest = hashlib.sha256()
     for tup in itertools.product(*SLOPE_GRID):
         params = KnotParams(*tup)
-        doc = {"slope_report": slope_report(params), "predict": predict(params).to_json()}
+        doc = {"slope_report": slope_report(params).report,
+               "predict": predict(params).to_json()}
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == SLOPE_DIGEST
 
 
+# SHA-256 of the whole verification report, one sorted-key JSON line per
+# tuple of SLOPE_GRID at n_max = 4: classification, prediction, edgepath,
+# degrees, N0, least period, fit (present or null) and flags.
+REPORT_DIGEST = "4ffb2742c7ac9910f547a34ce862fb4a20e807f79492a5f85843219f0aba30cb"
+
+
+def test_verification_report_digest_pin():
+    digest = hashlib.sha256()
+    for tup in itertools.product(*SLOPE_GRID):
+        doc = run_verification(KnotParams(*tup), 4).to_json()
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+@pytest.mark.parametrize("tup, classes", [((-3, 2, 3, -3), 2), ((-3, 6, 5, -3), 0)])
+def test_each_system_and_residue_class_built_once(tup, classes, monkeypatch):
+    # One quadratic and one linear tuple: a verification run and its
+    # report build each edgepath system at most once, check admissibility
+    # once and compute each residue class once.
+    import knotslope.degopt as degopt_mod
+    import knotslope.edgepath as edgepath_mod
+
+    calls = Counter()
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("seifert_system", "gamma_system", "check_admissible"):
+        counted(edgepath_mod, name)
+    counted(degopt_mod, "residue_data")
+    run_verification(KnotParams(*tup), 6).to_json()
+    assert calls["seifert_system"] == 1
+    assert calls["gamma_system"] == (1 if classes else 0)
+    assert calls["check_admissible"] == 1
+    assert calls["residue_data"] == classes
+
+
 def test_least_period():
-    assert least_period(KnotParams(-3, 2, 3, -3)) == 2
-    assert least_period(KnotParams(-3, 4, 5, -1)) == 1
+    assert least_period(degree_model(KnotParams(-3, 2, 3, -3))) == 2
+    assert least_period(degree_model(KnotParams(-3, 4, 5, -1))) == 1
+    # The least period is a proper divisor of the model period.
+    model = degree_model(KnotParams(-5, 4, 5, -1))
+    assert model.period == 4 and least_period(model) == 2
+    model = degree_model(KnotParams(-5, 4, 9, -1))
+    assert model.period == 6 and least_period(model) == 3
 
 
 def test_run_verification_case1():
@@ -121,6 +172,57 @@ def test_grid_run_small(tmp_path):
     assert len(docs) == 2
     rows = summary_csv.read_text().splitlines()
     assert len(rows) == 3 and rows[0].startswith("r,s,t,u,case")
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+    started = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_grid_run_caps_workers(tmp_path, monkeypatch):
+    # No process is started: the pool records its size and runs serially.
+    import knotslope.pipeline as pipeline_mod
+
+    monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+    two = "r=-3;s=2;t=3;u=-3..-1"
+    eight = "r=-5..-3;s=2..4;t=3;u=-3..-1"
+    cases = ((4, two, 1, None), (4, two, 5000, 2), (4, eight, 3, 3),
+             (4, eight, 5000, 4), (None, two, 8, None))
+    for i, (cpus, grid, jobs, workers) in enumerate(cases):
+        monkeypatch.setattr(pipeline_mod.os, "cpu_count", lambda: cpus)
+        RecordingPool.started.clear()
+        grid_run(grid, 4, out_json=tmp_path / f"{i}.json", jobs=jobs)
+        assert RecordingPool.started == ([] if workers is None else [workers])
+    # serial and 5000 requested jobs write the same report
+    assert (tmp_path / "0.json").read_bytes() == (tmp_path / "1.json").read_bytes()
+
+
+def test_cli_verify_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
+    import knotslope.pipeline as pipeline_mod
+
+    monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+    RecordingPool.started.clear()
+    for jobs in ("0", "-3"):
+        out = tmp_path / "x.json"
+        rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "4",
+                   "--out", str(out), "--csv", str(tmp_path / "x.csv"), "--jobs", jobs])
+        assert rc == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.csv").exists()
+    assert RecordingPool.started == []
 
 
 def test_grid_run_empty(tmp_path):
