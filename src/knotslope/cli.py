@@ -6,8 +6,9 @@ Subcommands:
   slope    edgepath report (twists, slope, Euler ratios, admissibility)
   verify   run the identity checks over a parameter grid
 
-Exit codes: 0 clean, 2 when a verify run finds a conjecture-identity
-mismatch, 1 on usage or arithmetic errors.
+Exit codes: 0 clean, 2 when a verify run finds a mismatch (an identity
+flag false, or an edgepath system failing E1-E4), 1 on usage, arithmetic
+or file errors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import degopt, edgepath, pipeline
-from .jones import KnotParams, colored_jones, exact_dplus
+from .jones import KnotParams, exact_dplus
 from .pipeline import DEFAULT_N_MAX, HARD_N_CEILING
 
 
@@ -84,10 +85,7 @@ def _cmd_jones(args):
         )
         return 1
     params = _params_from(args)
-    if args.cache is not None:
-        poly = pipeline.jones_cached(params, args.N, args.cache)
-    else:
-        poly = colored_jones(params, args.N)
+    poly = pipeline.jones_cached(params, args.N, args.cache)
     if args.format == "json":
         print(pipeline.poly_record(params, args.N, poly))
     else:
@@ -111,11 +109,7 @@ def _cmd_degree(args):
         elif args.method == "brute":
             value, _ = degopt.brute_max_objective(params, N - 1)
         elif args.method == "fast":
-            value = (
-                degopt.brute_max_objective(params, 0)[0]
-                if N == 1
-                else degopt.fast_max_objective(params, N - 1)
-            )
+            value = degopt.fast_max_objective(params, N - 1)
         else:
             value = degopt.closed_form_dplus(model, N)
         rows.append((N, value))
@@ -162,7 +156,7 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,9 +19,13 @@ d = 2n, the parameter space splits into
 Tags "1" and "2.1" give a quadratic degree with period (s+t-1)/2 in the
 color; the rest give the linear degree 2u(N-1).  degree_model makes that
 split once per tuple and returns one frozen DegreeModel (period, growth,
-two_b, residues, constants), which closed_form_dplus,
-stabilization_threshold and report_fragment read.  fast_max_objective
-keeps its own case analysis, as an independent oracle.
+two_b, residues, constants), which closed_form_dplus and report_fragment
+read.  fast_max_objective keeps its own case analysis, as an independent
+oracle.
+
+The closed form and a fitted quasi-polynomial share one layout, a tuple
+of (a, two_b, c) per residue class, one evaluator (quasi_value) and one
+walk for the N from which samples agree with it (stabilization_threshold).
 """
 
 from __future__ import annotations
@@ -95,26 +99,24 @@ class DegreeModel:
     residues: tuple
     constants: tuple
 
+    @property
+    def coeffs(self):
+        """(growth, two_b, constant) per residue, the QuasiPolynomial layout."""
+        return tuple((self.growth, self.two_b, c) for c in self.constants)
+
 
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """Per-residue quadratic model of a degree sequence.
 
-    coeffs maps the residue j to (a, two_b, c): the value at N = j mod
-    period is a*N^2 + two_b*N + c.  n0 is the least sample from which the
-    model reproduces every later sample exactly.
+    coeffs[j] is (a, two_b, c): the value at N = j mod period is
+    a*N^2 + two_b*N + c.  n0 is the least sample from which the model
+    reproduces every later sample exactly.
     """
 
     period: int
-    coeffs: dict
+    coeffs: tuple
     n0: int
-
-    def evaluate(self, N):
-        a, two_b, c = self.coeffs[N % self.period]
-        value = a * N * N + two_b * N + c
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral quasi-polynomial value at {N}")
-        return int(value)
 
 
 def classify(params):
@@ -231,10 +233,11 @@ def fast_max_objective(params, n):
     Quadratic cases restrict to the face a = b+c, d = 2n and compare the
     boundary-line values at the even points bracketing the real peak
     (clamped to [0, 2n]) with the face value at the origin; linear cases
-    return the origin value 2un outright.
+    return the origin value 2un outright.  At n = 0 the domain is the
+    origin alone and both branches return 0.
     """
-    if n < 1:
-        raise ValueError(f"fast maximization needs n >= 1, got {n}")
+    if n < 0:
+        raise ValueError(f"fast maximization needs n >= 0, got {n}")
     r, s, t, u = params.astuple()
     tag = classify(params).tag
     if tag in ("2.2", "2.3", "2.4"):
@@ -298,6 +301,12 @@ def _nearest_odd(x):
     return [lo, hi]
 
 
+def quasi_value(coeffs, N):
+    """a*N^2 + two_b*N + c for the (a, two_b, c) of N's residue class, exact."""
+    a, two_b, c = coeffs[N % len(coeffs)]
+    return a * N * N + two_b * N + c
+
+
 def closed_form_dplus(model, N):
     """Degree of the N-colored invariant by the closed form of a DegreeModel.
 
@@ -307,7 +316,7 @@ def closed_form_dplus(model, N):
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
-    value = model.growth * N * N + model.two_b * N + model.constants[N % model.period]
+    value = quasi_value(model.coeffs, N)
     if value.denominator != 1:
         raise ArithmeticError(f"closed form not integral at N={N}")
     return int(value)
@@ -331,24 +340,16 @@ def fit_quasi(samples, p):
     """
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
-    ordered = sorted(samples)
-    by_class = {}
-    for N, value in ordered:
-        by_class.setdefault(N % p, []).append((N, value))
-    coeffs = {}
-    for j in range(p):
-        pts = by_class.get(j, [])
+    by_class = [[] for _ in range(p)]
+    for N, value in sorted(samples):
+        by_class[N % p].append((N, value))
+    for j, pts in enumerate(by_class):
         if len(pts) < 3:
             raise NoQuadraticFit(
                 f"residue class {j} has {len(pts)} samples, need at least 3"
             )
-        coeffs[j] = _quadratic_through(pts[-3:])
-    n0 = None
-    for N, value in reversed(ordered):
-        if _eval_quad(coeffs[N % p], N) == value:
-            n0 = N
-        else:
-            break
+    coeffs = tuple(_quadratic_through(pts[-3:]) for pts in by_class)
+    n0 = stabilization_threshold(coeffs, samples)
     if n0 is None:
         raise NoQuadraticFit("even the final samples disagree with their models")
     return QuasiPolynomial(p, coeffs, n0)
@@ -364,21 +365,16 @@ def _quadratic_through(pts):
     return (a, two_b, c)
 
 
-def _eval_quad(model, N):
-    a, two_b, c = model
-    return a * N * N + two_b * N + c
+def stabilization_threshold(coeffs, samples):
+    """Least sample N from which every later sample equals quasi_value(coeffs, N).
 
-
-def stabilization_threshold(model, degrees):
-    """Least N from which every computed degree matches the closed form.
-
-    degrees is a list of (N, value) pairs.  Returns None when even the
-    last sample disagrees.
+    samples is a list of (N, value) pairs.  Returns None when even the
+    last sample disagrees.  Values are compared exactly and nothing is
+    raised: a non-integral model value simply disagrees.
     """
     n0 = None
-    for N, value in sorted(degrees, reverse=True):
-        if closed_form_dplus(model, N) == value:
-            n0 = N
-        else:
+    for N, value in sorted(samples, reverse=True):
+        if quasi_value(coeffs, N) != value:
             break
+        n0 = N
     return n0

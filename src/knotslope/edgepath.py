@@ -154,14 +154,9 @@ class Edgepath:
         return sum((e.fraction for e in self.edges), Fraction(0))
 
 
-AT_ZERO_VERTEX = "zero_vertex"
-INTERIOR_U = "interior"
-
-
 @dataclass(frozen=True)
 class EdgepathSystem:
     paths: tuple
-    ending_kind: str
 
     def ending_u(self):
         return self.paths[0].ending_point()[0]
@@ -212,7 +207,7 @@ def seifert_system(params):
     )
     path2 = Edgepath(edges2, Fraction(u, s * u - 1))
     path3 = Edgepath((nonhorizontal_edge(arc(Fraction(1, t)), zero),), Fraction(1, t))
-    return EdgepathSystem((path1, path2, path3), AT_ZERO_VERTEX)
+    return EdgepathSystem((path1, path2, path3))
 
 
 def ending_u(params):
@@ -298,7 +293,7 @@ def gamma_system(params):
         (nonhorizontal_edge(arc(Fraction(1, t)), zero, frac3),), Fraction(1, t)
     )
 
-    system = EdgepathSystem((path1, path2, path3), INTERIOR_U)
+    system = EdgepathSystem((path1, path2, path3))
     for path in system.paths:
         if path.ending_point()[0] != u0:
             raise ArithmeticError(f"path ending off u0={u0} for {params}")
@@ -363,17 +358,13 @@ def _is_monotone(path):
 def euler_ratio(system):
     """The ratio (Euler characteristic)/(number of sheets) of the surface.
 
-    For a system ending at the origin vertex it is 2 minus the total
-    length.  For an interior ending at u0 it is
+    For a system whose paths end at u-coordinate u0 it is
 
         N - total length - (N - 2) / (1 - u0)
 
-    with N = 3 tangles here.
+    with N = 3 tangles here.  The Seifert system ends at the origin vertex,
+    u0 = 0, where this is 2 minus the total length.
     """
-    if system.ending_kind == AT_ZERO_VERTEX:
-        return 2 - system.total_length()
-    if system.ending_kind != INTERIOR_U:
-        raise ValueError(f"unsupported ending kind {system.ending_kind}")
     n_paths = len(system.paths)
     return n_paths - system.total_length() - (n_paths - 2) / (1 - system.ending_u())
 
@@ -392,11 +383,13 @@ def boundary_slope(seifert, gamma):
 
 @dataclass(frozen=True)
 class SurfaceSide:
-    """Boundary slope and Euler ratio of the distinguished surface, plus the
-    JSON-ready report fragment of the slope CLI and the verification report."""
+    """Boundary slope, Euler ratio and E1-E4 check of the distinguished
+    surface, plus the JSON-ready report fragment of the slope CLI and the
+    verification report."""
 
     slope: Fraction
     euler: Fraction
+    admissibility: AdmissibilityReport
     report: dict
 
 
@@ -413,6 +406,7 @@ def slope_report(params):
     surface = seifert if gamma is None else gamma
     slope = boundary_slope(seifert, gamma)
     euler = euler_ratio(surface)
+    admissibility = check_admissible(surface)
     report = {
         "u0": None,
         "k": None,
@@ -421,7 +415,7 @@ def slope_report(params):
         "slope": str(slope),
         "euler_ratio_seifert": str(euler_ratio(seifert)),
         "euler_ratio_gamma": None,
-        "admissibility": check_admissible(surface).to_json(),
+        "admissibility": admissibility.to_json(),
     }
     if gamma is not None:
         _, k, _ = _chain_cut(params)
@@ -430,4 +424,4 @@ def slope_report(params):
         report["gamma_lengths"] = [str(p.length()) for p in gamma.paths]
         report["twists"]["gamma"] = str(twist(gamma))
         report["euler_ratio_gamma"] = str(euler)
-    return SurfaceSide(slope, euler, report)
+    return SurfaceSide(slope, euler, admissibility, report)

@@ -107,8 +107,10 @@ class Report:
     flags: dict
 
     def all_flags_true(self):
-        """True when no computed flag is False (unfitted entries are None)."""
-        return not any(v is False for v in self.flags.values())
+        """True when no computed flag is False (unfitted entries are None)
+        and the distinguished edgepath system meets E1-E4."""
+        return (not any(v is False for v in self.flags.values())
+                and self.prediction.surface.admissibility.all_conditions())
 
     def to_json(self):
         model = self.prediction.model
@@ -119,7 +121,7 @@ class Report:
                 "n0": self.fitted.n0,
                 "coeffs": {
                     str(j): [str(a), str(tb), str(c)]
-                    for j, (a, tb, c) in sorted(self.fitted.coeffs.items())
+                    for j, (a, tb, c) in enumerate(self.fitted.coeffs)
                 },
             }
         return {
@@ -155,19 +157,17 @@ def run_verification(params, n_max, cache_dir=None):
         closed = degopt.closed_form_dplus(model, N)
         degrees.append((N, d, lead, brute, closed))
 
-    n0 = degopt.stabilization_threshold(model, [(N, d) for N, d, *_ in degrees])
+    samples = [(N, d) for N, d, *_ in degrees]
+    n0 = degopt.stabilization_threshold(model.coeffs, samples)
 
     fitted = None
     fit_matches = None
     try:
-        fitted = fit_quasi([(N, d) for N, d, *_ in degrees], model.period)
+        fitted = fit_quasi(samples, model.period)
     except NoQuadraticFit:
         pass
     else:
-        fit_matches = all(
-            fitted.coeffs[j] == (model.growth, model.two_b, c)
-            for j, c in enumerate(model.constants)
-        )
+        fit_matches = fitted.coeffs == model.coeffs
 
     flags = {
         "slope_match": prediction.slope_match,

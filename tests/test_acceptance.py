@@ -76,7 +76,7 @@ def test_criterion_1_degree_closed_form_case1(exact_degrees):
     params = KnotParams(*CASE1_TUPLE)
     table = exact_degrees[CASE1_TUPLE]
     model = degree_model(params)
-    n0 = stabilization_threshold(model, [(N, d) for N, (d, _) in table.items()])
+    n0 = stabilization_threshold(model.coeffs, [(N, d) for N, (d, _) in table.items()])
     ok = n0 is not None and n0 <= 4
     for N in range(n0, 7):
         expected = 2 * N * N - 6 * N + (2 if N % 2 == 0 else 4)
@@ -114,7 +114,7 @@ def test_criterion_3_triple_oracle_agreement():
             brute_by_n[n] = brute
         model = degree_model(params)
         n0 = stabilization_threshold(
-            model, [(n + 1, v) for n, v in brute_by_n.items()]
+            model.coeffs, [(n + 1, v) for n, v in brute_by_n.items()]
         )
         ok = ok and n0 is not None
         for n in range(n0 - 1 if n0 > 1 else 1, 9):

@@ -14,6 +14,7 @@ from knotslope.degopt import (
     fit_quasi,
     line_objective,
     line_peak,
+    quasi_value,
     stabilization_threshold,
 )
 from knotslope.jones import ColorTuple, KnotParams, domain_points
@@ -109,7 +110,7 @@ def test_monotone_in_d_and_a():
 def test_fast_equals_brute_on_grid():
     for tup in CASE_EXAMPLES:
         params = KnotParams(*tup)
-        for n in range(1, 7):
+        for n in range(0, 7):
             assert fast_max_objective(params, n) == brute_max_objective(params, n)[0], (
                 tup,
                 n,
@@ -121,7 +122,7 @@ def test_fast_case_values():
     assert fast_max_objective(KnotParams(-3, 6, 5, -3), 5) == 2 * (-3) * 5
     assert fast_max_objective(KnotParams(-3, 4, 5, -5), 6) == 2 * (-5) * 6
     with pytest.raises(ValueError):
-        fast_max_objective(KnotParams(-3, 2, 3, -3), 0)
+        fast_max_objective(KnotParams(-3, 2, 3, -3), -1)
 
 
 def test_line_tie_gives_equal_values():
@@ -182,7 +183,7 @@ def test_fit_quasi_on_generator():
     for j, constant in ((0, 2), (1, 4)):
         a, two_b, c = fitted.coeffs[j]
         assert (a, two_b, c) == (2, -6, constant)
-    assert fitted.evaluate(12) == closed_form_dplus(model, 12)
+    assert quasi_value(fitted.coeffs, 12) == closed_form_dplus(model, 12)
 
 
 def test_fit_quasi_linear_and_constant():
@@ -208,7 +209,7 @@ def test_fit_quasi_needs_three_per_class():
 def test_stabilization_threshold():
     params = KnotParams(-5, 6, 7, -1)
     degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(1, 8)]
-    assert stabilization_threshold(degree_model(params), degrees) == 3
+    assert stabilization_threshold(degree_model(params).coeffs, degrees) == 3
     params = KnotParams(-3, 2, 3, -3)
     degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(0, 7)]
-    assert stabilization_threshold(degree_model(params), degrees) == 1
+    assert stabilization_threshold(degree_model(params).coeffs, degrees) == 1

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from knotslope.edgepath import (
-    AT_ZERO_VERTEX,
     DiagramEdge,
     Edgepath,
     EdgepathSystem,
@@ -87,7 +86,7 @@ def test_seifert_system_shapes():
     vertices = [str(e.right) for e in chain.edges]
     assert vertices == ["<1/3>", "<2/5>", "<3/7>"]
     assert chain.start_vertex() == arc(F(3, 7))
-    assert system.ending_kind == AT_ZERO_VERTEX
+    assert system.ending_u() == 0
 
 
 def test_seifert_chain_determinants():
@@ -202,7 +201,7 @@ def test_retraced_path_fails_minimality():
     there = nonhorizontal_edge(arc(F(1, 3)), arc(F(0)))
     back = DiagramEdge(arc(F(0)), arc(F(1, 3)))
     path = Edgepath((back, there), F(1, 3))
-    system = EdgepathSystem((path, path, path), AT_ZERO_VERTEX)
+    system = EdgepathSystem((path, path, path))
     report = check_admissible(system)
     assert not report.e2
     # the way back runs left to right
@@ -215,7 +214,7 @@ def test_two_triangle_sides_fail_minimality():
     e1 = nonhorizontal_edge(arc(F(1, 2)), arc(F(0)))
     e2 = nonhorizontal_edge(arc(F(1, 3)), arc(F(1, 2)))
     path = Edgepath((e1, e2), F(1, 3))
-    system = EdgepathSystem((path, path, path), AT_ZERO_VERTEX)
+    system = EdgepathSystem((path, path, path))
     assert not check_admissible(system).e2
 
 

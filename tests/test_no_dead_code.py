@@ -2,11 +2,13 @@
 
 A top-level function, class or constant, or a non-dunder method, whose
 name is never loaded, read as an attribute or imported anywhere in
-src/knotslope is dead code, unless it is listed below with a reason.
-A mention in a docstring or comment does not count as a use.
+src/knotslope outside its own definition is dead code, unless it is
+listed below with a reason.  A mention in a docstring or comment does not
+count as a use, and neither does a recursive call.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import knotslope
@@ -17,12 +19,10 @@ PACKAGE = Path(knotslope.__file__).parent
 TEST_ORACLES = (
     ("line_check", "independent three-line check of the ending u-coordinate "
                    "that gamma_system computes"),
-    ("QuasiPolynomial.evaluate", "evaluates a fitted quasi-polynomial against "
-                                 "closed_form_dplus"),
-    ("AdmissibilityReport.all_conditions", "the E1-E4 conjunction the edgepath "
-                                           "and acceptance tests check"),
     ("summand", "one exact state-sum term, summed by the flat oracle that "
                 "the grouped sum of colored_jones is tested against"),
+    ("qfact", "the q-factorial that the qbinom and qmultinom tests divide "
+              "against"),
 )
 
 # Names that code outside the package calls, each with the caller.
@@ -32,19 +32,20 @@ EXTERNAL_CALLERS = (
 
 
 def definitions(tree):
-    """(qualified name, bare name) of each top-level def, class, method, constant."""
+    """(qualified name, bare name, defining node) of each top-level def,
+    class, method and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.name
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield f"{node.name}.{item.name}", item.name
+                    yield f"{node.name}.{item.name}", item.name, item
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, target.id
+                    yield target.id, target.id, node
 
 
 def references(tree):
@@ -61,9 +62,9 @@ def references(tree):
 def test_package_defines_no_unreferenced_names():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    used = {name for tree in trees.values() for name in references(tree)}
+    used = Counter(name for tree in trees.values() for name in references(tree))
     unreferenced = sorted(qualified
                           for name, tree in trees.items() if name != "__init__.py"
-                          for qualified, bare in definitions(tree)
-                          if bare not in used)
+                          for qualified, bare, node in definitions(tree)
+                          if used[bare] == Counter(references(node))[bare])
     assert unreferenced == sorted(name for name, _ in TEST_ORACLES + EXTERNAL_CALLERS)

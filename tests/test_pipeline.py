@@ -1,5 +1,6 @@
 """Prediction assembly, verification runs, grids, caching, CLI, determinism."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -282,6 +283,23 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     path.write_text(json.dumps(record))
     assert cache_load(tmp_path, params, 2) is None
 
+    # A record of another tuple, another color or with a wrong leading
+    # coefficient is discarded, then recomputed and rewritten.
+    import knotslope.pipeline as pipeline_mod
+
+    pristine = json.loads(cache_store(tmp_path, params, 2, poly).read_text())
+    for field, value, reason in (
+            ("params", KnotParams(-5, 2, 3, -3).as_dict(), "parameter mismatch"),
+            ("N", 3, "color mismatch"),
+            ("leading_coeff", "3", "leading coefficient mismatch")):
+        path.write_text(json.dumps(dict(pristine, **{field: value})))
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cache_load(tmp_path, params, 2) is None
+        assert reason in caplog.text
+        assert pipeline_mod.jones_cached(params, 2, tmp_path) == poly
+        assert json.loads(path.read_text()) == pristine
+
     cache_store(tmp_path, params, 2, poly)
     assert cache_load(tmp_path, params, 2) == poly
 
@@ -402,6 +420,10 @@ def test_cli_degree_exact_ceiling(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --n-max above the ceiling 9\n"
     assert captured.out == ""
+    assert main(base[:-1] + ["0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --n-max must be >= 1\n"
+    assert captured.out == ""
     for method in ("brute", "fast", "closed"):
         assert main(base + ["--method", method]) == 0
         assert capsys.readouterr().out.count("\n") == 10
@@ -431,12 +453,61 @@ def test_cli_invalid_params_exit_code(tmp_path, capsys):
     assert rc == 1
     assert "'r=-3..-5'" in capsys.readouterr().err
     assert not out.exists()
+    rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "10",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --n-max above the ceiling 9\n"
+    assert not out.exists()
     for grid, clause in (("r=-3;s=2;t=3;u=-1;r=-5", "'r=-5'"),
                          ("r=-3;s=2;t=3,3;u=-1", "'t=3,3'")):
         rc = main(["verify", "--grid", grid, "--out", str(out)])
         assert rc == 1
         assert clause in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_file_errors_exit_code(tmp_path, capsys):
+    # An unwritable --out still lets --csv be written in full; a cache
+    # path under a regular file fails.  Each is one error line, exit 1.
+    args = ["verify", "--grid", "r=-3;s=2;t=3;u=-3..-1", "--n-max", "4"]
+    assert main(args + ["--out", str(tmp_path / "ok.json"),
+                        "--csv", str(tmp_path / "ok.csv")]) == 0
+    capsys.readouterr()
+    rc = main(args + ["--out", str(tmp_path / "missing" / "r.json"),
+                      "--csv", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
+
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    rc = main(["jones", "-r", "-3", "-s", "2", "-t", "3", "-u", "-3", "-N", "2",
+               "--cache", str(blocker / "x")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_verify_counts_inadmissible_system_as_mismatch(tmp_path, capsys, monkeypatch):
+    # A distinguished system failing E2 makes the tuple a mismatch, even
+    # though every identity flag holds.
+    import knotslope.edgepath as edgepath_mod
+
+    real = edgepath_mod.check_admissible
+
+    def failing_e2(system):
+        return dataclasses.replace(real(system), e2=False)
+
+    monkeypatch.setattr(edgepath_mod, "check_admissible", failing_e2)
+    report = run_verification(KnotParams(-3, 2, 3, -1), 4)
+    assert not any(v is False for v in report.flags.values())
+    assert not report.all_flags_true()
+    rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "4",
+               "--out", str(tmp_path / "e2.json")])
+    assert rc == 2
+    assert "verified 0/1 tuples, 1 mismatched" in capsys.readouterr().out
 
 
 def test_cli_jones_cache_flag(tmp_path, capsys):
