@@ -7,8 +7,9 @@ Subcommands:
   verify   run the identity checks over a parameter grid
 
 Exit codes: 0 clean, 2 when a verify run finds a mismatch (an identity
-flag false, or an edgepath system failing E1-E4), 1 on usage, arithmetic
-or file errors.
+flag false, or an edgepath system failing E1-E4; each mismatched tuple is
+named on stderr with its failed checks), 1 on usage, arithmetic or file
+errors.
 """
 
 from __future__ import annotations
@@ -137,6 +138,8 @@ def _cmd_verify(args):
         args.grid, args.n_max, out_json=args.out, out_csv=args.csv,
         jobs=args.jobs, cache_dir=args.cache,
     )
+    for params, failed in summary["mismatches"]:
+        print(f"mismatch: {params}: {', '.join(failed)}", file=sys.stderr)
     print(
         f"verified {summary['verified']}/{summary['tuples']} tuples, "
         f"{summary['mismatched']} mismatched, {summary['skipped']} skipped "

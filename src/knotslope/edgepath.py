@@ -77,9 +77,12 @@ class DiagramEdge:
 
 
 def nonhorizontal_edge(right, left, fraction=Fraction(1)):
+    fraction = Fraction(fraction)
+    if not 0 < fraction <= 1:
+        raise ValueError(f"edge fraction {fraction} outside (0, 1]")
     if not _joined(right, left):
         raise ValueError(f"{right} and {left} are not joined by a diagram edge")
-    return DiagramEdge(right, left, Fraction(fraction))
+    return DiagramEdge(right, left, fraction)
 
 
 def interp_point(near, far, fraction):
@@ -124,17 +127,13 @@ def partial_fraction_from_u(near, far, u0):
 def edge_measure(edge):
     """(sign, length) of an edge.
 
-    Sign is +1/-1 as v increases/decreases right to left, 0 if v stays.
+    Sign is +1/-1 as v increases/decreases right to left.  v never stays:
+    joined vertices have distinct slopes, and nonhorizontal_edge makes the
+    traversed fraction positive.
     """
     _, v_right = edge.right.uv()
     _, v_end = edge.endpoint()
-    if v_end > v_right:
-        sign = 1
-    elif v_end < v_right:
-        sign = -1
-    else:
-        sign = 0
-    return sign, Fraction(edge.fraction)
+    return (1 if v_end > v_right else -1), edge.fraction
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,10 @@ class AdmissibilityReport:
     e4: bool
     lemma41: bool
 
-    def all_conditions(self):
-        return self.e1 and self.e2 and self.e3 and self.e4
+    def failed(self):
+        """The names of the conditions among E1-E4 that fail, in order."""
+        return [name for name, ok in (("E1", self.e1), ("E2", self.e2),
+                                      ("E3", self.e3), ("E4", self.e4)) if not ok]
 
     def to_json(self):
         return {"E1": self.e1, "E2": self.e2, "E3": self.e3, "E4": self.e4,
@@ -214,31 +215,6 @@ def ending_u(params):
     """Common ending u-coordinate of the non-Seifert system: (t-1)s/(ts+t-1)."""
     r, s, t, u = params.astuple()
     return Fraction((t - 1) * s, t * s + t - 1)
-
-
-def line_check(params):
-    """Verify the ending u solves the three-line equation and sits leftmost.
-
-    The final edges of the three paths extend to the lines v = u/(t-1),
-    v = u/s and v = u - 1; their v-values at the ending u must sum to zero,
-    and the ending u must lie strictly left of the u-coordinates of <1/t>,
-    <1/(s+1)> and <1/r>.
-    """
-    r, s, t, u = params.astuple()
-    u0 = ending_u(params)
-    balance = u0 / (t - 1) + u0 / s + (u0 - 1)
-    if balance != 0:
-        return False
-    u_t = Fraction(t - 1, t)
-    u_s1 = Fraction(s, s + 1)
-    u_r = Fraction(-r - 1, -r)
-    disc = classify(params).disc
-    checks = [
-        (u0 - u_t, Fraction(-((t - 1) ** 2), t * (s * t + t - 1))),
-        (u0 - u_s1, Fraction(-(s * s), (s + 1) * (s * t + t - 1))),
-        (u0 - u_r, Fraction(-disc, r * (s * t + t - 1))),
-    ]
-    return all(actual == closed and actual < 0 for actual, closed in checks)
 
 
 def _chain_cut(params):
@@ -314,7 +290,7 @@ def check_admissible(system):
 
     u_end = endings[0][0]
     signs = {edge_measure(p.edges[0])[0] for p in system.paths}
-    lemma41 = e3 and u_end > 0 and len(signs) == 1 and 0 not in signs
+    lemma41 = e3 and u_end > 0 and len(signs) == 1
     return AdmissibilityReport(e1, e2, e3, e4, lemma41)
 
 

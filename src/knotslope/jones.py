@@ -30,9 +30,6 @@ polynomial.  The slot width w comes from a first run of the same grouped
 sum over the factors' l1 norms, which bounds every coefficient of the
 total.  The final divisions and the classical limit J_N(1) = N check the
 result, so a slot too narrow for it raises ArithmeticError.
-
-summand gives one term as an unreduced (numerator, denominator) pair of
-Laurent polynomials.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ktg import circle, delta6j, framing_power, is_admissible, theta
+from .ktg import circle, delta6j, framing_power, theta
 from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div, slot_bytes
 
 log = logging.getLogger(__name__)
@@ -88,14 +85,6 @@ class ColorTuple(NamedTuple):
     d: int
     n: int
 
-    def validate(self):
-        top = 2 * self.n
-        for x in (self.a, self.b, self.c, self.d):
-            if x % 2 or not 0 <= x <= top:
-                raise ValueError(f"color {x} outside the even range [0, {top}]")
-        if not is_admissible(self.a, self.b, self.c):
-            raise ValueError(f"({self.a}, {self.b}, {self.c}) is not admissible")
-
 
 def _c_range(a, b, n):
     """The even c in [0, 2n] that make (a, b, c) admissible."""
@@ -114,36 +103,6 @@ def domain_points(n):
                 for d in range(0, top + 1, 2):
                     points.append(ColorTuple(a, b, c, d, n))
     return points
-
-
-def _summand_numerator(params, n, colors):
-    """Product of all non-denominator factors of one summand."""
-    a, b, c, d = colors.a, colors.b, colors.c, colors.d
-    r, s, t, u = params.astuple()
-    num = theta(a, b, c)
-    d1 = delta6j(a, b, c, n, n, n)
-    num = num * d1 * d1
-    num = num * delta6j(b, n, n, d, n, n)
-    for x, w in ((a, r), (b, s), (c, t), (d, u)):
-        twist = framing_power(x, w)
-        num = num.shift(twist.exponent, twist.sign)
-    for x in (a, b, c, d):
-        num = num * circle(x)
-    return num
-
-
-def summand(params, n, colors):
-    """One state-sum term as the exact pair (numerator, denominator).
-
-    The denominator is the product of the four theta(x,n,n) factors; the
-    pair is never reduced, so callers can clear it over any common multiple.
-    """
-    colors.validate()
-    num = _summand_numerator(params, n, colors)
-    den = ONE
-    for x in (colors.a, colors.b, colors.c, colors.d):
-        den = den * theta(x, n, n)
-    return num, den
 
 
 def theta_exponents(x, n):

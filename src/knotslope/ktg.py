@@ -34,10 +34,6 @@ class NonRealPhase(ValueError):
     """Framing power whose fourth-root-of-unity phase is not real."""
 
 
-class FractionalExponent(ValueError):
-    """Framing power whose v-exponent is not an integer."""
-
-
 def is_admissible(x, y, z):
     """True when (x, y, z) has even sum and satisfies the triangle inequality."""
     if min(x, y, z) < 0:
@@ -84,14 +80,13 @@ def framing_power(a, w):
     """The scalar f(a)^w as a SignedMonomial.
 
     f(a)^w has phase (sqrt(-1))^(-aw), real only when a*w is even, and
-    v-exponent -w*a(a+2)/2, integral only when a(a+2)*w is even.
+    v-exponent -w*a(a+2)/2.  a(a+2)*w is even exactly when a*w is, so a
+    real phase also makes the exponent an integer.
     """
     if a < 0:
         raise ValueError(f"negative color {a}")
     if (a * w) % 2:
         raise NonRealPhase(f"f({a})^{w} has a non-real phase")
-    if (a * (a + 2) * w) % 2:
-        raise FractionalExponent(f"f({a})^{w} has a fractional exponent")
     sign = -1 if (a * w // 2) % 2 else 1
     return SignedMonomial(sign, -(w * a * (a + 2)) // 2)
 

@@ -106,11 +106,12 @@ class Report:
     fitted: object | None
     flags: dict
 
-    def all_flags_true(self):
-        """True when no computed flag is False (unfitted entries are None)
-        and the distinguished edgepath system meets E1-E4."""
-        return (not any(v is False for v in self.flags.values())
-                and self.prediction.surface.admissibility.all_conditions())
+    def failed_checks(self):
+        """The names of the false flags (unfitted entries are None, not
+        false), then those of the conditions E1-E4 that the distinguished
+        edgepath system fails; empty when the tuple verifies."""
+        return ([name for name, value in self.flags.items() if value is False]
+                + self.prediction.surface.admissibility.failed())
 
     def to_json(self):
         model = self.prediction.model
@@ -270,13 +271,19 @@ def cache_load(cache_dir, params, N):
 
 
 def jones_cached(params, N, cache_dir):
-    if cache_dir is not None:
-        cached = cache_load(cache_dir, params, N)
-        if cached is not None:
-            return cached
+    """colored_jones through the cache in cache_dir, if one is given.
+
+    On a miss the tuple's cache directory is made before the polynomial
+    is computed, so a cache_dir that cannot hold records fails first.
+    """
+    if cache_dir is None:
+        return colored_jones(params, N)
+    cached = cache_load(cache_dir, params, N)
+    if cached is not None:
+        return cached
+    (Path(cache_dir) / params.key()).mkdir(parents=True, exist_ok=True)
     poly = colored_jones(params, N)
-    if cache_dir is not None:
-        cache_store(cache_dir, params, N, poly)
+    cache_store(cache_dir, params, N, poly)
     return poly
 
 
@@ -332,7 +339,7 @@ def parse_grid(spec):
 def _run_one(args):
     r, s, t, u, n_max, cache_dir = args
     report = run_verification(KnotParams(r, s, t, u), n_max, cache_dir)
-    return report.to_json(), report.all_flags_true()
+    return report.to_json(), report.failed_checks()
 
 
 CSV_COLUMNS = [
@@ -369,9 +376,11 @@ def _csv_row(doc):
 def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     """Run the verification over a parameter grid and write the reports.
 
-    Returns a summary dict with verified/mismatched/skipped counts.  The
-    JSON array and CSV are written deterministically; partial results are
-    flushed if writing fails midway.  jobs below 1 is an error; at most
+    Returns a summary dict with verified/mismatched/skipped counts and,
+    under "mismatches", one ((r, s, t, u), failed check names) pair per
+    mismatched tuple, in grid order.  The JSON array and CSV are written
+    deterministically; partial results are flushed if writing fails
+    midway.  jobs below 1 is an error; at most
     min(jobs, tuple count, CPU count) worker processes are started.
     """
     if jobs < 1:
@@ -388,7 +397,8 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     elapsed = time.monotonic() - started
 
     docs = [doc for doc, _ in results]
-    mismatched = sum(1 for _, ok in results if not ok)
+    mismatches = [(p.astuple(), failed)
+                  for p, (_, failed) in zip(tuples, results) if failed]
 
     # Write both outputs even if one of them fails, then re-raise.
     write_error = None
@@ -414,8 +424,9 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
 
     return {
         "tuples": len(tuples),
-        "verified": len(tuples) - mismatched,
-        "mismatched": mismatched,
+        "verified": len(tuples) - len(mismatches),
+        "mismatched": len(mismatches),
+        "mismatches": mismatches,
         "skipped": skipped,
         "elapsed": elapsed,
     }

@@ -4,7 +4,7 @@ Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
 ring operations, exact division, quantum integers with their
-factorials/binomials/multinomials, and the cyclotomic polynomials
+binomials and multinomials, and the cyclotomic polynomials
 Phi_d(v^4) that quantum integers factor into.  There is no field of
 fractions: state sums bring their quotients over a known common
 denominator and clear it with exact_div, whose failure signals a fault.
@@ -117,8 +117,6 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.monomial(0, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         if not self._terms:
             return other
         if not other._terms:
@@ -138,14 +136,7 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """Product with a LaurentPoly or an int.
@@ -155,11 +146,7 @@ class LaurentPoly:
         Packed (Kronecker) products are PackedRing's job.
         """
         if isinstance(other, int):
-            if other == 0:
-                return ZERO
-            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            return LaurentPoly({e: c * other for e, c in self._terms.items()})
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -194,8 +181,6 @@ class LaurentPoly:
         """Multiply by sign * v^exponent (sign must be +1 or -1)."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not self._terms:
-            return ZERO
         if sign == 1:
             return LaurentPoly._raw({e + exponent: c for e, c in self._terms.items()})
         return LaurentPoly._raw({e + exponent: -c for e, c in self._terms.items()})
@@ -203,11 +188,7 @@ class LaurentPoly:
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
-        if isinstance(other, LaurentPoly):
-            return self._terms == other._terms
-        return NotImplemented
+        return isinstance(other, LaurentPoly) and self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
@@ -231,9 +212,6 @@ class LaurentPoly:
                 raise ValueError(f"duplicate exponent {e} in JSON polynomial")
             terms[e] = int(c)
         return cls(terms)
-
-    def __str__(self):
-        return self.to_text()
 
     def __repr__(self):
         return f"<LaurentPoly {self.to_text()}>"
@@ -370,11 +348,7 @@ class Packed:
         return Packed(self.value * other.value, self.lo + other.lo, self.ring)
 
     def __add__(self, other):
-        if not isinstance(other, Packed):
-            if other == 0:
-                return self
-            return NotImplemented
-        if not other.value:
+        if other == 0 or not other.value:
             return self
         if not self.value:
             return other
@@ -418,16 +392,6 @@ def cyclotomic(d):
         if d % e == 0:
             p = exact_div(p, cyclotomic(e))
     return p
-
-
-@lru_cache(maxsize=None)
-def qfact(k):
-    """Quantum factorial [k]! = [k][k-1]...[1], with [0]! = 1."""
-    if k < 0:
-        raise ValueError(f"quantum factorial undefined for negative {k}")
-    if k == 0:
-        return ONE
-    return qfact(k - 1) * qint(k)
 
 
 @lru_cache(maxsize=None)

@@ -1,0 +1,84 @@
+"""Test-only oracles: independent computations that the package is checked against.
+
+  qfact       the quantum factorial, which the qbinom, qmultinom and 6j
+              tests divide against
+  summand     one exact state-sum term, which the flat oracle of
+              tests/test_jones.py sums term by term against the grouped
+              sum of colored_jones
+  line_check  an independent three-line check of the ending u-coordinate
+              that gamma_system computes
+
+None of them runs in the package itself.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from knotslope.degopt import classify
+from knotslope.edgepath import ending_u
+from knotslope.ktg import circle, delta6j, framing_power, is_admissible, theta
+from knotslope.qlaurent import ONE, qint
+
+
+@lru_cache(maxsize=None)
+def qfact(k):
+    """Quantum factorial [k]! = [k][k-1]...[1], with [0]! = 1."""
+    if k < 0:
+        raise ValueError(f"quantum factorial undefined for negative {k}")
+    if k == 0:
+        return ONE
+    return qfact(k - 1) * qint(k)
+
+
+def validate_colors(colors):
+    """Reject a ColorTuple outside the summation domain at its color n."""
+    top = 2 * colors.n
+    for x in (colors.a, colors.b, colors.c, colors.d):
+        if x % 2 or not 0 <= x <= top:
+            raise ValueError(f"color {x} outside the even range [0, {top}]")
+    if not is_admissible(colors.a, colors.b, colors.c):
+        raise ValueError(f"({colors.a}, {colors.b}, {colors.c}) is not admissible")
+
+
+def summand(params, n, colors):
+    """One state-sum term as the exact pair (numerator, denominator).
+
+    The numerator is the product of every factor but the theta
+    denominators; the denominator is the product of the four
+    theta(x,n,n).  The pair is never reduced, so callers can clear it over
+    any common multiple.
+    """
+    validate_colors(colors)
+    a, b, c, d = colors.a, colors.b, colors.c, colors.d
+    num = theta(a, b, c)
+    d1 = delta6j(a, b, c, n, n, n)
+    num = num * d1 * d1 * delta6j(b, n, n, d, n, n)
+    for x, w in zip((a, b, c, d), params.astuple()):
+        twist = framing_power(x, w)
+        num = num.shift(twist.exponent, twist.sign)
+    den = ONE
+    for x in (a, b, c, d):
+        num = num * circle(x)
+        den = den * theta(x, n, n)
+    return num, den
+
+
+def line_check(params):
+    """Verify the ending u solves the three-line equation and sits leftmost.
+
+    The final edges of the three paths extend to the lines v = u/(t-1),
+    v = u/s and v = u - 1; their v-values at the ending u must sum to zero,
+    and the ending u must lie strictly left of the u-coordinates of <1/t>,
+    <1/(s+1)> and <1/r>.
+    """
+    r, s, t, u = params.astuple()
+    u0 = ending_u(params)
+    if u0 / (t - 1) + u0 / s + (u0 - 1) != 0:
+        return False
+    disc = classify(params).disc
+    checks = [
+        (u0 - Fraction(t - 1, t), Fraction(-((t - 1) ** 2), t * (s * t + t - 1))),
+        (u0 - Fraction(s, s + 1), Fraction(-(s * s), (s + 1) * (s * t + t - 1))),
+        (u0 - Fraction(-r - 1, -r), Fraction(-disc, r * (s * t + t - 1))),
+    ]
+    return all(actual == closed and actual < 0 for actual, closed in checks)

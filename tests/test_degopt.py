@@ -15,6 +15,7 @@ from knotslope.degopt import (
     line_objective,
     line_peak,
     quasi_value,
+    residue_data,
     stabilization_threshold,
 )
 from knotslope.jones import ColorTuple, KnotParams, domain_points
@@ -149,6 +150,8 @@ def test_closed_form_examples():
         assert closed_form_dplus(linear, N) == -2 * (N - 1)
     # raw value below the stabilization threshold
     assert closed_form_dplus(model, 2) == -2
+    with pytest.raises(ValueError):
+        closed_form_dplus(model, 0)
 
 
 def test_residue_data_tie_and_values():
@@ -161,6 +164,9 @@ def test_residue_data_tie_and_values():
     assert model.constants == (2, 4)
     linear = degree_model(KnotParams(-3, 4, 5, -1))
     assert linear.constants == (2,) and linear.residues == ()
+    for j in (-1, 2):
+        with pytest.raises(ValueError):
+            residue_data(KnotParams(-3, 2, 3, -3), j)
 
 
 def test_coefficients():
@@ -204,6 +210,8 @@ def test_fit_quasi_prefix_deviation_moves_n0():
 def test_fit_quasi_needs_three_per_class():
     with pytest.raises(NoQuadraticFit):
         fit_quasi([(1, 0), (2, 1), (3, 2), (4, 3)], 2)
+    with pytest.raises(ValueError):
+        fit_quasi([(N, 7) for N in range(1, 6)], 0)
 
 
 def test_stabilization_threshold():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import line_check
 
 from knotslope.edgepath import (
     DiagramEdge,
@@ -16,7 +17,6 @@ from knotslope.edgepath import (
     euler_ratio,
     gamma_system,
     interp_point,
-    line_check,
     nonhorizontal_edge,
     partial_fraction_from_u,
     seifert_system,
@@ -42,6 +42,9 @@ def test_interp_point_examples():
     assert curve == (1, 2, 1) and uv == (F(2, 3), F(1, 3))
     curve, uv = interp_point(near, far, F(1, 2))
     assert curve == (2, 2, 1) and uv == (F(1, 2), F(1, 4))
+    for fraction in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError):
+            interp_point(near, far, fraction)
 
 
 def test_partial_fraction_from_u():
@@ -67,6 +70,11 @@ def test_edge_measure_examples():
     assert (sign, length) == (1, 1)
     partial = nonhorizontal_edge(arc(F(1, 3)), arc(F(0)), F(1, 2))
     assert edge_measure(partial) == (-1, F(1, 2))
+    # An edge traverses a positive fraction, at most the whole edge, so v
+    # always changes along it.
+    for fraction in (F(0), F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            nonhorizontal_edge(arc(F(1, 3)), arc(F(0)), fraction)
 
 
 def test_edge_rejects_non_adjacent_vertices():
@@ -106,7 +114,7 @@ def test_seifert_twist_and_euler():
         assert twist(system) == -2 * params.u
         assert euler_ratio(system) == params.u
         report = check_admissible(system)
-        assert report.all_conditions()
+        assert report.failed() == []
 
 
 def test_gamma_system_collapsed_partial():
@@ -161,7 +169,7 @@ def test_gamma_twist_euler_slope():
         slope = F(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
         assert boundary_slope(seifert_system(params), system) == slope
         report = check_admissible(system)
-        assert report.all_conditions() and report.lemma41
+        assert report.failed() == [] and report.lemma41
 
 
 def test_gamma_rejects_linear_cases():
@@ -206,6 +214,7 @@ def test_retraced_path_fails_minimality():
     assert not report.e2
     # the way back runs left to right
     assert not report.e4
+    assert report.failed() == ["E2", "E3", "E4"]
 
 
 def test_two_triangle_sides_fail_minimality():
@@ -216,6 +225,15 @@ def test_two_triangle_sides_fail_minimality():
     path = Edgepath((e1, e2), F(1, 3))
     system = EdgepathSystem((path, path, path))
     assert not check_admissible(system).e2
+
+
+def test_unchained_edges_fail_minimality():
+    # <1/3> -> <1/2>, then <1/5> -> <1/4>: each edge is a diagram edge and
+    # no vertex repeats, but <1/2> and <1/4> are not joined.
+    first = nonhorizontal_edge(arc(F(1, 3)), arc(F(1, 2)))
+    second = nonhorizontal_edge(arc(F(1, 5)), arc(F(1, 4)))
+    path = Edgepath((second, first), F(1, 3))
+    assert check_admissible(EdgepathSystem((path, path, path))).failed()[:1] == ["E2"]
 
 
 def test_slope_report_shape():

@@ -6,6 +6,7 @@ import random
 import re
 
 import pytest
+from oracles import summand
 
 from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_model
 from knotslope.jones import (
@@ -16,7 +17,6 @@ from knotslope.jones import (
     colored_jones,
     domain_points,
     exact_dplus,
-    summand,
     theta_exponents,
     theta_lcm_exponents,
 )
@@ -29,6 +29,7 @@ from knotslope.qlaurent import (
     PackedRing,
     cyclotomic,
     exact_div,
+    qint,
     slot_bytes,
 )
 
@@ -79,6 +80,8 @@ def test_domain_points_small():
     assert triples == {(0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0), (2, 2, 2)}
     assert {p.d for p in pts} == {0, 2}
     assert pts == sorted(pts)
+    with pytest.raises(ValueError):
+        domain_points(-1)
 
 
 def test_domain_points_count_against_filter():
@@ -288,6 +291,48 @@ def test_classical_limit_is_color():
             poly = colored_jones(KnotParams(*tup), N)
             assert sum(c for _, c in poly.terms()) == N
             assert all(e % 2 == 0 for e, _ in poly.terms())
+
+
+def values_at_roots_of_unity(poly):
+    """P(-1), |P(i)|^2 and |P(omega)|^2 for poly = v^k P(v^4), exactly.
+
+    omega is a primitive cube root of unity.  P(i) = a + bi and
+    P(omega) = a + b omega are kept as integer pairs, whose norms are
+    a^2 + b^2 and a^2 - ab + b^2.
+    """
+    k = poly.min_deg
+    at_minus_one = re = im = a = b = 0
+    for e, c in poly.terms():
+        m, rest = divmod(e - k, 4)
+        assert rest == 0
+        at_minus_one += c if m % 2 == 0 else -c
+        re += c * (1, 0, -1, 0)[m % 4]
+        im += c * (0, 1, 0, -1)[m % 4]
+        a += c * (1, 0, -1)[m % 3]
+        b += c * (0, 1, -1)[m % 3]
+    return at_minus_one, re * re + im * im, a * a - a * b + b * b
+
+
+def test_two_colored_values_at_roots_of_unity():
+    # Ground truth from outside the state sum.  V = J_2 / [2] is the Jones
+    # polynomial, v^k P(v^4).  For a knot, |V(-1)| is the determinant,
+    # which for M(1/r, u/(su-1), 1/t) is |(su-1)t + rtu + r(su-1)| from
+    # the tangle fractions alone; V(i) = +/-1 (the Arf invariant) and
+    # V(omega) is a unit.  A wrong convention in the state sum can keep
+    # J_N(1) = N and the top degree and still break these (a flipped
+    # s-tangle framing does); the mirror image, v -> 1/v, passes them.
+    count = 0
+    for r in range(-11, -2, 2):
+        for s in range(2, 11, 2):
+            for t in range(3, 12, 2):
+                for u in range(-7, 0, 2):
+                    poly = exact_div(colored_jones(KnotParams(r, s, t, u), 2), qint(2))
+                    at_minus_one, norm_i, norm_omega = values_at_roots_of_unity(poly)
+                    det = (s * u - 1) * t + r * t * u + r * (s * u - 1)
+                    assert (abs(at_minus_one), norm_i, norm_omega) == (abs(det), 1, 1), \
+                        (r, s, t, u)
+                    count += 1
+    assert count == 500
 
 
 def test_exact_dplus_examples():

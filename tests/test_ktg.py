@@ -3,6 +3,7 @@
 from itertools import permutations
 
 import pytest
+from oracles import qfact
 
 from knotslope.ktg import (
     InadmissibleColoring,
@@ -15,7 +16,7 @@ from knotslope.ktg import (
     is_admissible,
     theta,
 )
-from knotslope.qlaurent import ONE, ZERO, LaurentPoly, exact_div, qfact, qint
+from knotslope.qlaurent import ONE, ZERO, LaurentPoly, exact_div, qint
 
 
 def binom_by_factorials(n, k):
@@ -77,6 +78,8 @@ def test_circle_examples():
     for k in range(21):
         assert circle(k) == (1 if k % 2 == 0 else -1) * qint(k + 1)
         assert circle(k).max_deg == 2 * k
+    with pytest.raises(ValueError):
+        circle(-1)
 
 
 def test_framing_power_examples():
@@ -101,6 +104,9 @@ def test_delta6j_examples():
     assert delta6j(2, 1, 1, 2, 1, 1) == ONE
     # Non-triangle first triple vanishes rather than erroring.
     assert delta6j(4, 0, 0, 0, 2, 2) == ZERO
+    # An odd vertex sum is an error: alpha + b + gamma = 5.
+    with pytest.raises(InadmissibleColoring):
+        delta6j(2, 2, 2, 1, 2, 2)
 
 
 def test_delta6j_against_factorial_oracle():

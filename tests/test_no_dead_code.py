@@ -1,29 +1,27 @@
-"""Source rule: every name the package defines is used by the package.
+"""Source rules: every name the package defines is used by the package,
+and every TRIPWIRES entry names one statement.
 
 A top-level function, class or constant, or a non-dunder method, whose
 name is never loaded, read as an attribute or imported anywhere in
 src/knotslope outside its own definition is dead code, unless it is
 listed below with a reason.  A mention in a docstring or comment does not
-count as a use, and neither does a recursive call.
+count as a use, and neither does a recursive call.  Oracles that only the
+tests call live in tests/oracles.py.
+
+The line-level rule, that every statement runs in tier-1 or is a
+tripwire, is checked by tests/statement_coverage.py, which is too slow
+for tier-1; this file checks its list.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from statement_coverage import MAIN_BLOCK, TRIPWIRES, guarded_statements, matches
+
 import knotslope
 
 PACKAGE = Path(knotslope.__file__).parent
-
-# Names kept although only the tests call them, each with the reason.
-TEST_ORACLES = (
-    ("line_check", "independent three-line check of the ending u-coordinate "
-                   "that gamma_system computes"),
-    ("summand", "one exact state-sum term, summed by the flat oracle that "
-                "the grouped sum of colored_jones is tested against"),
-    ("qfact", "the q-factorial that the qbinom and qmultinom tests divide "
-              "against"),
-)
 
 # Names that code outside the package calls, each with the caller.
 EXTERNAL_CALLERS = (
@@ -67,4 +65,17 @@ def test_package_defines_no_unreferenced_names():
                           for name, tree in trees.items() if name != "__init__.py"
                           for qualified, bare, node in definitions(tree)
                           if used[bare] == Counter(references(node))[bare])
-    assert unreferenced == sorted(name for name, _ in TEST_ORACLES + EXTERNAL_CALLERS)
+    assert unreferenced == sorted(name for name, _ in EXTERNAL_CALLERS)
+
+
+def test_each_tripwire_matches_one_statement():
+    # Keyed by function, exception type and message prefix, an entry
+    # survives line moves; it must still name exactly one raise (or the
+    # one __main__ block), and say why valid input cannot reach it.
+    statements = [key for path in sorted(PACKAGE.glob("*.py"))
+                  for *key, _ in guarded_statements(path)]
+    for entry in TRIPWIRES:
+        assert sum(matches(entry, *key) for key in statements) == 1, entry
+        assert entry.reason
+        assert (entry.exception is None) == (entry is MAIN_BLOCK), entry
+    assert len(set(TRIPWIRES)) == len(TRIPWIRES)

@@ -113,7 +113,7 @@ def test_least_period():
 
 def test_run_verification_case1():
     report = run_verification(KnotParams(-3, 2, 3, -3), 6)
-    assert report.all_flags_true()
+    assert report.failed_checks() == []
     assert report.n0 is not None and report.n0 <= 4
     assert report.flags["fit_matches_prediction"] is True
     doc = report.to_json()
@@ -123,7 +123,7 @@ def test_run_verification_case1():
 
 def test_run_verification_case2():
     report = run_verification(KnotParams(-3, 4, 5, -1), 6)
-    assert report.all_flags_true()
+    assert report.failed_checks() == []
     degrees = {N: d for N, d, *_ in report.degrees}
     for N in range(2, 7):
         assert degrees[N] == -2 * (N - 1)
@@ -146,6 +146,8 @@ def test_parse_grid():
     assert all(p.r in (-5, -3) and p.s in (2, 4) for p in tuples)
     tuples, skipped = parse_grid("r=-3;s=2;t=3,5;u=-1")
     assert [p.astuple() for p in tuples] == [(-3, 2, 3, -1), (-3, 2, 5, -1)]
+    # Empty clauses, as from a trailing or doubled ';', are skipped.
+    assert parse_grid("r=-3;s=2;;t=3,5;u=-1;") == (tuples, skipped)
     with pytest.raises(ValueError):
         parse_grid("r=-3;s=2;t=3")
     with pytest.raises(ValueError):
@@ -167,7 +169,7 @@ def test_grid_run_small(tmp_path):
         "r=-3;s=2;t=3;u=-3..-1", 4, out_json=out, out_csv=summary_csv
     )
     assert summary["tuples"] == 2
-    assert summary["mismatched"] == 0
+    assert summary["mismatched"] == 0 and summary["mismatches"] == []
     assert summary["skipped"] == 1
     docs = json.loads(out.read_text())
     assert len(docs) == 2
@@ -283,15 +285,19 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     path.write_text(json.dumps(record))
     assert cache_load(tmp_path, params, 2) is None
 
-    # A record of another tuple, another color or with a wrong leading
-    # coefficient is discarded, then recomputed and rewritten.
+    # A record of another tuple, another color, with a wrong leading
+    # coefficient or with an exponent given twice is discarded, then
+    # recomputed and rewritten.
     import knotslope.pipeline as pipeline_mod
 
     pristine = json.loads(cache_store(tmp_path, params, 2, poly).read_text())
+    top = pristine["polynomial"][0]
     for field, value, reason in (
             ("params", KnotParams(-5, 2, 3, -3).as_dict(), "parameter mismatch"),
             ("N", 3, "color mismatch"),
-            ("leading_coeff", "3", "leading coefficient mismatch")):
+            ("leading_coeff", "3", "leading coefficient mismatch"),
+            ("polynomial", [top, [top[0], "0"]] + pristine["polynomial"][1:],
+             f"duplicate exponent {top[0]}")):
         path.write_text(json.dumps(dict(pristine, **{field: value})))
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -466,20 +472,31 @@ def test_cli_invalid_params_exit_code(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_file_errors_exit_code(tmp_path, capsys):
-    # An unwritable --out still lets --csv be written in full; a cache
-    # path under a regular file fails.  Each is one error line, exit 1.
+def test_cli_file_errors_exit_code(tmp_path, capsys, monkeypatch):
+    # An unwritable --out still lets --csv be written in full, and an
+    # unwritable --csv lets --out be; a cache path under a regular file
+    # fails before any polynomial is computed.  Each is one error line,
+    # exit 1.
     args = ["verify", "--grid", "r=-3;s=2;t=3;u=-3..-1", "--n-max", "4"]
     assert main(args + ["--out", str(tmp_path / "ok.json"),
                         "--csv", str(tmp_path / "ok.csv")]) == 0
     capsys.readouterr()
-    rc = main(args + ["--out", str(tmp_path / "missing" / "r.json"),
-                      "--csv", str(tmp_path / "r.csv")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "ok.csv").read_bytes()
+    missing = tmp_path / "missing"
+    for out, csv_path, kept, reference in (
+            (missing / "r.json", tmp_path / "r.csv", tmp_path / "r.csv", "ok.csv"),
+            (tmp_path / "j.json", missing / "j.csv", tmp_path / "j.json", "ok.json")):
+        rc = main(args + ["--out", str(out), "--csv", str(csv_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert kept.read_bytes() == (tmp_path / reference).read_bytes()
 
+    import knotslope.pipeline as pipeline_mod
+
+    def never(params, N):
+        raise RuntimeError("colored_jones ran before the cache path was checked")
+
+    monkeypatch.setattr(pipeline_mod, "colored_jones", never)
     blocker = tmp_path / "plain"
     blocker.write_text("")
     rc = main(["jones", "-r", "-3", "-s", "2", "-t", "3", "-u", "-3", "-N", "2",
@@ -503,11 +520,13 @@ def test_verify_counts_inadmissible_system_as_mismatch(tmp_path, capsys, monkeyp
     monkeypatch.setattr(edgepath_mod, "check_admissible", failing_e2)
     report = run_verification(KnotParams(-3, 2, 3, -1), 4)
     assert not any(v is False for v in report.flags.values())
-    assert not report.all_flags_true()
+    assert report.failed_checks() == ["E2"]
     rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "4",
                "--out", str(tmp_path / "e2.json")])
     assert rc == 2
-    assert "verified 0/1 tuples, 1 mismatched" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "verified 0/1 tuples, 1 mismatched" in captured.out
+    assert captured.err == "mismatch: (-3, 2, 3, -1): E2\n"
 
 
 def test_cli_jones_cache_flag(tmp_path, capsys):
@@ -528,13 +547,14 @@ def test_cli_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     def flipped(args):
         doc, _ = real(args)
         doc["flags"]["slope_match"] = False
-        return doc, False
+        return doc, ["slope_match"]
 
     monkeypatch.setattr(pipeline_mod, "_run_one", flipped)
-    rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-1", "--n-max", "4",
+    rc = main(["verify", "--grid", "r=-3;s=2;t=3..5;u=-1", "--n-max", "4",
                "--out", str(tmp_path / "m.json")])
     assert rc == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == ("mismatch: (-3, 2, 3, -1): slope_match\n"
+                                       "mismatch: (-3, 2, 5, -1): slope_match\n")
 
 
 def test_cli_verify_deterministic(tmp_path, capsys):

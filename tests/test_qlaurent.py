@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import qfact
 
 from knotslope.qlaurent import (
     ONE,
@@ -18,7 +19,6 @@ from knotslope.qlaurent import (
     cyclotomic,
     exact_div,
     qbinom,
-    qfact,
     qint,
     qmultinom,
     slot_bytes,
@@ -105,6 +105,9 @@ def test_qbinom_against_factorials():
     for n in range(0, 9):
         for k in range(0, n + 1):
             assert qbinom(n, k) == exact_div(qfact(n), qfact(k) * qfact(n - k))
+    for n, k in ((2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            qbinom(n, k)
 
 
 def test_ring_op_examples():
@@ -114,7 +117,17 @@ def test_ring_op_examples():
     assert ONE.shift(-4, -1) == LaurentPoly({-4: -1})
     assert (p - p).is_zero()
     assert 3 * p == LaurentPoly({2: 3, -2: 3})
+    assert 0 * p == ZERO and (0 * p).is_zero()
+    assert p + 1 == 1 + p == LaurentPoly({2: 1, 0: 1, -2: 1})
+    assert sum([p, -p, p]) == p
+    assert ZERO.shift(5, -1) == ZERO
+    # A polynomial equals only a polynomial, even the constant one.
+    assert ONE != 1 and ZERO != 0
     assert p ** 0 == ONE and p ** 3 == p * p * p
+    with pytest.raises(ValueError):
+        p ** -1
+    with pytest.raises(ValueError):
+        p.shift(2, 0)
 
 
 def test_exact_div_examples():
@@ -146,6 +159,7 @@ def test_degree_accessors():
 def test_text_round_trip():
     p = LaurentPoly({4: 2, 0: -1, -3: 7})
     assert p.to_text() == "2*v^4 + -1*v^0 + 7*v^-3"
+    assert repr(p) == "<LaurentPoly 2*v^4 + -1*v^0 + 7*v^-3>"
     assert ZERO.to_text() == "0"
 
 
