@@ -2,20 +2,23 @@
 
 Projective curve systems [a, b, c] on the four-punctured sphere are plotted
 in the uv-plane via u = b/(a+b), v = c/(a+b).  The systems built here
-visit only arc vertices:
+visit only arc vertices, each held as its slope p/q:
 
-  arc <p/q>      curve system [1, q-1, p],  uv = ((q-1)/q, p/q)
+  <p/q>      curve system [1, q-1, p],  uv = ((q-1)/q, p/q)
 
-An edgepath is stored as its edge list in ending-to-starting order, each
-edge traversed from its right (larger-u) vertex to its left vertex; the
-sign of an edge is +1/-1 as v increases/decreases along that traversal and
-its length is 1 for a complete edge or the traversed fraction for a final
-partial edge.  A system is one edgepath per tangle; the admissibility
-conditions are
+An edgepath is the slopes it visits, from the vertex of its tangle to the
+far vertex of its last edge, plus the fraction of that last edge it
+traverses: 1 for a complete edge, k/m in (0, 1) for a partial edge ending
+at the interpolated point.  Only the last edge can be partial in the
+systems built here.  Its traversal points are the uv of every vertex but
+the last, then the ending point; edge i runs from point i to point i+1.
+The sign of an edge is +1/-1 as v increases/decreases along it and its
+length is 1, or the fraction for the last edge.  A system is one edgepath
+per tangle; the admissibility conditions are
 
-  E1  each path starts on the horizontal edge of its tangle fraction,
-  E2  paths are minimal (no stopping, retracing, or two sides of one
-      diagram triangle in succession),
+  E1  each path starts at the vertex of its tangle fraction,
+  E2  paths are minimal (every step is a diagram edge, no stopping,
+      retracing, or two sides of one diagram triangle in succession),
   E3  ending points share one u-coordinate and their v-coordinates sum
       to zero,
   E4  paths proceed monotonically right to left.
@@ -23,66 +26,22 @@ conditions are
 The twist of a system is the sum of -2 * sign * length over its edges;
 boundary slopes are twist differences against the Seifert system.
 slope_report builds the Seifert system once per tuple and the
-interior-ending system once, in the quadratic cases only; the slope, the
-Euler ratio, the admissibility check and the report all read those builds.
+interior-ending system once when its 1/r path has positive length; the
+slope, the Euler ratio, the admissibility check and the report all read
+those builds.  No degree-side quantity enters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .degopt import classify
-
-
-@dataclass(frozen=True)
-class DiagramVertex:
-    """The arc vertex <p/q> of the diagram."""
-
-    slope: Fraction
-
-    def uv(self):
-        q = self.slope.denominator
-        return (Fraction(q - 1, q), self.slope)
-
-    def curve_system(self):
-        return (1, self.slope.denominator - 1, self.slope.numerator)
-
-    def __str__(self):
-        return f"<{self.slope}>"
+from functools import cached_property
 
 
-def arc(slope):
-    return DiagramVertex(Fraction(slope))
-
-
-@dataclass(frozen=True)
-class DiagramEdge:
-    """One edge, traversed from its right vertex toward its left vertex.
-
-    fraction is 1 for a complete edge and k/m in (0, 1) for a partial edge
-    ending at the interpolated point.
-    """
-
-    right: DiagramVertex
-    left: DiagramVertex
-    fraction: Fraction = Fraction(1)
-
-    def endpoint(self):
-        """The uv-point reached at the left end of the traversal."""
-        if self.fraction == 1:
-            return self.left.uv()
-        _, uv = interp_point(self.right, self.left, self.fraction)
-        return uv
-
-
-def nonhorizontal_edge(right, left, fraction=Fraction(1)):
-    fraction = Fraction(fraction)
-    if not 0 < fraction <= 1:
-        raise ValueError(f"edge fraction {fraction} outside (0, 1]")
-    if not _joined(right, left):
-        raise ValueError(f"{right} and {left} are not joined by a diagram edge")
-    return DiagramEdge(right, left, fraction)
+def uv(slope):
+    """The uv-point of the arc vertex <slope>."""
+    q = slope.denominator
+    return (Fraction(q - 1, q), slope)
 
 
 def interp_point(near, far, fraction):
@@ -95,9 +54,8 @@ def interp_point(near, far, fraction):
     if not 0 <= fraction <= 1:
         raise ValueError(f"interpolation fraction {fraction} outside [0, 1]")
     k, m = fraction.numerator, fraction.denominator
-    na, nb, nc = near.curve_system()
-    fa, fb, fc = far.curve_system()
-    curve = (k * fa + (m - k) * na, k * fb + (m - k) * nb, k * fc + (m - k) * nc)
+    curve = (m, k * (far.denominator - 1) + (m - k) * (near.denominator - 1),
+             k * far.numerator + (m - k) * near.numerator)
     a, b, c = curve
     return curve, (Fraction(b, a + b), Fraction(c, a + b))
 
@@ -105,52 +63,57 @@ def interp_point(near, far, fraction):
 def partial_fraction_from_u(near, far, u0):
     """The unique weight on `far` whose interpolated point has u-coordinate u0.
 
-    With q, w the denominators of the near/far arc slopes, the projective
-    sum gives k*w + (m-k)*q = m/(1-u0), so the weight is
+    With q, w the denominators of the near/far slopes, the projective sum
+    gives k*w + (m-k)*q = m/(1-u0), so the weight is
     (1/(1-u0) - q) / (w - q).  u0 must lie in the edge's u-interval;
     hitting an endpoint returns 0 or 1.
     """
     u0 = Fraction(u0)
-    u_near, _ = near.uv()
-    u_far, _ = far.uv()
+    u_near, _ = uv(near)
+    u_far, _ = uv(far)
     lo, hi = min(u_near, u_far), max(u_near, u_far)
     if not lo <= u0 <= hi:
         raise ValueError(f"u0={u0} outside the edge interval [{lo}, {hi}]")
-    q = near.slope.denominator
-    w = far.slope.denominator
+    q = near.denominator
+    w = far.denominator
     f = (Fraction(1) / (1 - u0) - q) / (w - q)
     if not 0 <= f <= 1:
         raise ArithmeticError(f"edge weight {f} outside [0, 1] for u0={u0}")
     return f
 
 
-def edge_measure(edge):
-    """(sign, length) of an edge.
-
-    Sign is +1/-1 as v increases/decreases right to left.  v never stays:
-    joined vertices have distinct slopes, and nonhorizontal_edge makes the
-    traversed fraction positive.
-    """
-    _, v_right = edge.right.uv()
-    _, v_end = edge.endpoint()
-    return (1 if v_end > v_right else -1), edge.fraction
-
-
 @dataclass(frozen=True)
 class Edgepath:
-    """Edges in ending-to-starting order plus the tangle fraction served."""
+    """The slopes visited from the tangle's vertex on, and the fraction of
+    the last edge traversed."""
 
-    edges: tuple
     tangle: Fraction
+    vertices: tuple
+    fraction: Fraction = Fraction(1)
 
-    def start_vertex(self):
-        return self.edges[-1].right
+    def __post_init__(self):
+        if not 0 < self.fraction <= 1:
+            raise ValueError(f"edge fraction {self.fraction} outside (0, 1]")
 
-    def ending_point(self):
-        return self.edges[0].endpoint()
+    @cached_property
+    def points(self):
+        """The traversal points: every vertex's uv but the last, then the
+        ending point."""
+        *head, near, far = self.vertices
+        _, ending = interp_point(near, far, self.fraction)
+        return [uv(v) for v in (*head, near)] + [ending]
+
+    def signs(self):
+        """+1/-1 per edge in traversal order, as v increases/decreases."""
+        pts = self.points
+        return [1 if b[1] > a[1] else -1 for a, b in zip(pts, pts[1:])]
 
     def length(self):
-        return sum((e.fraction for e in self.edges), Fraction(0))
+        return len(self.vertices) - 2 + self.fraction
+
+    def twist(self):
+        *whole, last = self.signs()
+        return -2 * (sum(whole) + last * self.fraction)
 
 
 @dataclass(frozen=True)
@@ -158,7 +121,7 @@ class EdgepathSystem:
     paths: tuple
 
     def ending_u(self):
-        return self.paths[0].ending_point()[0]
+        return self.paths[0].points[-1][0]
 
     def total_length(self):
         return sum((p.length() for p in self.paths), Fraction(0))
@@ -184,12 +147,12 @@ class AdmissibilityReport:
 
 def twist(system):
     """Total twist: sum of -2 * sign * length over all edges."""
-    total = Fraction(0)
-    for path in system.paths:
-        for edge in path.edges:
-            sign, length = edge_measure(edge)
-            total += -2 * sign * length
-    return total
+    return sum((p.twist() for p in system.paths), Fraction(0))
+
+
+def _seifert_chain(s, u):
+    """The slopes <k/(sk+1)> for k = -u down to 1, then <0>."""
+    return tuple(Fraction(k, s * k + 1) for k in range(-u, 0, -1)) + (Fraction(0),)
 
 
 def seifert_system(params):
@@ -200,15 +163,11 @@ def seifert_system(params):
     <1/t> to <0>; all three paths end at the origin vertex <0>.
     """
     r, s, t, u = params.astuple()
-    zero = arc(Fraction(0))
-    path1 = Edgepath((nonhorizontal_edge(arc(Fraction(1, r)), zero),), Fraction(1, r))
-    chain = [zero] + [arc(Fraction(k, s * k + 1)) for k in range(1, -u + 1)]
-    edges2 = tuple(
-        nonhorizontal_edge(chain[i + 1], chain[i]) for i in range(len(chain) - 1)
-    )
-    path2 = Edgepath(edges2, Fraction(u, s * u - 1))
-    path3 = Edgepath((nonhorizontal_edge(arc(Fraction(1, t)), zero),), Fraction(1, t))
-    return EdgepathSystem((path1, path2, path3))
+    return EdgepathSystem((
+        Edgepath(Fraction(1, r), (Fraction(1, r), Fraction(0))),
+        Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u)),
+        Edgepath(Fraction(1, t), (Fraction(1, t), Fraction(0))),
+    ))
 
 
 def ending_u(params):
@@ -230,105 +189,67 @@ def _chain_cut(params):
 
 
 def gamma_system(params):
-    """Edgepath system of the non-Seifert essential surface (quadratic cases).
+    """Edgepath system of the non-Seifert essential surface.
 
-    The 1/r path climbs the chain <1/r>, <1/(r+1)>, ... for k complete
-    edges and then takes a partial edge so that its total length is
-    (t-1)^2/(s+t-1) - r - t; the other two paths are the Seifert chains
-    cut short by partial final edges.  All three ending points share the
-    u-coordinate (t-1)s/(ts+t-1) and their v-coordinates cancel.
+    It exists when the 1/r path has positive length
+    (t-1)^2/(s+t-1) - r - t: that path climbs the chain <1/r>,
+    <1/(r+1)>, ... for k complete edges and then takes a partial edge.
+    The other two paths are the Seifert chains cut short by partial final
+    edges.  All three ending points share the u-coordinate
+    (t-1)s/(ts+t-1) and their v-coordinates cancel.
     """
     r, s, t, u = params.astuple()
-    cls = classify(params)
-    if cls.degree_model != "quadratic":
-        raise ValueError(f"no interior-ending system for case {cls.tag} parameters")
-    if cls.disc >= 0:
-        raise ArithmeticError(f"quadratic case {cls.tag} with discriminant {cls.disc} >= 0")
-    u0 = ending_u(params)
-
     lam, k, final_frac = _chain_cut(params)
+    if lam <= 0:
+        raise ValueError(f"no interior-ending system: 1/r-path length {lam} <= 0 for {params}")
     if not (0 <= k <= -r - 2 and 0 < final_frac <= 1):
         raise ArithmeticError(f"chain cut k={k} out of range for {params}")
+    u0 = ending_u(params)
 
-    chain1 = [arc(Fraction(1, r + i)) for i in range(k + 2)]
-    edges1 = [nonhorizontal_edge(chain1[k], chain1[k + 1], final_frac)]
-    for i in range(k - 1, -1, -1):
-        edges1.append(nonhorizontal_edge(chain1[i], chain1[i + 1]))
-    path1 = Edgepath(tuple(edges1), Fraction(1, r))
-
-    zero = arc(Fraction(0))
-    chain2 = [zero] + [arc(Fraction(i, s * i + 1)) for i in range(1, -u + 1)]
-    frac2 = partial_fraction_from_u(chain2[1], zero, u0)
-    edges2 = [nonhorizontal_edge(chain2[1], zero, frac2)]
-    for i in range(1, len(chain2) - 1):
-        edges2.append(nonhorizontal_edge(chain2[i + 1], chain2[i]))
-    path2 = Edgepath(tuple(edges2), Fraction(u, s * u - 1))
-
-    frac3 = partial_fraction_from_u(arc(Fraction(1, t)), zero, u0)
-    path3 = Edgepath(
-        (nonhorizontal_edge(arc(Fraction(1, t)), zero, frac3),), Fraction(1, t)
-    )
-
-    system = EdgepathSystem((path1, path2, path3))
-    for path in system.paths:
-        if path.ending_point()[0] != u0:
-            raise ArithmeticError(f"path ending off u0={u0} for {params}")
+    chain1 = tuple(Fraction(1, r + i) for i in range(k + 2))
+    zero = Fraction(0)
+    system = EdgepathSystem((
+        Edgepath(Fraction(1, r), chain1, final_frac),
+        Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u),
+                 partial_fraction_from_u(Fraction(1, s + 1), zero, u0)),
+        Edgepath(Fraction(1, t), (Fraction(1, t), zero),
+                 partial_fraction_from_u(Fraction(1, t), zero, u0)),
+    ))
+    endings = [p.points[-1] for p in system.paths]
+    if any(pu != u0 for pu, _ in endings):
+        raise ArithmeticError(f"path ending off u0={u0} for {params}")
     if final_frac != partial_fraction_from_u(chain1[k], chain1[k + 1], u0):
         raise ArithmeticError(f"chain cut weight {final_frac} misses u0={u0} for {params}")
-    if sum(p.ending_point()[1] for p in system.paths) != 0:
+    if sum(v for _, v in endings) != 0:
         raise ArithmeticError(f"ending v-coordinates do not cancel for {params}")
     return system
 
 
 def check_admissible(system):
     """Evaluate E1-E4 and the essentiality direction test, without throwing."""
-    e1 = all(_starts_on_tangle(p) for p in system.paths)
-    e2 = all(_is_minimal(p) for p in system.paths)
-    endings = [p.ending_point() for p in system.paths]
-    e3 = len({uv[0] for uv in endings}) == 1 and sum(uv[1] for uv in endings) == 0
-    e4 = all(_is_monotone(p) for p in system.paths)
+    paths = system.paths
+    e1 = all(p.vertices[0] == p.tangle for p in paths)
+    e2 = all(_is_minimal(p.vertices) for p in paths)
+    endings = [p.points[-1] for p in paths]
+    e3 = len({u for u, _ in endings}) == 1 and sum(v for _, v in endings) == 0
+    e4 = all(b[0] < a[0] for p in paths for a, b in zip(p.points, p.points[1:]))
 
-    u_end = endings[0][0]
-    signs = {edge_measure(p.edges[0])[0] for p in system.paths}
-    lemma41 = e3 and u_end > 0 and len(signs) == 1
+    signs = {p.signs()[-1] for p in paths}
+    lemma41 = e3 and endings[0][0] > 0 and len(signs) == 1
     return AdmissibilityReport(e1, e2, e3, e4, lemma41)
 
 
-def _starts_on_tangle(path):
-    return path.start_vertex().slope == path.tangle
+def _joined(x, y):
+    """True when the vertices <x> and <y> are joined by an edge of the diagram."""
+    return abs(x.numerator * y.denominator - x.denominator * y.numerator) == 1
 
 
-def _traversal_vertices(path):
-    vertices = [path.start_vertex()]
-    for edge in reversed(path.edges):
-        vertices.append(edge.left)
-    return vertices
-
-
-def _joined(v1, v2):
-    """True when two vertices are joined by an edge of the diagram."""
-    ps = v1.slope.numerator * v2.slope.denominator
-    qr = v1.slope.denominator * v2.slope.numerator
-    return abs(ps - qr) == 1
-
-
-def _is_minimal(path):
-    """No stopping or retracing, and no two sides of a triangle in a row."""
-    vertices = _traversal_vertices(path)
-    if len(set(vertices)) < len(vertices):
-        return False
-    for i in range(len(vertices) - 1):
-        if not _joined(vertices[i], vertices[i + 1]):
-            return False
-    for i in range(len(vertices) - 2):
-        if _joined(vertices[i], vertices[i + 2]):
-            return False
-    return True
-
-
-def _is_monotone(path):
-    """Every edge ends strictly left of its right vertex."""
-    return all(e.endpoint()[0] < e.right.uv()[0] for e in path.edges)
+def _is_minimal(vertices):
+    """Every step a diagram edge, no vertex repeated, and no two sides of a
+    triangle in a row."""
+    return (len(set(vertices)) == len(vertices)
+            and all(_joined(x, y) for x, y in zip(vertices, vertices[1:]))
+            and not any(_joined(x, z) for x, z in zip(vertices, vertices[2:])))
 
 
 def euler_ratio(system):
@@ -345,16 +266,16 @@ def euler_ratio(system):
     return n_paths - system.total_length() - (n_paths - 2) / (1 - system.ending_u())
 
 
-def boundary_slope(seifert, gamma):
+def boundary_slope(seifert_twist, gamma_twist):
     """Boundary slope of the distinguished essential surface.
 
-    Quadratic cases: twist difference of the interior-ending system gamma
-    against the Seifert system.  Linear cases (gamma None): the Seifert
+    With an interior-ending system, the twist difference of it against
+    the Seifert system.  Without one (gamma_twist None), the Seifert
     surface itself, slope 0.
     """
-    if gamma is None:
+    if gamma_twist is None:
         return Fraction(0)
-    return twist(gamma) - twist(seifert)
+    return gamma_twist - seifert_twist
 
 
 @dataclass(frozen=True)
@@ -372,32 +293,36 @@ class SurfaceSide:
 def slope_report(params):
     """The surface side of one tuple, building each edgepath system once.
 
-    The Seifert system is always built; the interior-ending system only in
-    the quadratic cases, where it is the distinguished surface (otherwise
-    the Seifert surface is).  check_admissible runs on the distinguished
-    system alone.
+    The Seifert system is always built.  The interior-ending system is
+    built when its 1/r path has positive length, and is then the
+    distinguished surface (otherwise the Seifert surface is).
+    check_admissible runs on the distinguished system alone, and each
+    twist and Euler ratio is computed once.
     """
     seifert = seifert_system(params)
-    gamma = gamma_system(params) if classify(params).degree_model == "quadratic" else None
+    lam, k, _ = _chain_cut(params)
+    gamma = gamma_system(params) if lam > 0 else None
+    seifert_twist = twist(seifert)
+    gamma_twist = None if gamma is None else twist(gamma)
+    seifert_euler = euler_ratio(seifert)
     surface = seifert if gamma is None else gamma
-    slope = boundary_slope(seifert, gamma)
-    euler = euler_ratio(surface)
+    euler = seifert_euler if gamma is None else euler_ratio(gamma)
     admissibility = check_admissible(surface)
+    slope = boundary_slope(seifert_twist, gamma_twist)
     report = {
         "u0": None,
         "k": None,
         "gamma_lengths": None,
-        "twists": {"seifert": str(twist(seifert)), "gamma": None},
+        "twists": {"seifert": str(seifert_twist), "gamma": None},
         "slope": str(slope),
-        "euler_ratio_seifert": str(euler_ratio(seifert)),
+        "euler_ratio_seifert": str(seifert_euler),
         "euler_ratio_gamma": None,
         "admissibility": admissibility.to_json(),
     }
     if gamma is not None:
-        _, k, _ = _chain_cut(params)
         report["u0"] = str(ending_u(params))
         report["k"] = k
         report["gamma_lengths"] = [str(p.length()) for p in gamma.paths]
-        report["twists"]["gamma"] = str(twist(gamma))
+        report["twists"]["gamma"] = str(gamma_twist)
         report["euler_ratio_gamma"] = str(euler)
     return SurfaceSide(slope, euler, admissibility, report)

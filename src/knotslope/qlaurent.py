@@ -36,7 +36,12 @@ Conventions:
 from __future__ import annotations
 
 import math
+import re
 from functools import lru_cache
+
+# A coefficient as to_json writes it: a decimal integer.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 class ZeroPolynomial(ValueError):
     """Degree or leading coefficient requested for the zero polynomial."""
@@ -205,9 +210,13 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, pairs):
+        """Read to_json's form back: [int exponent, "decimal coefficient"]
+        pairs, each exponent once.  Anything else raises ValueError instead
+        of being coerced by int()."""
         terms = {}
         for e, c in pairs:
-            e = int(e)
+            if type(e) is not int or type(c) is not str or not _DECIMAL.fullmatch(c):
+                raise ValueError(f"malformed JSON term {[e, c]!r}")
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in JSON polynomial")
             terms[e] = int(c)

@@ -73,10 +73,9 @@ TRIPWIRES = (
     Tripwire("edgepath.partial_fraction_from_u", "ArithmeticError",
              "edge weight {} outside [0, 1]",
              "u0 inside the edge's u-interval gives a weight in [0, 1]"),
-    Tripwire("edgepath.gamma_system", "ArithmeticError", "quadratic case {} with discriminant",
-             "tags 1 and 2.1 have a negative discriminant for r < -1 < 1 < s, t"),
     Tripwire("edgepath.gamma_system", "ArithmeticError", "chain cut k={} out of range",
-             "the 1/r-path length lies in (0, -r - 1] in tags 1 and 2.1"),
+             "the 1/r-path length is positive past the guard, and it is at most "
+             "-r - 1 because s > 0"),
     Tripwire("edgepath.gamma_system", "ArithmeticError", "path ending off u0",
              "every partial weight solves for u0"),
     Tripwire("edgepath.gamma_system", "ArithmeticError", "chain cut weight {} misses u0",

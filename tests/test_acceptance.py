@@ -208,15 +208,14 @@ def test_criterion_8_edgepath_consistency():
         system = gamma_system(params)
         report = check_admissible(system)
         ok = ok and report.failed() == [] and report.lemma41
-        endings = [p.ending_point() for p in system.paths]
+        endings = [p.points[-1] for p in system.paths]
         ok = ok and sum(v for _, v in endings) == 0
         u0 = ending_u(params)
         ok = ok and all(pu == u0 for pu, _ in endings)
         for path in system.paths:
-            final = path.edges[0]
-            if final.fraction != 1:
-                ok = ok and final.fraction == partial_fraction_from_u(
-                    final.right, final.left, u0
+            if path.fraction != 1:
+                ok = ok and path.fraction == partial_fraction_from_u(
+                    *path.vertices[-2:], u0
                 )
         ok = ok and twist(seifert_system(params)) == -2 * u
         ok = ok and twist(system) == Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (

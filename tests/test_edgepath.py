@@ -1,47 +1,52 @@
 """Diagram geometry, system construction, twists, slopes and Euler ratios."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from oracles import line_check
 
+import knotslope.edgepath as edgepath_mod
+from knotslope.degopt import classify
 from knotslope.edgepath import (
-    DiagramEdge,
     Edgepath,
     EdgepathSystem,
-    arc,
+    _chain_cut,
     boundary_slope,
     check_admissible,
-    edge_measure,
     ending_u,
     euler_ratio,
     gamma_system,
     interp_point,
-    nonhorizontal_edge,
     partial_fraction_from_u,
     seifert_system,
     slope_report,
     twist,
+    uv,
 )
 from knotslope.jones import KnotParams
 
 F = Fraction
 
+# r -15..-3, s 2..12, t 3..13, u -9..-1 at the parities KnotParams takes.
+GRID_1260 = list(itertools.product(
+    range(-15, -2, 2), range(2, 13, 2), range(3, 14, 2), range(-9, 0, 2)))
 
-def test_arc_uv_examples():
-    assert arc(F(0)).uv() == (0, 0)
-    assert arc(F(1, 3)).uv() == (F(2, 3), F(1, 3))
-    assert arc(F(-1, 2)).uv() == (F(1, 2), F(-1, 2))
+
+def test_uv_examples():
+    assert uv(F(0)) == (0, 0)
+    assert uv(F(1, 3)) == (F(2, 3), F(1, 3))
+    assert uv(F(-1, 2)) == (F(1, 2), F(-1, 2))
 
 
 def test_interp_point_examples():
-    near, far = arc(F(0)), arc(F(1, 3))
-    curve, uv = interp_point(near, far, F(0))
-    assert curve == (1, 0, 0) and uv == (0, 0)
-    curve, uv = interp_point(near, far, F(1))
-    assert curve == (1, 2, 1) and uv == (F(2, 3), F(1, 3))
-    curve, uv = interp_point(near, far, F(1, 2))
-    assert curve == (2, 2, 1) and uv == (F(1, 2), F(1, 4))
+    near, far = F(0), F(1, 3)
+    curve, point = interp_point(near, far, F(0))
+    assert curve == (1, 0, 0) and point == (0, 0)
+    curve, point = interp_point(near, far, F(1))
+    assert curve == (1, 2, 1) and point == (F(2, 3), F(1, 3))
+    curve, point = interp_point(near, far, F(1, 2))
+    assert curve == (2, 2, 1) and point == (F(1, 2), F(1, 4))
     for fraction in (F(-1, 2), F(3, 2)):
         with pytest.raises(ValueError):
             interp_point(near, far, fraction)
@@ -51,49 +56,44 @@ def test_partial_fraction_from_u():
     # The two partial arms of the interior-ending system at (s,t) = (2,5).
     s, t = 2, 5
     u0 = F((t - 1) * s, t * s + t - 1)
-    zero = arc(F(0))
-    assert partial_fraction_from_u(arc(F(1, s + 1)), zero, u0) == F(s, s + t - 1)
-    assert partial_fraction_from_u(arc(F(1, t)), zero, u0) == F(t - 1, s + t - 1)
+    zero = F(0)
+    assert partial_fraction_from_u(F(1, s + 1), zero, u0) == F(s, s + t - 1)
+    assert partial_fraction_from_u(F(1, t), zero, u0) == F(t - 1, s + t - 1)
     # Degenerate endpoints give 0 and 1.
-    assert partial_fraction_from_u(arc(F(1, 3)), zero, F(0)) == 1
-    assert partial_fraction_from_u(arc(F(1, 3)), zero, F(2, 3)) == 0
+    assert partial_fraction_from_u(F(1, 3), zero, F(0)) == 1
+    assert partial_fraction_from_u(F(1, 3), zero, F(2, 3)) == 0
     with pytest.raises(ValueError):
-        partial_fraction_from_u(arc(F(1, 3)), zero, F(3, 4))
+        partial_fraction_from_u(F(1, 3), zero, F(3, 4))
 
 
-def test_edge_measure_examples():
-    sign, length = edge_measure(nonhorizontal_edge(arc(F(1, 3)), arc(F(0))))
-    assert (sign, length) == (-1, 1)
-    sign, length = edge_measure(nonhorizontal_edge(arc(F(-1, 3)), arc(F(-1, 2))))
-    assert (sign, length) == (-1, 1)
-    sign, length = edge_measure(nonhorizontal_edge(arc(F(-1, 3)), arc(F(0))))
-    assert (sign, length) == (1, 1)
-    partial = nonhorizontal_edge(arc(F(1, 3)), arc(F(0)), F(1, 2))
-    assert edge_measure(partial) == (-1, F(1, 2))
-    # An edge traverses a positive fraction, at most the whole edge, so v
-    # always changes along it.
+def test_edge_signs_and_lengths():
+    path = Edgepath(F(1, 3), (F(1, 3), F(0)))
+    assert (path.signs(), path.length()) == ([-1], 1)
+    path = Edgepath(F(-1, 3), (F(-1, 3), F(-1, 2)))
+    assert (path.signs(), path.length()) == ([-1], 1)
+    path = Edgepath(F(-1, 3), (F(-1, 3), F(0)))
+    assert (path.signs(), path.length()) == ([1], 1)
+    partial = Edgepath(F(1, 3), (F(1, 3), F(0)), F(1, 2))
+    assert (partial.signs(), partial.length()) == ([-1], F(1, 2))
+    assert partial.points == [(F(2, 3), F(1, 3)), (F(1, 2), F(1, 4))]
+    # A path traverses a positive fraction of its last edge, at most the
+    # whole edge, so v always changes along it.
     for fraction in (F(0), F(-1, 2), F(3, 2)):
         with pytest.raises(ValueError, match="outside"):
-            nonhorizontal_edge(arc(F(1, 3)), arc(F(0)), fraction)
-
-
-def test_edge_rejects_non_adjacent_vertices():
-    with pytest.raises(ValueError):
-        nonhorizontal_edge(arc(F(1, 3)), arc(F(1, 5)))
+            Edgepath(F(1, 3), (F(1, 3), F(0)), fraction)
 
 
 def test_seifert_system_shapes():
     system = seifert_system(KnotParams(-3, 2, 3, -1))
-    assert [len(p.edges) for p in system.paths] == [1, 1, 1]
+    assert [len(p.vertices) - 1 for p in system.paths] == [1, 1, 1]
     assert system.total_length() == 3
-    assert system.paths[1].start_vertex() == arc(F(1, 3))
+    assert system.paths[1].vertices[0] == F(1, 3)
 
     system = seifert_system(KnotParams(-3, 2, 3, -3))
     chain = system.paths[1]
-    assert len(chain.edges) == 3
-    vertices = [str(e.right) for e in chain.edges]
-    assert vertices == ["<1/3>", "<2/5>", "<3/7>"]
-    assert chain.start_vertex() == arc(F(3, 7))
+    assert len(chain.vertices) - 1 == 3
+    assert chain.vertices == (F(3, 7), F(2, 5), F(1, 3), F(0))
+    assert chain.vertices[0] == chain.tangle == F(3, 7)
     assert system.ending_u() == 0
 
 
@@ -101,10 +101,8 @@ def test_seifert_chain_determinants():
     for tup in [(-3, 2, 3, -5), (-5, 4, 3, -3), (-3, 6, 5, -1)]:
         system = seifert_system(KnotParams(*tup))
         for path in system.paths:
-            for edge in path.edges:
-                p1, q1 = edge.right.slope.numerator, edge.right.slope.denominator
-                p2, q2 = edge.left.slope.numerator, edge.left.slope.denominator
-                assert abs(p1 * q2 - q1 * p2) == 1
+            for x, y in zip(path.vertices, path.vertices[1:]):
+                assert abs(x.numerator * y.denominator - x.denominator * y.numerator) == 1
 
 
 def test_seifert_twist_and_euler():
@@ -121,15 +119,14 @@ def test_gamma_system_collapsed_partial():
     params = KnotParams(-3, 2, 3, -3)
     system = gamma_system(params)
     gamma1 = system.paths[0]
-    assert len(gamma1.edges) == 1
-    assert gamma1.edges[0].fraction == 1
-    assert gamma1.edges[0].right == arc(F(-1, 3))
-    assert gamma1.edges[0].left == arc(F(-1, 2))
-    assert gamma1.ending_point() == (F(1, 2), F(-1, 2))
+    assert len(gamma1.vertices) - 1 == 1
+    assert gamma1.fraction == 1
+    assert gamma1.vertices == (F(-1, 3), F(-1, 2))
+    assert gamma1.points[-1] == (F(1, 2), F(-1, 2))
     assert system.ending_u() == ending_u(params) == F(1, 2)
-    endings = [p.ending_point() for p in system.paths]
-    assert [uv[1] for uv in endings] == [F(-1, 2), F(1, 4), F(1, 4)]
-    assert sum(uv[1] for uv in endings) == 0
+    endings = [p.points[-1] for p in system.paths]
+    assert [v for _, v in endings] == [F(-1, 2), F(1, 4), F(1, 4)]
+    assert sum(v for _, v in endings) == 0
 
 
 def test_gamma_system_longer_chain():
@@ -138,10 +135,9 @@ def test_gamma_system_longer_chain():
     gamma1 = system.paths[0]
     # total length 3 = two complete edges plus a final whole "partial" edge
     assert gamma1.length() == 3
-    assert gamma1.edges[0].right == arc(F(-1, 3))
-    assert gamma1.edges[0].left == arc(F(-1, 2))
-    assert gamma1.edges[0].fraction == 1
-    assert gamma1.start_vertex() == arc(F(1, -5))
+    assert gamma1.vertices[-2:] == (F(-1, 3), F(-1, 2))
+    assert gamma1.fraction == 1
+    assert gamma1.vertices[0] == F(1, -5)
     assert system.ending_u() == F(1, 2)
 
 
@@ -151,12 +147,9 @@ def test_gamma_partial_fractions_match_u0():
         u0 = ending_u(params)
         system = gamma_system(params)
         for path in system.paths:
-            final = path.edges[0]
-            if final.fraction != 1:
-                assert final.fraction == partial_fraction_from_u(
-                    final.right, final.left, u0
-                )
-            assert path.ending_point()[0] == u0
+            if path.fraction != 1:
+                assert path.fraction == partial_fraction_from_u(*path.vertices[-2:], u0)
+            assert path.points[-1][0] == u0
 
 
 def test_gamma_twist_euler_slope():
@@ -167,15 +160,15 @@ def test_gamma_twist_euler_slope():
         assert twist(system) == F(2 * (t - 1) ** 2, s + t - 1) - 2 * (u + r + t)
         assert euler_ratio(system) == u + r + 3
         slope = F(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
-        assert boundary_slope(seifert_system(params), system) == slope
+        assert boundary_slope(twist(seifert_system(params)), twist(system)) == slope
         report = check_admissible(system)
         assert report.failed() == [] and report.lemma41
 
 
 def test_gamma_rejects_linear_cases():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1/r-path length"):
         gamma_system(KnotParams(-3, 4, 5, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1/r-path length"):
         gamma_system(KnotParams(-3, 6, 5, -3))
 
 
@@ -184,7 +177,7 @@ def test_boundary_slope_examples():
     assert slope_report(KnotParams(-5, 2, 3, -1)).slope == 6
     assert slope_report(KnotParams(-3, 4, 5, -1)).slope == 0
     assert slope_report(KnotParams(-3, 6, 5, -3)).slope == 0
-    assert boundary_slope(seifert_system(KnotParams(-3, 4, 5, -1)), None) == 0
+    assert boundary_slope(twist(seifert_system(KnotParams(-3, 4, 5, -1))), None) == 0
 
 
 def test_ending_u_and_line_check():
@@ -206,9 +199,7 @@ def test_euler_ratio_fixture():
 
 
 def test_retraced_path_fails_minimality():
-    there = nonhorizontal_edge(arc(F(1, 3)), arc(F(0)))
-    back = DiagramEdge(arc(F(0)), arc(F(1, 3)))
-    path = Edgepath((back, there), F(1, 3))
+    path = Edgepath(F(1, 3), (F(1, 3), F(0), F(1, 3)))
     system = EdgepathSystem((path, path, path))
     report = check_admissible(system)
     assert not report.e2
@@ -218,22 +209,26 @@ def test_retraced_path_fails_minimality():
 
 
 def test_two_triangle_sides_fail_minimality():
-    # <0> -> <1/2> -> <1/3>: all three pairs are diagram edges, so the
+    # <1/3> -> <1/2> -> <0>: all three pairs are diagram edges, so the
     # second step runs along two sides of one triangle.
-    e1 = nonhorizontal_edge(arc(F(1, 2)), arc(F(0)))
-    e2 = nonhorizontal_edge(arc(F(1, 3)), arc(F(1, 2)))
-    path = Edgepath((e1, e2), F(1, 3))
+    path = Edgepath(F(1, 3), (F(1, 3), F(1, 2), F(0)))
     system = EdgepathSystem((path, path, path))
     assert not check_admissible(system).e2
 
 
 def test_unchained_edges_fail_minimality():
-    # <1/3> -> <1/2>, then <1/5> -> <1/4>: each edge is a diagram edge and
-    # no vertex repeats, but <1/2> and <1/4> are not joined.
-    first = nonhorizontal_edge(arc(F(1, 3)), arc(F(1, 2)))
-    second = nonhorizontal_edge(arc(F(1, 5)), arc(F(1, 4)))
-    path = Edgepath((second, first), F(1, 3))
+    # <1/3> -> <1/2> -> <1/5> -> <1/4>: no vertex repeats and no step runs
+    # along two sides of a triangle, but <1/2> and <1/5> are not joined.
+    path = Edgepath(F(1, 3), (F(1, 3), F(1, 2), F(1, 5), F(1, 4)))
     assert check_admissible(EdgepathSystem((path, path, path))).failed()[:1] == ["E2"]
+
+
+def test_edge_rejects_non_adjacent_vertices():
+    # A single step between vertices that no diagram edge joins builds,
+    # and fails E2 alone among the path conditions.
+    path = Edgepath(F(1, 5), (F(1, 5), F(1, 3)))
+    report = check_admissible(EdgepathSystem((path, path, path)))
+    assert (report.e1, report.e2, report.e4) == (True, False, True)
 
 
 def test_slope_report_shape():
@@ -245,3 +240,27 @@ def test_slope_report_shape():
     report = slope_report(KnotParams(-3, 4, 5, -1)).report
     assert report["u0"] is None and report["slope"] == "0"
     assert report["euler_ratio_seifert"] == "-1"
+
+
+def test_chain_length_decides_the_quadratic_case(monkeypatch):
+    # The surface side picks its distinguished surface from its own
+    # geometry: the 1/r-path length times s + t - 1 is minus the degree
+    # side's discriminant, so the length is positive exactly in the
+    # quadratic case.
+    built = []
+    real = edgepath_mod.gamma_system
+
+    def counted(params):
+        built.append(params)
+        return real(params)
+
+    monkeypatch.setattr(edgepath_mod, "gamma_system", counted)
+    for tup in GRID_1260:
+        params = KnotParams(*tup)
+        r, s, t, u = tup
+        cls = classify(params)
+        assert _chain_cut(params)[0] * (s + t - 1) == -cls.disc, tup
+        built.clear()
+        slope_report(params)
+        assert (built == [params]) == (cls.degree_model == "quadratic"), tup
+    assert len(GRID_1260) == 1260

@@ -294,14 +294,17 @@ def test_classical_limit_is_color():
 
 
 def values_at_roots_of_unity(poly):
-    """P(-1), |P(i)|^2 and |P(omega)|^2 for poly = v^k P(v^4), exactly.
+    """P(-1), |P(i)|^2, |P(omega)|^2 and V(i) for V = poly = v^k P(v^4), exactly.
 
     omega is a primitive cube root of unity.  P(i) = a + bi and
     P(omega) = a + b omega are kept as integer pairs, whose norms are
-    a^2 + b^2 and a^2 - ab + b^2.
+    a^2 + b^2 and a^2 - ab + b^2.  V(i) is V at v^4 = i with the v^k
+    factor kept, which needs k = 0 mod 4; it is returned as the pair
+    (real part, imaginary part).
     """
     k = poly.min_deg
-    at_minus_one = re = im = a = b = 0
+    assert k % 4 == 0
+    at_minus_one = re = im = a = b = v_re = v_im = 0
     for e, c in poly.terms():
         m, rest = divmod(e - k, 4)
         assert rest == 0
@@ -310,7 +313,9 @@ def values_at_roots_of_unity(poly):
         im += c * (0, 1, 0, -1)[m % 4]
         a += c * (1, 0, -1)[m % 3]
         b += c * (0, 1, -1)[m % 3]
-    return at_minus_one, re * re + im * im, a * a - a * b + b * b
+        v_re += c * (1, 0, -1, 0)[e // 4 % 4]
+        v_im += c * (0, 1, 0, -1)[e // 4 % 4]
+    return at_minus_one, re * re + im * im, a * a - a * b + b * b, (v_re, v_im)
 
 
 def test_two_colored_values_at_roots_of_unity():
@@ -318,19 +323,22 @@ def test_two_colored_values_at_roots_of_unity():
     # polynomial, v^k P(v^4).  For a knot, |V(-1)| is the determinant,
     # which for M(1/r, u/(su-1), 1/t) is |(su-1)t + rtu + r(su-1)| from
     # the tangle fractions alone; V(i) = +/-1 (the Arf invariant) and
-    # V(omega) is a unit.  A wrong convention in the state sum can keep
-    # J_N(1) = N and the top degree and still break these (a flipped
-    # s-tangle framing does); the mirror image, v -> 1/v, passes them.
+    # V(omega) is a unit.  With v^4 = i, V(i) = (-1)^Arf, where the Arf
+    # invariant is 0 exactly when det = +/-1 mod 8 (Murakami 1986).  A
+    # wrong convention in the state sum can keep J_N(1) = N and the top
+    # degree and still break these (a flipped s-tangle framing does); the
+    # mirror image, v -> 1/v, passes them.
     count = 0
     for r in range(-11, -2, 2):
         for s in range(2, 11, 2):
             for t in range(3, 12, 2):
                 for u in range(-7, 0, 2):
                     poly = exact_div(colored_jones(KnotParams(r, s, t, u), 2), qint(2))
-                    at_minus_one, norm_i, norm_omega = values_at_roots_of_unity(poly)
+                    at_minus_one, norm_i, norm_omega, at_i = values_at_roots_of_unity(poly)
                     det = (s * u - 1) * t + r * t * u + r * (s * u - 1)
-                    assert (abs(at_minus_one), norm_i, norm_omega) == (abs(det), 1, 1), \
-                        (r, s, t, u)
+                    arf_sign = 1 if det % 8 in (1, 7) else -1
+                    assert (abs(at_minus_one), norm_i, norm_omega, at_i) == \
+                        (abs(det), 1, 1, (arf_sign, 0)), (r, s, t, u)
                     count += 1
     assert count == 500
 

@@ -286,18 +286,28 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     assert cache_load(tmp_path, params, 2) is None
 
     # A record of another tuple, another color, with a wrong leading
-    # coefficient or with an exponent given twice is discarded, then
-    # recomputed and rewritten.
+    # coefficient, with an exponent given twice or with a term outside the
+    # [int exponent, "decimal coefficient"] form is discarded, then
+    # recomputed and rewritten.  Coerced with int(), each malformed term
+    # below would read back as the stored polynomial.
     import knotslope.pipeline as pipeline_mod
 
     pristine = json.loads(cache_store(tmp_path, params, 2, poly).read_text())
     top = pristine["polynomial"][0]
+    rest = pristine["polynomial"][1:]
+    e, c = top[0], int(top[1])
+    toward_zero = (1 if e >= 0 else -1, 1 if c >= 0 else -1)
+    malformed = "malformed JSON term"
     for field, value, reason in (
             ("params", KnotParams(-5, 2, 3, -3).as_dict(), "parameter mismatch"),
             ("N", 3, "color mismatch"),
             ("leading_coeff", "3", "leading coefficient mismatch"),
-            ("polynomial", [top, [top[0], "0"]] + pristine["polynomial"][1:],
-             f"duplicate exponent {top[0]}")):
+            ("polynomial", [top, [top[0], "0"]] + rest, f"duplicate exponent {top[0]}"),
+            ("polynomial", [[e + toward_zero[0] / 2, top[1]]] + rest, malformed),
+            ("polynomial", [[str(e), top[1]]] + rest, malformed),
+            ("polynomial", [[True, "0"], top] + rest, malformed),
+            ("polynomial", [[e, c + toward_zero[1] * 0.9]] + rest, malformed),
+            ("polynomial", [[e, c]] + rest, malformed)):
         path.write_text(json.dumps(dict(pristine, **{field: value})))
         caplog.clear()
         with caplog.at_level("WARNING"):
