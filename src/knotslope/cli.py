@@ -7,9 +7,9 @@ Subcommands:
   verify   run the identity checks over a parameter grid
 
 Exit codes: 0 clean, 2 when a verify run finds a mismatch (an identity
-flag false, or an edgepath system failing E1-E4; each mismatched tuple is
-named on stderr with its failed checks), 1 on usage, arithmetic or file
-errors.
+flag false, or an edgepath system failing E1-E4) or when slope's
+distinguished edgepath system fails E1-E4 (each mismatched tuple is named
+on stderr with its failed checks), 1 on usage, arithmetic or file errors.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _cmd_degree(args):
         if args.method == "exact":
             value, _ = exact_dplus(params, N)
         elif args.method == "brute":
-            value, _ = degopt.brute_max_objective(params, N - 1)
+            value = degopt.brute_max_objective(params, N - 1)
         elif args.method == "fast":
             value = degopt.fast_max_objective(params, N - 1)
         else:
@@ -126,7 +126,12 @@ def _cmd_degree(args):
 
 def _cmd_slope(args):
     params = _params_from(args)
-    print(json.dumps(edgepath.slope_report(params).report, sort_keys=True, indent=2))
+    side = edgepath.slope_report(params)
+    print(json.dumps(side.report, sort_keys=True, indent=2))
+    failed = side.admissibility.failed()
+    if failed:
+        print(f"mismatch: {params.astuple()}: {', '.join(failed)}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -20,8 +20,10 @@ Tags "1" and "2.1" give a quadratic degree with period (s+t-1)/2 in the
 color; the rest give the linear degree 2u(N-1).  degree_model makes that
 split once per tuple and returns one frozen DegreeModel (period, growth,
 two_b, residues, constants), which closed_form_dplus and report_fragment
-read.  fast_max_objective keeps its own case analysis, as an independent
-oracle.
+read.  fast_max_objective takes the same split from classify but no
+closed-form coefficient: it evaluates face_objective on the boundary line
+c = 2n - b near the real peak (line_peak), so it stays an oracle
+independent of the closed form.
 
 The closed form and a fitted quasi-polynomial share one layout, a tuple
 of (a, two_b, c) per residue class, one evaluator (quasi_value) and one
@@ -189,20 +191,6 @@ def face_objective(params, n, b, c):
     return num // 2
 
 
-def line_objective(params, n, b):
-    """The face objective on the boundary line b + c = 2n."""
-    r, s, t, u = params.astuple()
-    num = (
-        -(s + t - 1) * b * b
-        + 2 * (2 * (t - 1) * n - s + t - 1) * b
-        - 4 * (r + t) * n * n
-        - 4 * (r - u + t - 2) * n
-    )
-    if num % 2:
-        raise ArithmeticError(f"odd line objective numerator {num}")
-    return num // 2
-
-
 def line_peak(params, n):
     """Real maximizer of the boundary-line quadratic."""
     r, s, t, u = params.astuple()
@@ -210,45 +198,30 @@ def line_peak(params, n):
 
 
 def brute_max_objective(params, n):
-    """Exhaustive maximum of the objective over the whole domain.
-
-    Returns the maximum and every maximizing lattice point in enumeration
-    order.
-    """
-    best = None
-    argmax = []
-    for colors in domain_points(n):
-        value = degree_objective(params, n, colors)
-        if best is None or value > best:
-            best = value
-            argmax = [colors]
-        elif value == best:
-            argmax.append(colors)
-    return best, argmax
+    """Exhaustive maximum of the objective over the whole domain."""
+    return max(degree_objective(params, n, colors) for colors in domain_points(n))
 
 
 def fast_max_objective(params, n):
     """Case-analysis maximum of the objective, no domain scan.
 
     Quadratic cases restrict to the face a = b+c, d = 2n and compare the
-    boundary-line values at the even points bracketing the real peak
-    (clamped to [0, 2n]) with the face value at the origin; linear cases
-    return the origin value 2un outright.  At n = 0 the domain is the
-    origin alone and both branches return 0.
+    face values on the boundary line c = 2n - b at the even b bracketing
+    the real peak (clamped to [0, 2n]) with the face value at the origin;
+    linear cases return the origin value 2un outright.  At n = 0 the
+    domain is the origin alone and both branches return 0.
     """
     if n < 0:
         raise ValueError(f"fast maximization needs n >= 0, got {n}")
-    r, s, t, u = params.astuple()
-    tag = classify(params).tag
-    if tag in ("2.2", "2.3", "2.4"):
-        return 2 * u * n
+    if classify(params).degree_model == "linear":
+        return 2 * params.u * n
     peak = line_peak(params, n)
     lo = ((peak.numerator // peak.denominator) // 2) * 2
     candidates = {0, 2 * n}
     for b in (lo - 2, lo, lo + 2, lo + 4):
         if 0 <= b <= 2 * n:
             candidates.add(b)
-    best = max(line_objective(params, n, b) for b in sorted(candidates))
+    best = max(face_objective(params, n, b, 2 * n - b) for b in candidates)
     return max(best, face_objective(params, n, 0, 0))
 
 

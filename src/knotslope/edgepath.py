@@ -48,11 +48,9 @@ def interp_point(near, far, fraction):
     """Projective interpolation of two vertices, weight `fraction` on far.
 
     Returns the combined curve system k*[far] + (m-k)*[near] for
-    fraction = k/m, plus its uv-coordinates.
+    fraction = k/m, plus its uv-coordinates.  Edgepath keeps the fraction
+    in (0, 1].
     """
-    fraction = Fraction(fraction)
-    if not 0 <= fraction <= 1:
-        raise ValueError(f"interpolation fraction {fraction} outside [0, 1]")
     k, m = fraction.numerator, fraction.denominator
     curve = (m, k * (far.denominator - 1) + (m - k) * (near.denominator - 1),
              k * far.numerator + (m - k) * near.numerator)
@@ -66,7 +64,8 @@ def partial_fraction_from_u(near, far, u0):
     With q, w the denominators of the near/far slopes, the projective sum
     gives k*w + (m-k)*q = m/(1-u0), so the weight is
     (1/(1-u0) - q) / (w - q).  u0 must lie in the edge's u-interval;
-    hitting an endpoint returns 0 or 1.
+    hitting an endpoint returns 0 or 1, and a point inside gives a weight
+    between them.
     """
     u0 = Fraction(u0)
     u_near, _ = uv(near)
@@ -76,10 +75,7 @@ def partial_fraction_from_u(near, far, u0):
         raise ValueError(f"u0={u0} outside the edge interval [{lo}, {hi}]")
     q = near.denominator
     w = far.denominator
-    f = (Fraction(1) / (1 - u0) - q) / (w - q)
-    if not 0 <= f <= 1:
-        raise ArithmeticError(f"edge weight {f} outside [0, 1] for u0={u0}")
-    return f
+    return (Fraction(1) / (1 - u0) - q) / (w - q)
 
 
 @dataclass(frozen=True)
@@ -195,34 +191,27 @@ def gamma_system(params):
     (t-1)^2/(s+t-1) - r - t: that path climbs the chain <1/r>,
     <1/(r+1)>, ... for k complete edges and then takes a partial edge.
     The other two paths are the Seifert chains cut short by partial final
-    edges.  All three ending points share the u-coordinate
-    (t-1)s/(ts+t-1) and their v-coordinates cancel.
+    edges, each weighted to end at the u-coordinate (t-1)s/(ts+t-1).  That
+    all three ending points share it and that their v-coordinates cancel
+    is E3, which check_admissible evaluates.
     """
     r, s, t, u = params.astuple()
     lam, k, final_frac = _chain_cut(params)
     if lam <= 0:
         raise ValueError(f"no interior-ending system: 1/r-path length {lam} <= 0 for {params}")
-    if not (0 <= k <= -r - 2 and 0 < final_frac <= 1):
+    if not 0 <= k <= -r - 2:
         raise ArithmeticError(f"chain cut k={k} out of range for {params}")
     u0 = ending_u(params)
 
     chain1 = tuple(Fraction(1, r + i) for i in range(k + 2))
     zero = Fraction(0)
-    system = EdgepathSystem((
+    return EdgepathSystem((
         Edgepath(Fraction(1, r), chain1, final_frac),
         Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u),
                  partial_fraction_from_u(Fraction(1, s + 1), zero, u0)),
         Edgepath(Fraction(1, t), (Fraction(1, t), zero),
                  partial_fraction_from_u(Fraction(1, t), zero, u0)),
     ))
-    endings = [p.points[-1] for p in system.paths]
-    if any(pu != u0 for pu, _ in endings):
-        raise ArithmeticError(f"path ending off u0={u0} for {params}")
-    if final_frac != partial_fraction_from_u(chain1[k], chain1[k + 1], u0):
-        raise ArithmeticError(f"chain cut weight {final_frac} misses u0={u0} for {params}")
-    if sum(v for _, v in endings) != 0:
-        raise ArithmeticError(f"ending v-coordinates do not cancel for {params}")
-    return system
 
 
 def check_admissible(system):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qlaurent import ZERO, qbinom, qint, qmultinom
+from .qlaurent import ZERO, qbinom, qint
 
 
 class InadmissibleColoring(ValueError):
@@ -65,12 +65,17 @@ def circle(k):
 
 @lru_cache(maxsize=None)
 def _theta_sorted(a, b, c):
-    half = (a + b + c) // 2
-    return circle(half) * qmultinom(((-a + b + c) // 2, (a - b + c) // 2, (a + b - c) // 2))
+    h = (a + b + c) // 2
+    p0, p1 = (-a + b + c) // 2, (a - b + c) // 2
+    return circle(h) * qbinom(h, p0) * qbinom(h - p0, p1)
 
 
 def theta(a, b, c):
-    """Theta net value O^((a+b+c)/2) * [half; parts], symmetric in a, b, c."""
+    """Theta net value O^h [h]! / ([p0]! [p1]! [p2]!), symmetric in a, b, c.
+
+    h = (a+b+c)/2 and p0, p1, p2 = h-a, h-b, h-c; the multinomial is the
+    product of the quantum binomials [h; p0] and [h-p0; p1].
+    """
     require_admissible(a, b, c)
     x, y, z = sorted((a, b, c))
     return _theta_sorted(x, y, z)

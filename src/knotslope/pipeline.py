@@ -154,7 +154,7 @@ def run_verification(params, n_max, cache_dir=None):
     for N in range(1, n_max + 1):
         poly = jones_cached(params, N, cache_dir)
         d, lead = poly.max_deg, poly.leading_coeff
-        brute, _ = degopt.brute_max_objective(params, N - 1)
+        brute = degopt.brute_max_objective(params, N - 1)
         closed = degopt.closed_form_dplus(model, N)
         degrees.append((N, d, lead, brute, closed))
 

@@ -4,7 +4,7 @@ Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
 ring operations, exact division, quantum integers with their
-binomials and multinomials, and the cyclotomic polynomials
+binomials, and the cyclotomic polynomials
 Phi_d(v^4) that quantum integers factor into.  There is no field of
 fractions: state sums bring their quotients over a known common
 denominator and clear it with exact_div, whose failure signals a fault.
@@ -418,24 +418,6 @@ def qbinom(n, k):
     if 2 * k > n:
         return qbinom(n, n - k)
     return qbinom(n - 1, k).shift(2 * k) + qbinom(n - 1, k - 1).shift(-2 * (n - k))
-
-
-def qmultinom(parts):
-    """Symmetric quantum multinomial [sum parts]! / prod [part]!.
-
-    Assembled as a chain of quantum binomials, which agrees with the
-    factorial quotient and is always exact.
-    """
-    parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError(f"multinomial parts must be non-negative, got {parts}")
-    total = sum(parts)
-    result = ONE
-    remaining = total
-    for p in parts[:-1]:
-        result = result * qbinom(remaining, p)
-        remaining -= p
-    return result
 
 
 # -- exact division -----------------------------------------------------

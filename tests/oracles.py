@@ -1,6 +1,6 @@
 """Test-only oracles: independent computations that the package is checked against.
 
-  qfact       the quantum factorial, which the qbinom, qmultinom and 6j
+  qfact       the quantum factorial, which the qbinom, theta and 6j
               tests divide against
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the grouped

@@ -61,28 +61,16 @@ TRIPWIRES = (
              "x(x+2) is divisible by 8 for even colors"),
     Tripwire("degopt.face_objective", "ArithmeticError", "odd face objective numerator",
              "r + s + 1 and r + t are even, so every term of the numerator is even"),
-    Tripwire("degopt.line_objective", "ArithmeticError", "odd line objective numerator",
-             "s + t - 1 is even, so every term of the numerator is even"),
     Tripwire("degopt.residue_data", "ArithmeticError", "odd-tie constants differ",
              "both odd neighbours of an even tie give the same constant"),
     Tripwire("degopt.closed_form_dplus", "ArithmeticError", "closed form not integral",
-             "the model value is line_objective at the even b nearest the "
-             "line peak, an integer"),
+             "the model value is face_objective on the line b + c = 2n at "
+             "the even b nearest the line peak, an integer"),
     Tripwire("degopt.fit_quasi", "NoQuadraticFit", "even the final samples disagree",
              "each class model passes through its last three samples"),
-    Tripwire("edgepath.partial_fraction_from_u", "ArithmeticError",
-             "edge weight {} outside [0, 1]",
-             "u0 inside the edge's u-interval gives a weight in [0, 1]"),
     Tripwire("edgepath.gamma_system", "ArithmeticError", "chain cut k={} out of range",
              "the 1/r-path length is positive past the guard, and it is at most "
              "-r - 1 because s > 0"),
-    Tripwire("edgepath.gamma_system", "ArithmeticError", "path ending off u0",
-             "every partial weight solves for u0"),
-    Tripwire("edgepath.gamma_system", "ArithmeticError", "chain cut weight {} misses u0",
-             "the chain-cut length ends the 1/r path at u0"),
-    Tripwire("edgepath.gamma_system", "ArithmeticError",
-             "ending v-coordinates do not cancel",
-             "u0 solves the three-line equation"),
     Tripwire("ktg.dplus_delta6j", "ArithmeticError", "top z-term is not the range end",
              "tops[i] + offsets[i] are (total - a - alpha)/2 and its two "
              "analogues, so 2*zhi is that difference by construction"),

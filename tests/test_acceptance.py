@@ -108,7 +108,7 @@ def test_criterion_3_triple_oracle_agreement():
         params = KnotParams(*tup)
         brute_by_n = {}
         for n in range(1, 9):
-            brute, _ = brute_max_objective(params, n)
+            brute = brute_max_objective(params, n)
             fast = fast_max_objective(params, n)
             ok = ok and brute == fast
             brute_by_n[n] = brute
@@ -130,7 +130,7 @@ def test_criterion_4_no_cancellation(exact_degrees):
     for tup, table in exact_degrees.items():
         params = KnotParams(*tup)
         for N, (degree, leading) in table.items():
-            brute, _ = brute_max_objective(params, N - 1)
+            brute = brute_max_objective(params, N - 1)
             ok = ok and degree == brute
             ok = ok and isinstance(leading, int) and leading > 0
     _report("criterion 4 (state-sum degree = objective max; positive leading)", ok)

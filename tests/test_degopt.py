@@ -12,7 +12,6 @@ from knotslope.degopt import (
     face_objective,
     fast_max_objective,
     fit_quasi,
-    line_objective,
     line_peak,
     quasi_value,
     residue_data,
@@ -78,16 +77,29 @@ def test_face_form_case24():
                 assert face_objective(params, n, b, c) == -((b - c) ** 2) + 2 * params.u * n
 
 
+def argmax(params, n):
+    """Every maximizer of the objective over the domain, in enumeration order."""
+    values = [(degree_objective(params, n, colors), colors) for colors in domain_points(n)]
+    best = max(value for value, _ in values)
+    return [colors for value, colors in values if value == best]
+
+
+def line_value(params, n, b):
+    """The face objective on the boundary line b + c = 2n."""
+    return face_objective(params, n, b, 2 * n - b)
+
+
 def test_brute_examples():
     params = KnotParams(-3, 2, 3, -3)
-    assert brute_max_objective(params, 0) == (0, [ColorTuple(0, 0, 0, 0, 0)])
-    best, argmax = brute_max_objective(params, 4)
-    assert best == closed_form_dplus(degree_model(params), 5) == 24
-    assert all(p.d == 8 and p.a == p.b + p.c for p in argmax)
+    assert brute_max_objective(params, 0) == 0
+    assert argmax(params, 0) == [ColorTuple(0, 0, 0, 0, 0)]
+    assert brute_max_objective(params, 4) == closed_form_dplus(degree_model(params), 5) == 24
+    # The paper's claim: the maximizers lie on the face a = b + c, d = 2n.
+    assert all(p.d == 8 and p.a == p.b + p.c for p in argmax(params, 4))
 
-    best, argmax = brute_max_objective(KnotParams(-3, 4, 5, -1), 3)
-    assert best == -6
-    points = {(p.a, p.b, p.c, p.d) for p in argmax}
+    params = KnotParams(-3, 4, 5, -1)
+    assert brute_max_objective(params, 3) == -6
+    points = {(p.a, p.b, p.c, p.d) for p in argmax(params, 3)}
     assert (0, 0, 0, 6) in points
     assert all(b == c and a == b + c and d == 6 for a, b, c, d in points)
 
@@ -112,7 +124,7 @@ def test_fast_equals_brute_on_grid():
     for tup in CASE_EXAMPLES:
         params = KnotParams(*tup)
         for n in range(0, 7):
-            assert fast_max_objective(params, n) == brute_max_objective(params, n)[0], (
+            assert fast_max_objective(params, n) == brute_max_objective(params, n), (
                 tup,
                 n,
             )
@@ -131,13 +143,13 @@ def test_line_tie_gives_equal_values():
     params = KnotParams(-3, 2, 3, -3)
     n = 3
     assert line_peak(params, n) == 3
-    assert line_objective(params, n, 2) == line_objective(params, n, 4) == 10
-    best, argmax = brute_max_objective(params, n)
-    assert best == 10 and len(argmax) == 2
+    assert line_value(params, n, 2) == line_value(params, n, 4) == 10
+    assert brute_max_objective(params, n) == 10
+    assert [(p.b, p.c) for p in argmax(params, n)] == [(2, 4), (4, 2)]
 
     params = KnotParams(-5, 6, 7, -1)
     assert line_peak(params, 1) == 1
-    assert line_objective(params, 1, 0) == line_objective(params, 1, 2)
+    assert line_value(params, 1, 0) == line_value(params, 1, 2)
 
 
 def test_closed_form_examples():
@@ -216,8 +228,8 @@ def test_fit_quasi_needs_three_per_class():
 
 def test_stabilization_threshold():
     params = KnotParams(-5, 6, 7, -1)
-    degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(1, 8)]
+    degrees = [(n + 1, brute_max_objective(params, n)) for n in range(1, 8)]
     assert stabilization_threshold(degree_model(params).coeffs, degrees) == 3
     params = KnotParams(-3, 2, 3, -3)
-    degrees = [(n + 1, brute_max_objective(params, n)[0]) for n in range(0, 7)]
+    degrees = [(n + 1, brute_max_objective(params, n)) for n in range(0, 7)]
     assert stabilization_threshold(degree_model(params).coeffs, degrees) == 1

@@ -7,6 +7,7 @@ import pytest
 from oracles import line_check
 
 import knotslope.edgepath as edgepath_mod
+from knotslope.cli import main
 from knotslope.degopt import classify
 from knotslope.edgepath import (
     Edgepath,
@@ -47,9 +48,6 @@ def test_interp_point_examples():
     assert curve == (1, 2, 1) and point == (F(2, 3), F(1, 3))
     curve, point = interp_point(near, far, F(1, 2))
     assert curve == (2, 2, 1) and point == (F(1, 2), F(1, 4))
-    for fraction in (F(-1, 2), F(3, 2)):
-        with pytest.raises(ValueError):
-            interp_point(near, far, fraction)
 
 
 def test_partial_fraction_from_u():
@@ -252,7 +250,15 @@ def test_chain_length_decides_the_quadratic_case(monkeypatch):
 
     def counted(params):
         built.append(params)
-        return real(params)
+        system = real(params)
+        # E3 and the chain cut: every path ends at u0, each final fraction
+        # is the weight that reaches u0, and the ending v-coordinates cancel.
+        u0 = ending_u(params)
+        for path in system.paths:
+            assert path.points[-1][0] == u0, params
+            assert path.fraction == partial_fraction_from_u(*path.vertices[-2:], u0), params
+        assert sum(path.points[-1][1] for path in system.paths) == 0, params
+        return system
 
     monkeypatch.setattr(edgepath_mod, "gamma_system", counted)
     for tup in GRID_1260:
@@ -264,3 +270,23 @@ def test_chain_length_decides_the_quadratic_case(monkeypatch):
         slope_report(params)
         assert (built == [params]) == (cls.degree_model == "quadratic"), tup
     assert len(GRID_1260) == 1260
+
+
+def test_missed_chain_cut_fails_e3(monkeypatch, tmp_path, capsys):
+    # A 1/r path that stops short of u0 builds, and the admissibility
+    # check reports it as E3 (the ending points no longer share one u);
+    # verify then counts the tuple as a mismatch.
+    real = edgepath_mod._chain_cut
+
+    def halved(params):
+        lam, k, final_frac = real(params)
+        return lam, k, final_frac / 2
+
+    monkeypatch.setattr(edgepath_mod, "_chain_cut", halved)
+    side = slope_report(KnotParams(-3, 2, 3, -3))
+    assert "E3" in side.admissibility.failed()
+    rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-3", "--n-max", "4",
+               "--out", str(tmp_path / "e3.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mismatch: (-3, 2, 3, -3): ") and "E3" in err

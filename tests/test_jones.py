@@ -365,4 +365,4 @@ def test_exact_dplus_matches_brute():
     for tup in [(-3, 2, 3, -3), (-3, 4, 5, -1)]:
         params = KnotParams(*tup)
         for N in range(1, 5):
-            assert exact_dplus(params, N)[0] == brute_max_objective(params, N - 1)[0]
+            assert exact_dplus(params, N)[0] == brute_max_objective(params, N - 1)

@@ -71,6 +71,22 @@ def test_theta_symmetry():
         assert len(values) == 1
 
 
+def test_theta_is_factorial_quotient():
+    # Dual route: theta's two-binomial product must equal the exact division
+    # of factorials that defines the multinomial, on every admissible triple.
+    triples = 0
+    for a in range(11):
+        for b in range(11):
+            for c in range(11):
+                if not is_admissible(a, b, c):
+                    continue
+                h = (a + b + c) // 2
+                den = qfact(h - a) * qfact(h - b) * qfact(h - c)
+                assert theta(a, b, c) == circle(h) * exact_div(qfact(h), den), (a, b, c)
+                triples += 1
+    assert triples == 381
+
+
 def test_circle_examples():
     assert circle(0) == ONE
     assert circle(1) == -qint(2)

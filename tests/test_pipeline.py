@@ -451,6 +451,24 @@ def test_cli_slope(capsys):
     assert doc["slope"] == "2"
 
 
+def test_cli_slope_exit_code_on_inadmissible_system(capsys, monkeypatch):
+    # slope prints its report in full, names the failed conditions on
+    # stderr and exits 2 when the distinguished system fails E1-E4.
+    import knotslope.edgepath as edgepath_mod
+
+    real = edgepath_mod.check_admissible
+
+    def failing_e3(system):
+        return dataclasses.replace(real(system), e3=False)
+
+    monkeypatch.setattr(edgepath_mod, "check_admissible", failing_e3)
+    assert main(["slope", "-r", "-3", "-s", "2", "-t", "3", "-u", "-3"]) == 2
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["slope"] == "2" and doc["admissibility"]["E3"] is False
+    assert captured.err == "mismatch: (-3, 2, 3, -3): E3\n"
+
+
 def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["jones", "-r", "-3"])

@@ -20,7 +20,6 @@ from knotslope.qlaurent import (
     exact_div,
     qbinom,
     qint,
-    qmultinom,
     slot_bytes,
 )
 
@@ -78,27 +77,9 @@ def test_qint_degrees_closed_form():
 def test_qfact_and_multinom_small():
     assert qfact(0) == ONE
     assert qfact(3) == qint(3) * qint(2)
-    assert qmultinom([1, 1]) == qint(2)
-    assert qmultinom([0, 2, 0]) == ONE
-    with pytest.raises(ValueError):
-        qmultinom([1, -1])
-
-
-def test_qmultinom_is_factorial_quotient():
-    # Dual route: the binomial-chain value must equal the exact division
-    # of factorials that defines it.
-    cases = [(1, 1), (2, 3), (4, 2), (3, 3, 2), (0, 5), (2, 2, 2), (1, 4, 3)]
-    for parts in cases:
-        expected = qfact(sum(parts))
-        for part in parts:
-            expected = exact_div(expected, qfact(part))
-        assert qmultinom(parts) == expected
-
-
-def test_qmultinom_symmetry():
-    base = (3, 1, 2)
-    value = qmultinom(base)
-    assert value == qmultinom((1, 2, 3)) == qmultinom((2, 3, 1)) == qmultinom((3, 2, 1))
+    # A multinomial is a chain of binomials: [2; 1, 1] and [2; 0, 2, 0].
+    assert qbinom(2, 1) * qbinom(1, 1) == qint(2)
+    assert qbinom(2, 0) * qbinom(2, 2) == ONE
 
 
 def test_qbinom_against_factorials():
