@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import degopt, edgepath, pipeline
-from .jones import KnotParams, exact_dplus
+from .jones import KnotParams, colored_jones
 from .pipeline import DEFAULT_N_MAX, HARD_N_CEILING
 
 
@@ -106,7 +106,7 @@ def _cmd_degree(args):
     rows = []
     for N in range(1, args.n_max + 1):
         if args.method == "exact":
-            value, _ = exact_dplus(params, N)
+            value = colored_jones(params, N).max_deg
         elif args.method == "brute":
             value = degopt.brute_max_objective(params, N - 1)
         elif args.method == "fast":

@@ -17,13 +17,17 @@ d = 2n, the parameter space splits into
   tag "2.4"  A, C < 0, disc = 0, r = -3, s = 4, t = 5
 
 Tags "1" and "2.1" give a quadratic degree with period (s+t-1)/2 in the
-color; the rest give the linear degree 2u(N-1).  degree_model makes that
-split once per tuple and returns one frozen DegreeModel (period, growth,
-two_b, residues, constants), which closed_form_dplus and report_fragment
-read.  fast_max_objective takes the same split from classify but no
-closed-form coefficient: it evaluates face_objective on the boundary line
-c = 2n - b near the real peak (line_peak), so it stays an oracle
-independent of the closed form.
+color (Classification.quadratic); the rest give the linear degree
+2u(N-1).  degree_model makes that split once per tuple and returns one
+frozen DegreeModel (period, growth, two_b, residues, constants), which
+closed_form_dplus reads.  Residue class j takes its constant at the odd
+integer nearest x = 2(t-1)j/(s+t-1), which is 2*ceil(x/2) - 1
+(residue_data).
+face_objective reads its quadratic part from classify, and
+fast_max_objective takes the split from classify but no closed-form
+coefficient: it evaluates face_objective on the boundary line c = 2n - b
+near the real peak (line_peak), so it stays an oracle independent of the
+closed form.
 
 The closed form and a fitted quasi-polynomial share one layout, a tuple
 of (a, two_b, c) per residue class, one evaluator (quasi_value) and one
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 from .jones import domain_points
 from .ktg import dplus_delta6j, dplus_theta
@@ -58,9 +63,9 @@ class Classification:
     tag: str
 
     @property
-    def degree_model(self):
-        """Shape of the degree sequence: "quadratic" for tags 1/2.1, else "linear"."""
-        return "quadratic" if self.tag in ("1", "2.1") else "linear"
+    def quadratic(self):
+        """True when the degree is quadratic in the color (tags 1 and 2.1)."""
+        return self.tag in ("1", "2.1")
 
     def to_json(self):
         return {"A": self.bb, "B": self.bc, "C": self.cc, "Delta": self.disc,
@@ -71,9 +76,11 @@ class Classification:
 class ResidueData:
     """Constant term data for one residue class of the quadratic form.
 
-    nearest_odd is the odd integer nearest to 2(t-1)j/(s+t-1); ties at an
-    even integer are broken toward the smaller value after checking both
-    give the same constant.
+    nearest_odd is v = 2*ceil(x/2) - 1 with x = 2(t-1)j/(s+t-1): the odd
+    integer nearest x, the smaller one when x is even.  offset is
+    v - 1 - x and the constant is -((s+t-1)/2)((v-x)^2 - 1) - 2(u+2),
+    which reads v only through (v-x)^2, so both odd neighbours of an even
+    x give the same constant.
     """
 
     j: int
@@ -111,12 +118,11 @@ class DegreeModel:
 class QuasiPolynomial:
     """Per-residue quadratic model of a degree sequence.
 
-    coeffs[j] is (a, two_b, c): the value at N = j mod period is
-    a*N^2 + two_b*N + c.  n0 is the least sample from which the model
-    reproduces every later sample exactly.
+    coeffs[j] is (a, two_b, c): the value at N = j mod len(coeffs) is
+    a*N^2 + two_b*N + c, so the period is len(coeffs).  n0 is the least
+    sample from which the model reproduces every later sample exactly.
     """
 
-    period: int
     coeffs: tuple
     n0: int
 
@@ -175,20 +181,13 @@ def face_objective(params, n, b, c):
     """The objective on the face a = b+c, d = 2n, directly as a quadratic.
 
     Equals degree_objective(params, n, (b+c, b, c, 2n)) for even lattice
-    points of the triangle b, c >= 0, b + c <= 2n.
+    points of the triangle b, c >= 0, b + c <= 2n.  The quadratic part is
+    classify's form bb*b^2 + bc*b*c + cc*c^2.
     """
     r, s, t, u = params.astuple()
-    num = (
-        -(r + s + 1) * b * b
-        - 2 * (r + s - 1) * b
-        - 2 * (r + 1) * b * c
-        - (r + t) * c * c
-        - 2 * (r + t - 2) * c
-        + 4 * u * n
-    )
-    if num % 2:
-        raise ArithmeticError(f"odd face objective numerator {num}")
-    return num // 2
+    cls = classify(params)
+    return (cls.bb * b * b + cls.bc * b * c + cls.cc * c * c
+            - (r + s - 1) * b - (r + t - 2) * c + 2 * u * n)
 
 
 def line_peak(params, n):
@@ -213,7 +212,7 @@ def fast_max_objective(params, n):
     """
     if n < 0:
         raise ValueError(f"fast maximization needs n >= 0, got {n}")
-    if classify(params).degree_model == "linear":
+    if not classify(params).quadratic:
         return 2 * params.u * n
     peak = line_peak(params, n)
     lo = ((peak.numerator // peak.denominator) // 2) * 2
@@ -234,7 +233,7 @@ def degree_model(params):
     """
     cls = classify(params)
     r, s, t, u = params.astuple()
-    if cls.degree_model != "quadratic":
+    if not cls.quadratic:
         return DegreeModel(cls, 1, Fraction(0), 2 * u, (), (Fraction(-2 * u),))
     residues = tuple(residue_data(params, j) for j in range((s + t - 1) // 2))
     growth = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
@@ -249,29 +248,9 @@ def residue_data(params, j):
     if not 0 <= j < p2 // 2:
         raise ValueError(f"residue {j} outside [0, {p2 // 2})")
     x = Fraction(2 * (t - 1) * j, p2)
-    candidates = _nearest_odd(x)
-    picks = []
-    for v in candidates:
-        offset = v - 1 - x
-        constant = -Fraction(p2, 2) * offset * offset - p2 * offset - 2 * (u + 2)
-        picks.append((v, offset, constant))
-    if len(picks) == 2 and picks[0][2] != picks[1][2]:
-        raise ArithmeticError(f"odd-tie constants differ at residue {j}")
-    v, offset, constant = picks[0]
-    return ResidueData(j, v, offset, constant)
-
-
-def _nearest_odd(x):
-    """Odd integers nearest to the rational x; two on a tie, smaller first."""
-    k = (x - 1) / 2
-    lo = 2 * (k.numerator // k.denominator) + 1
-    hi = lo + 2
-    dlo, dhi = x - lo, hi - x
-    if dlo < dhi:
-        return [lo]
-    if dhi < dlo:
-        return [hi]
-    return [lo, hi]
+    v = 2 * ceil(x / 2) - 1
+    constant = -Fraction(p2, 2) * ((v - x) ** 2 - 1) - 2 * (u + 2)
+    return ResidueData(j, v, v - 1 - x, constant)
 
 
 def quasi_value(coeffs, N):
@@ -295,21 +274,14 @@ def closed_form_dplus(model, N):
     return int(value)
 
 
-def report_fragment(model, n0=None):
-    """Classification and residue table as one JSON-ready fragment."""
-    fragment = model.classification.to_json()
-    fragment["period"] = model.period
-    fragment["residues"] = [r.to_json() for r in model.residues]
-    fragment["N0"] = n0
-    return fragment
-
-
 def fit_quasi(samples, p):
     """Fit a period-p quadratic quasi-polynomial to (N, degree) samples.
 
     Each residue class needs at least three samples; the quadratic through
     its last three is taken.  n0 is the least sample N from which every
-    later sample (all classes merged) matches its class model.
+    later sample (all classes merged) matches its class model; it always
+    exists, because the last sample is one of the three its class model
+    passes through.
     """
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
@@ -322,10 +294,7 @@ def fit_quasi(samples, p):
                 f"residue class {j} has {len(pts)} samples, need at least 3"
             )
     coeffs = tuple(_quadratic_through(pts[-3:]) for pts in by_class)
-    n0 = stabilization_threshold(coeffs, samples)
-    if n0 is None:
-        raise NoQuadraticFit("even the final samples disagree with their models")
-    return QuasiPolynomial(p, coeffs, n0)
+    return QuasiPolynomial(coeffs, stabilization_threshold(coeffs, samples))
 
 
 def _quadratic_through(pts):

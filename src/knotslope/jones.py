@@ -264,9 +264,3 @@ def colored_jones(params, N):
 def _span(poly):
     """Degree span max_deg - min_deg, 0 for the zero polynomial."""
     return poly.max_deg - poly.min_deg if poly else 0
-
-
-def exact_dplus(params, N):
-    """Maximal degree and leading coefficient of the N-colored invariant."""
-    poly = colored_jones(params, N)
-    return poly.max_deg, poly.leading_coeff

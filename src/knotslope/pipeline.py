@@ -115,10 +115,14 @@ class Report:
 
     def to_json(self):
         model = self.prediction.model
+        prediction = self.prediction.to_json()
+        classification = model.classification.to_json()
+        classification.update(period=model.period,
+                              residues=prediction["residues"], N0=self.n0)
         fitted = None
         if self.fitted is not None:
             fitted = {
-                "period": self.fitted.period,
+                "period": len(self.fitted.coeffs),
                 "n0": self.fitted.n0,
                 "coeffs": {
                     str(j): [str(a), str(tb), str(c)]
@@ -128,8 +132,8 @@ class Report:
         return {
             "params": self.params.as_dict(),
             "n_max": self.n_max,
-            "classification": degopt.report_fragment(model, self.n0),
-            "prediction": self.prediction.to_json(),
+            "classification": classification,
+            "prediction": prediction,
             "edgepath": self.prediction.surface.report,
             "degrees": [
                 {"N": N, "dplus": d, "leading": str(lead), "brute": bm,

@@ -59,15 +59,10 @@ TRIPWIRES = (
              "for r < -1"),
     Tripwire("degopt.degree_objective", "ArithmeticError", "half-integer framing degree",
              "x(x+2) is divisible by 8 for even colors"),
-    Tripwire("degopt.face_objective", "ArithmeticError", "odd face objective numerator",
-             "r + s + 1 and r + t are even, so every term of the numerator is even"),
-    Tripwire("degopt.residue_data", "ArithmeticError", "odd-tie constants differ",
-             "both odd neighbours of an even tie give the same constant"),
     Tripwire("degopt.closed_form_dplus", "ArithmeticError", "closed form not integral",
-             "the model value is face_objective on the line b + c = 2n at "
-             "the even b nearest the line peak, an integer"),
-    Tripwire("degopt.fit_quasi", "NoQuadraticFit", "even the final samples disagree",
-             "each class model passes through its last three samples"),
+             "in the quadratic cases the model value is face_objective, whose "
+             "coefficients are integers, at c = 2n - b for the even b nearest "
+             "the line peak; in the linear ones it is 2u(N - 1)"),
     Tripwire("edgepath.gamma_system", "ArithmeticError", "chain cut k={} out of range",
              "the 1/r-path length is positive past the guard, and it is at most "
              "-r - 1 because s > 0"),

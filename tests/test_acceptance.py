@@ -28,7 +28,7 @@ from knotslope.edgepath import (
     seifert_system,
     twist,
 )
-from knotslope.jones import KnotParams, colored_jones, exact_dplus
+from knotslope.jones import KnotParams, colored_jones
 from knotslope.ktg import delta6j, dplus_delta6j, dplus_theta, theta
 from knotslope.pipeline import predict
 from knotslope.qlaurent import ONE
@@ -67,7 +67,8 @@ def exact_degrees():
     tables = {}
     for tup in [CASE1_TUPLE] + CASE2_TUPLES:
         params = KnotParams(*tup)
-        tables[tup] = {N: exact_dplus(params, N) for N in range(1, 7)}
+        polys = {N: colored_jones(params, N) for N in range(1, 7)}
+        tables[tup] = {N: (poly.max_deg, poly.leading_coeff) for N, poly in polys.items()}
     return tables
 
 
@@ -178,7 +179,7 @@ def test_criterion_6_slope_identity():
         pred = predict(params)
         ok = ok and pred.slope_match
         r, s, t, u = tup
-        if classify(params).degree_model == "quadratic":
+        if classify(params).quadratic:
             expected = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
         else:
             expected = Fraction(0)
@@ -193,7 +194,7 @@ def test_criterion_7_euler_identity():
         pred = predict(params)
         ok = ok and pred.euler_match
         r, s, t, u = tup
-        expected = r + u + 3 if classify(params).degree_model == "quadratic" else u
+        expected = r + u + 3 if classify(params).quadratic else u
         ok = ok and pred.surface.euler == expected == Fraction(pred.model.two_b, 2)
     _report("criterion 7 (half linear coefficient = Euler ratio on the grid)", ok)
 
@@ -202,7 +203,7 @@ def test_criterion_8_edgepath_consistency():
     ok = True
     for tup in GRID:
         params = KnotParams(*tup)
-        if classify(params).degree_model != "quadratic":
+        if not classify(params).quadratic:
             continue
         r, s, t, u = tup
         system = gamma_system(params)

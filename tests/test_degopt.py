@@ -1,6 +1,11 @@
 """Degree objective, its three maximizers, closed forms and quasi fitting."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_edgepath import GRID_1260
 
 from knotslope.degopt import (
     NoQuadraticFit,
@@ -34,10 +39,10 @@ CASE_EXAMPLES = {
 def test_classify_examples():
     cls = classify(KnotParams(-3, 2, 3, -3))
     assert (cls.bb, cls.bc, cls.cc, cls.disc) == (0, 2, 0, -4)
-    assert cls.tag == "1" and cls.degree_model == "quadratic"
+    assert cls.tag == "1" and cls.quadratic
     cls = classify(KnotParams(-3, 4, 5, -1))
     assert (cls.bb, cls.bc, cls.cc, cls.disc) == (-1, 2, -1, 0)
-    assert cls.tag == "2.4" and cls.degree_model == "linear"
+    assert cls.tag == "2.4" and not cls.quadratic
     assert classify(KnotParams(-5, 4, 3, -1)).tag == "1"
     for tup, tag in CASE_EXAMPLES.items():
         assert classify(KnotParams(*tup)).tag == tag, tup
@@ -50,7 +55,7 @@ def test_objective_trivial_point():
 
 def test_objective_face_identity():
     # On the face a = b+c, d = 2n the objective is the explicit quadratic.
-    for tup in [(-3, 2, 3, -3), (-5, 4, 3, -1), (-3, 4, 5, -1), (-3, 6, 5, -3)]:
+    for tup in CASE_EXAMPLES:
         params = KnotParams(*tup)
         for n in range(0, 9):
             for b in range(0, 2 * n + 1, 2):
@@ -181,6 +186,30 @@ def test_residue_data_tie_and_values():
             residue_data(KnotParams(-3, 2, 3, -3), j)
 
 
+def test_residue_nearest_odd_on_grid():
+    # v_j is the odd integer nearest x = 2(t-1)j/(s+t-1), the smaller one
+    # on a tie, and the larger neighbour of a tie gives the same constant.
+    classes = ties = 0
+    for tup in GRID_1260:
+        params = KnotParams(*tup)
+        r, s, t, u = tup
+        if not classify(params).quadratic:
+            continue
+        p2 = s + t - 1
+        for res in degree_model(params).residues:
+            x = Fraction(2 * (t - 1) * res.j, p2)
+            v = res.nearest_odd
+            assert v % 2 == 1 and abs(v - x) <= 1 and res.offset == v - 1 - x, (tup, res)
+            classes += 1
+            if abs(v - x) == 1:
+                ties += 1
+                assert v < x, (tup, res)
+                offset = v + 1 - x
+                constant = -Fraction(p2, 2) * offset * offset - p2 * offset - 2 * (u + 2)
+                assert constant == res.constant, (tup, res)
+    assert (classes, ties) == (7220, 1710)
+
+
 def test_coefficients():
     model = degree_model(KnotParams(-3, 2, 3, -3))
     assert model.growth == 2
@@ -217,6 +246,32 @@ def test_fit_quasi_prefix_deviation_moves_n0():
     fitted = fit_quasi(samples, 1)
     assert fitted.coeffs[0] == (1, 0, 0)
     assert fitted.n0 == 2
+
+
+@st.composite
+def class_samples(draw):
+    """A period 1..6 and integer samples at distinct N in 1..40, at least
+    three in each residue class."""
+    p = draw(st.integers(1, 6))
+    samples = []
+    for j in range(p):
+        Ns = draw(st.sets(st.sampled_from([N for N in range(1, 41) if N % p == j]),
+                          min_size=3))
+        samples += [(N, draw(st.integers(-10**6, 10**6))) for N in Ns]
+    return p, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_samples())
+def test_fit_quasi_reproduces_its_last_sample(case):
+    # Each class model passes through its last three samples, so the last
+    # sample always agrees and n0 always exists.
+    p, samples = case
+    fitted = fit_quasi(samples, p)
+    last_N, last_value = max(samples)
+    assert len(fitted.coeffs) == p
+    assert type(fitted.n0) is int and fitted.n0 <= last_N
+    assert quasi_value(fitted.coeffs, last_N) == last_value
 
 
 def test_fit_quasi_needs_three_per_class():

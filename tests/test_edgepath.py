@@ -268,7 +268,7 @@ def test_chain_length_decides_the_quadratic_case(monkeypatch):
         assert _chain_cut(params)[0] * (s + t - 1) == -cls.disc, tup
         built.clear()
         slope_report(params)
-        assert (built == [params]) == (cls.degree_model == "quadratic"), tup
+        assert (built == [params]) == cls.quadratic, tup
     assert len(GRID_1260) == 1260
 
 

@@ -16,7 +16,6 @@ from knotslope.jones import (
     _leaves,
     colored_jones,
     domain_points,
-    exact_dplus,
     theta_exponents,
     theta_lcm_exponents,
 )
@@ -344,13 +343,14 @@ def test_two_colored_values_at_roots_of_unity():
 
 
 def test_exact_dplus_examples():
-    assert exact_dplus(KnotParams(-3, 2, 3, -3), 1) == (0, 1)
-    d, lead = exact_dplus(KnotParams(-3, 2, 3, -3), 4)
-    assert d == 2 * 16 - 24 + 2 == 10
-    assert lead > 0
-    d, lead = exact_dplus(KnotParams(-3, 4, 5, -1), 3)
-    assert d == 2 * (-1) * (3 - 1) == -4
-    assert lead > 0
+    poly = colored_jones(KnotParams(-3, 2, 3, -3), 1)
+    assert (poly.max_deg, poly.leading_coeff) == (0, 1)
+    poly = colored_jones(KnotParams(-3, 2, 3, -3), 4)
+    assert poly.max_deg == 2 * 16 - 24 + 2 == 10
+    assert poly.leading_coeff > 0
+    poly = colored_jones(KnotParams(-3, 4, 5, -1), 3)
+    assert poly.max_deg == 2 * (-1) * (3 - 1) == -4
+    assert poly.leading_coeff > 0
 
 
 def test_exact_dplus_matches_closed_form_case1():
@@ -358,11 +358,11 @@ def test_exact_dplus_matches_closed_form_case1():
     for N in range(2, 6):
         expected = 2 * N * N - 6 * N + (2 if N % 2 == 0 else 4)
         assert closed_form_dplus(degree_model(params), N) == expected
-        assert exact_dplus(params, N)[0] == expected
+        assert colored_jones(params, N).max_deg == expected
 
 
 def test_exact_dplus_matches_brute():
     for tup in [(-3, 2, 3, -3), (-3, 4, 5, -1)]:
         params = KnotParams(*tup)
         for N in range(1, 5):
-            assert exact_dplus(params, N)[0] == brute_max_objective(params, N - 1)
+            assert colored_jones(params, N).max_deg == brute_max_objective(params, N - 1)
