@@ -1,7 +1,9 @@
 """Prediction assembly, verification runs, grids, caching, CLI, determinism."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 from collections import Counter
@@ -14,6 +16,8 @@ from knotslope.degopt import degree_model
 from knotslope.edgepath import slope_report
 from knotslope.jones import KnotParams, colored_jones
 from knotslope.pipeline import (
+    CSV_COLUMNS,
+    _csv_row,
     cache_load,
     cache_store,
     grid_run,
@@ -60,16 +64,24 @@ def test_slope_report_digest_pin():
 
 # SHA-256 of the whole verification report, one sorted-key JSON line per
 # tuple of SLOPE_GRID at n_max = 4: classification, prediction, edgepath,
-# degrees, N0, least period, fit (present or null) and flags.
+# degrees, N0, least period, fit (present or null) and flags.  CSV_DIGEST
+# is that of the CSV summary of the same reports: the CSV_COLUMNS header,
+# then one _csv_row per tuple, as grid_run writes them.
 REPORT_DIGEST = "4ffb2742c7ac9910f547a34ce862fb4a20e807f79492a5f85843219f0aba30cb"
+CSV_DIGEST = "6f6d662ed7d8c801a89bb4f25c7af52f63085badaeab9b9323a4b1bd4d07af7a"
 
 
 def test_verification_report_digest_pin():
     digest = hashlib.sha256()
+    rows = io.StringIO()
+    writer = csv.writer(rows, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for tup in itertools.product(*SLOPE_GRID):
         doc = run_verification(KnotParams(*tup), 4).to_json()
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
+        writer.writerow(_csv_row(doc))
     assert digest.hexdigest() == REPORT_DIGEST
+    assert hashlib.sha256(rows.getvalue().encode()).hexdigest() == CSV_DIGEST
 
 
 @pytest.mark.parametrize("tup, classes", [((-3, 2, 3, -3), 2), ((-3, 6, 5, -3), 0)])
