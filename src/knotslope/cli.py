@@ -6,6 +6,12 @@ Subcommands:
   slope    edgepath report (twists, slope, Euler ratios, admissibility)
   verify   run the identity checks over a parameter grid
 
+Each subparser names its handler with set_defaults(run=...), and main
+calls it.  A handler returns its exit code; on a usage, arithmetic or file
+error it raises, and main prints the one line `error: <message>` on
+stderr.  The color limits HARD_N_CEILING and DEFAULT_N_MAX are defined
+here, beside the options and checks that read them.
+
 Exit codes: 0 clean, 2 when a verify run finds a mismatch (an identity
 flag false, or an edgepath system failing E1-E4) or when slope's
 distinguished edgepath system fails E1-E4 (each mismatched tuple is named
@@ -20,7 +26,9 @@ import sys
 
 from . import degopt, edgepath, pipeline
 from .jones import KnotParams, colored_jones
-from .pipeline import DEFAULT_N_MAX, HARD_N_CEILING
+
+DEFAULT_N_MAX = 6
+HARD_N_CEILING = 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +61,7 @@ def build_parser():
         "--n-ceiling", type=int, default=HARD_N_CEILING,
         help="refuse colors above this (state-sum cost grows fast)",
     )
+    p_jones.set_defaults(run=_cmd_jones)
 
     p_degree = sub.add_parser("degree", help="tabulate degrees for N = 1..n-max")
     _add_params(p_degree)
@@ -61,9 +70,11 @@ def build_parser():
         "--method", choices=("exact", "brute", "fast", "closed"), default="closed"
     )
     p_degree.add_argument("--format", choices=("text", "json"), default="text")
+    p_degree.set_defaults(run=_cmd_degree)
 
     p_slope = sub.add_parser("slope", help="edgepath report as JSON")
     _add_params(p_slope)
+    p_slope.set_defaults(run=_cmd_slope)
 
     p_verify = sub.add_parser("verify", help="verify the identities over a grid")
     p_verify.add_argument("--grid", required=True,
@@ -73,18 +84,15 @@ def build_parser():
     p_verify.add_argument("--csv", default=None, help="CSV summary path")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--cache", default=None, help="polynomial cache directory")
+    p_verify.set_defaults(run=_cmd_verify)
 
     return parser
 
 
 def _cmd_jones(args):
     if args.N > args.n_ceiling:
-        print(
-            f"error: N={args.N} above the ceiling {args.n_ceiling}; "
-            "raise --n-ceiling to force",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"N={args.N} above the ceiling {args.n_ceiling}; "
+                         "raise --n-ceiling to force")
     params = _params_from(args)
     poly = pipeline.jones_cached(params, args.N, args.cache)
     if args.format == "json":
@@ -97,11 +105,9 @@ def _cmd_jones(args):
 def _cmd_degree(args):
     params = _params_from(args)
     if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 1
+        raise ValueError("--n-max must be >= 1")
     if args.method == "exact" and args.n_max > HARD_N_CEILING:
-        print(f"error: --n-max above the ceiling {HARD_N_CEILING}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--n-max above the ceiling {HARD_N_CEILING}")
     model = degopt.degree_model(params) if args.method == "closed" else None
     rows = []
     for N in range(1, args.n_max + 1):
@@ -124,27 +130,31 @@ def _cmd_degree(args):
     return 0
 
 
+def _print_mismatch(params, failed):
+    """Name one mismatched (r, s, t, u) tuple and its failed checks on stderr."""
+    print(f"mismatch: {params}: {', '.join(failed)}", file=sys.stderr)
+
+
 def _cmd_slope(args):
     params = _params_from(args)
     side = edgepath.slope_report(params)
     print(json.dumps(side.report, sort_keys=True, indent=2))
     failed = side.admissibility.failed()
     if failed:
-        print(f"mismatch: {params.astuple()}: {', '.join(failed)}", file=sys.stderr)
+        _print_mismatch(params.astuple(), failed)
         return 2
     return 0
 
 
 def _cmd_verify(args):
     if args.n_max > HARD_N_CEILING:
-        print(f"error: --n-max above the ceiling {HARD_N_CEILING}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--n-max above the ceiling {HARD_N_CEILING}")
     summary = pipeline.grid_run(
         args.grid, args.n_max, out_json=args.out, out_csv=args.csv,
         jobs=args.jobs, cache_dir=args.cache,
     )
     for params, failed in summary["mismatches"]:
-        print(f"mismatch: {params}: {', '.join(failed)}", file=sys.stderr)
+        _print_mismatch(params, failed)
     print(
         f"verified {summary['verified']}/{summary['tuples']} tuples, "
         f"{summary['mismatched']} mismatched, {summary['skipped']} skipped "
@@ -154,16 +164,9 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "jones": _cmd_jones,
-        "degree": _cmd_degree,
-        "slope": _cmd_slope,
-        "verify": _cmd_verify,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

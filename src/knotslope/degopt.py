@@ -19,10 +19,10 @@ d = 2n, the parameter space splits into
 Tags "1" and "2.1" give a quadratic degree with period (s+t-1)/2 in the
 color (Classification.quadratic); the rest give the linear degree
 2u(N-1).  degree_model makes that split once per tuple and returns one
-frozen DegreeModel (period, growth, two_b, residues, constants), which
-closed_form_dplus reads.  Residue class j takes its constant at the odd
-integer nearest x = 2(t-1)j/(s+t-1), which is 2*ceil(x/2) - 1
-(residue_data).
+frozen DegreeModel (growth, two_b, residues and one constant per
+residue class), which closed_form_dplus reads.  Residue class j takes
+its constant at the odd integer nearest x = 2(t-1)j/(s+t-1), which is
+2*ceil(x/2) - 1 (residue_data).
 face_objective reads its quadratic part from classify, and
 fast_max_objective takes the split from classify but no closed-form
 coefficient: it evaluates face_objective on the boundary line c = 2n - b
@@ -97,16 +97,20 @@ class ResidueData:
 class DegreeModel:
     """Per-residue quadratic degree model: growth*N^2 + two_b*N + constants[j].
 
-    j = N mod period.  residues holds the ResidueData of each class in the
-    quadratic cases and is empty in the linear ones.
+    j = N mod period, and the period is len(constants).  residues holds
+    the ResidueData of each class in the quadratic cases and is empty in
+    the linear ones.
     """
 
     classification: Classification
-    period: int
     growth: Fraction
     two_b: int
     residues: tuple
     constants: tuple
+
+    @property
+    def period(self):
+        return len(self.constants)
 
     @property
     def coeffs(self):
@@ -234,10 +238,10 @@ def degree_model(params):
     cls = classify(params)
     r, s, t, u = params.astuple()
     if not cls.quadratic:
-        return DegreeModel(cls, 1, Fraction(0), 2 * u, (), (Fraction(-2 * u),))
+        return DegreeModel(cls, Fraction(0), 2 * u, (), (Fraction(-2 * u),))
     residues = tuple(residue_data(params, j) for j in range((s + t - 1) // 2))
     growth = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
-    return DegreeModel(cls, len(residues), growth, 2 * (r + u + 3), residues,
+    return DegreeModel(cls, growth, 2 * (r + u + 3), residues,
                        tuple(res.constant for res in residues))
 
 

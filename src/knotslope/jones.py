@@ -77,13 +77,12 @@ class KnotParams:
 
 
 class ColorTuple(NamedTuple):
-    """One even lattice point of the summation domain at ambient color n."""
+    """One even lattice point (a, b, c, d) of the summation domain."""
 
     a: int
     b: int
     c: int
     d: int
-    n: int
 
 
 def _c_range(a, b, n):
@@ -101,7 +100,7 @@ def domain_points(n):
         for b in range(0, top + 1, 2):
             for c in _c_range(a, b, n):
                 for d in range(0, top + 1, 2):
-                    points.append(ColorTuple(a, b, c, d, n))
+                    points.append(ColorTuple(a, b, c, d))
     return points
 
 

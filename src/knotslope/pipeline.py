@@ -16,6 +16,11 @@ enough samples exist per residue class.  The closed form, the report's
 classification, least period and edgepath fragment all read the
 prediction's model and surface side; nothing is rebuilt per report.
 
+grid_run checks jobs and n_max before it expands the grid, runs one
+verification per tuple and writes the JSON report array and the CSV
+summary, whose flag cells are read by their CSV_COLUMNS names.  The color
+limits of the command line live in the cli module.
+
 All rationals are serialized as "p/q" strings and every JSON document is
 dumped with sorted keys, so identical runs produce byte-identical output.
 """
@@ -36,11 +41,9 @@ from pathlib import Path
 from . import degopt, edgepath
 from .degopt import NoQuadraticFit, fit_quasi
 from .jones import KnotParams, colored_jones
+from .qlaurent import LaurentPoly
 
 log = logging.getLogger(__name__)
-
-DEFAULT_N_MAX = 6
-HARD_N_CEILING = 9
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,10 @@ class Report:
     """Everything one verification run produced.
 
     It holds no timings, so that repeated runs emit byte-identical documents.
+    degrees holds one entry per color N = 1..n_max.
     """
 
     params: KnotParams
-    n_max: int
     prediction: Prediction
     degrees: list
     n0: int | None
@@ -131,7 +134,7 @@ class Report:
             }
         return {
             "params": self.params.as_dict(),
-            "n_max": self.n_max,
+            "n_max": len(self.degrees),
             "classification": classification,
             "prediction": prediction,
             "edgepath": self.prediction.surface.report,
@@ -147,10 +150,14 @@ class Report:
         }
 
 
-def run_verification(params, n_max, cache_dir=None):
-    """Exact degrees against every prediction for N = 1..n_max."""
+def _check_n_max(n_max):
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
+
+
+def run_verification(params, n_max, cache_dir=None):
+    """Exact degrees against every prediction for N = 1..n_max."""
+    _check_n_max(n_max)
     prediction = predict(params)
     model = prediction.model
 
@@ -183,15 +190,7 @@ def run_verification(params, n_max, cache_dir=None):
         "j1_is_one": degrees[0][1] == 0 and degrees[0][2] == 1,
         "fit_matches_prediction": fit_matches,
     }
-    return Report(
-        params=params,
-        n_max=n_max,
-        prediction=prediction,
-        degrees=degrees,
-        n0=n0,
-        fitted=fitted,
-        flags=flags,
-    )
+    return Report(params, prediction, degrees, n0, fitted, flags)
 
 
 # -- polynomial cache -----------------------------------------------------
@@ -244,8 +243,6 @@ def cache_load(cache_dir, params, N):
     colored Jones polynomial: the classical limit J_N(1) = N (the
     coefficient sum) and even exponents only.
     """
-    from .qlaurent import LaurentPoly
-
     path = Path(cache_dir) / params.key() / f"{N}.json"
     if not path.exists():
         return None
@@ -299,8 +296,9 @@ def parse_grid(spec):
 
     Values may also be comma lists.  Returns (valid KnotParams list,
     skipped count); tuples violating the family constraints are skipped
-    silently but counted.  A reversed range, a repeated variable and a
-    repeated comma value each raise ValueError naming the clause.
+    silently but counted.  A value that is not an integer, a reversed
+    range, a repeated variable and a repeated comma value each raise
+    ValueError naming the clause.
     """
     ranges = {}
     for clause in spec.split(";"):
@@ -313,17 +311,16 @@ def parse_grid(spec):
             raise ValueError(f"unknown grid variable {name!r}")
         if name in ranges:
             raise ValueError(f"repeated grid variable in clause {clause!r}")
-        body = body.strip()
-        if ".." in body:
-            lo, _, hi = body.partition("..")
-            lo, hi = int(lo), int(hi)
-            if lo > hi:
-                raise ValueError(f"reversed range in grid clause {clause!r}")
-            values = list(range(lo, hi + 1))
-        else:
-            values = [int(x) for x in body.split(",")]
-            if len(set(values)) != len(values):
-                raise ValueError(f"duplicate value in grid clause {clause!r}")
+        lo, dots, hi = body.partition("..")
+        try:
+            values = (range(int(lo), int(hi) + 1) if dots
+                      else [int(x) for x in body.split(",")])
+        except ValueError:
+            raise ValueError(f"non-integer value in grid clause {clause!r}") from None
+        if not values:
+            raise ValueError(f"reversed range in grid clause {clause!r}")
+        if len(set(values)) != len(values):
+            raise ValueError(f"duplicate value in grid clause {clause!r}")
         ranges[name] = values
     missing = {"r", "s", "t", "u"} - set(ranges)
     if missing:
@@ -341,8 +338,8 @@ def parse_grid(spec):
 
 
 def _run_one(args):
-    r, s, t, u, n_max, cache_dir = args
-    report = run_verification(KnotParams(r, s, t, u), n_max, cache_dir)
+    params, n_max, cache_dir = args
+    report = run_verification(params, n_max, cache_dir)
     return report.to_json(), report.failed_checks()
 
 
@@ -363,18 +360,14 @@ def _fmt_cell(value):
 
 
 def _csv_row(doc):
-    flags = doc["flags"]
-    return [
-        doc["params"]["r"], doc["params"]["s"], doc["params"]["t"],
-        doc["params"]["u"], doc["classification"]["case"],
-        doc["prediction"]["period"], doc["prediction"]["a"],
-        doc["prediction"]["two_b"], _fmt_cell(doc["N0"]),
-        _fmt_cell(flags["slope_match"]), _fmt_cell(flags["euler_match"]),
-        _fmt_cell(flags["degrees_match_closed_form"]),
-        _fmt_cell(flags["no_cancellation"]),
-        _fmt_cell(flags["leading_positive"]), _fmt_cell(flags["j1_is_one"]),
-        _fmt_cell(flags["fit_matches_prediction"]),
-    ]
+    """One CSV_COLUMNS row: the parameters, case, period, slope, two_b and
+    N0, then the flags under their column names."""
+    params, prediction = doc["params"], doc["prediction"]
+    head = [params["r"], params["s"], params["t"], params["u"],
+            doc["classification"]["case"], prediction["period"], prediction["a"],
+            prediction["two_b"], doc["N0"]]
+    flags = [doc["flags"][name] for name in CSV_COLUMNS[len(head):]]
+    return [_fmt_cell(value) for value in head + flags]
 
 
 def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
@@ -383,15 +376,17 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     Returns a summary dict with verified/mismatched/skipped counts and,
     under "mismatches", one ((r, s, t, u), failed check names) pair per
     mismatched tuple, in grid order.  The JSON array and CSV are written
-    deterministically; partial results are flushed if writing fails
-    midway.  jobs below 1 is an error; at most
+    deterministically; each output is written even if the other one
+    fails, and then the first error is raised.  jobs below 1 and n_max
+    below 4 are errors, raised before the grid is expanded; at most
     min(jobs, tuple count, CPU count) worker processes are started.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    _check_n_max(n_max)
     tuples, skipped = parse_grid(spec)
-    worker_args = [(p.r, p.s, p.t, p.u, n_max, cache_dir) for p in tuples]
-    workers = min(jobs, len(worker_args), os.cpu_count() or 1)
+    worker_args = [(p, n_max, cache_dir) for p in tuples]
+    workers = min(jobs, len(tuples), os.cpu_count() or 1)
     started = time.monotonic()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -404,27 +399,22 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     mismatches = [(p.astuple(), failed)
                   for p, (_, failed) in zip(tuples, results) if failed]
 
-    # Write both outputs even if one of them fails, then re-raise.
-    write_error = None
+    outputs = []
     if out_json is not None:
-        try:
-            Path(out_json).write_text(
-                json.dumps(docs, sort_keys=True, indent=2) + "\n"
-            )
-        except OSError as exc:
-            write_error = exc
+        outputs.append((out_json, json.dumps(docs, sort_keys=True, indent=2) + "\n"))
     if out_csv is not None:
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows(
+            [CSV_COLUMNS] + [_csv_row(doc) for doc in docs])
+        outputs.append((out_csv, rows.getvalue()))
+    first_error = None
+    for path, text in outputs:
         try:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for doc in docs:
-                writer.writerow(_csv_row(doc))
-            Path(out_csv).write_text(buf.getvalue())
+            Path(path).write_text(text)
         except OSError as exc:
-            write_error = write_error or exc
-    if write_error is not None:
-        raise write_error
+            first_error = first_error or exc
+    if first_error is not None:
+        raise first_error
 
     return {
         "tuples": len(tuples),

@@ -30,9 +30,9 @@ def qfact(k):
     return qfact(k - 1) * qint(k)
 
 
-def validate_colors(colors):
-    """Reject a ColorTuple outside the summation domain at its color n."""
-    top = 2 * colors.n
+def validate_colors(colors, n):
+    """Reject a ColorTuple outside the summation domain at color n."""
+    top = 2 * n
     for x in (colors.a, colors.b, colors.c, colors.d):
         if x % 2 or not 0 <= x <= top:
             raise ValueError(f"color {x} outside the even range [0, {top}]")
@@ -48,7 +48,7 @@ def summand(params, n, colors):
     theta(x,n,n).  The pair is never reduced, so callers can clear it over
     any common multiple.
     """
-    validate_colors(colors)
+    validate_colors(colors, n)
     a, b, c, d = colors.a, colors.b, colors.c, colors.d
     num = theta(a, b, c)
     d1 = delta6j(a, b, c, n, n, n)

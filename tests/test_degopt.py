@@ -50,7 +50,7 @@ def test_classify_examples():
 
 def test_objective_trivial_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert degree_objective(params, 0, ColorTuple(0, 0, 0, 0, 0)) == 0
+    assert degree_objective(params, 0, ColorTuple(0, 0, 0, 0)) == 0
 
 
 def test_objective_face_identity():
@@ -60,7 +60,7 @@ def test_objective_face_identity():
         for n in range(0, 9):
             for b in range(0, 2 * n + 1, 2):
                 for c in range(0, 2 * n - b + 1, 2):
-                    colors = ColorTuple(b + c, b, c, 2 * n, n)
+                    colors = ColorTuple(b + c, b, c, 2 * n)
                     assert degree_objective(params, n, colors) == face_objective(
                         params, n, b, c
                     ), (tup, n, b, c)
@@ -68,7 +68,7 @@ def test_objective_face_identity():
 
 def test_objective_face_specific_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert degree_objective(params, 1, ColorTuple(2, 2, 0, 2, 1)) == face_objective(
+    assert degree_objective(params, 1, ColorTuple(2, 2, 0, 2)) == face_objective(
         params, 1, 2, 0
     )
 
@@ -97,7 +97,7 @@ def line_value(params, n, b):
 def test_brute_examples():
     params = KnotParams(-3, 2, 3, -3)
     assert brute_max_objective(params, 0) == 0
-    assert argmax(params, 0) == [ColorTuple(0, 0, 0, 0, 0)]
+    assert argmax(params, 0) == [ColorTuple(0, 0, 0, 0)]
     assert brute_max_objective(params, 4) == closed_form_dplus(degree_model(params), 5) == 24
     # The paper's claim: the maximizers lie on the face a = b + c, d = 2n.
     assert all(p.d == 8 and p.a == p.b + p.c for p in argmax(params, 4))
@@ -118,10 +118,10 @@ def test_monotone_in_d_and_a():
             for p in domain_points(n):
                 base = degree_objective(params, n, p)
                 if p.d + 2 <= 2 * n:
-                    stepped = ColorTuple(p.a, p.b, p.c, p.d + 2, n)
+                    stepped = ColorTuple(p.a, p.b, p.c, p.d + 2)
                     assert degree_objective(params, n, stepped) > base
                 if p.a + 2 <= min(p.b + p.c, 2 * n):
-                    stepped = ColorTuple(p.a + 2, p.b, p.c, p.d, n)
+                    stepped = ColorTuple(p.a + 2, p.b, p.c, p.d)
                     assert degree_objective(params, n, stepped) > base
 
 

@@ -72,7 +72,7 @@ def test_params_validation():
 
 
 def test_domain_points_small():
-    assert domain_points(0) == [ColorTuple(0, 0, 0, 0, 0)]
+    assert domain_points(0) == [ColorTuple(0, 0, 0, 0)]
     pts = domain_points(1)
     assert len(pts) == 10
     triples = {(p.a, p.b, p.c) for p in pts}
@@ -100,13 +100,13 @@ def test_domain_points_count_against_filter():
 
 def test_summand_trivial_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert summand(params, 0, ColorTuple(0, 0, 0, 0, 0)) == (ONE, ONE)
+    assert summand(params, 0, ColorTuple(0, 0, 0, 0)) == (ONE, ONE)
 
 
 def test_summand_composes_factors():
     params = KnotParams(-3, 2, 3, -3)
     n = 1
-    colors = ColorTuple(2, 2, 2, 2, n)
+    colors = ColorTuple(2, 2, 2, 2)
     value = summand(params, n, colors)
     d1 = delta6j(2, 2, 2, n, n, n)
     num = theta(2, 2, 2) * d1 * d1 * delta6j(2, n, n, 2, n, n)
@@ -122,7 +122,7 @@ def test_summand_composes_factors():
 def test_summand_factor_cross_check():
     params = KnotParams(-3, 2, 3, -3)
     n = 1
-    colors = ColorTuple(2, 2, 0, 0, n)
+    colors = ColorTuple(2, 2, 0, 0)
     value = summand(params, n, colors)
     d1 = delta6j(2, 2, 0, n, n, n)
     expected_num = theta(2, 2, 0) * d1 * d1 * delta6j(2, n, n, 0, n, n)
@@ -137,9 +137,9 @@ def test_summand_factor_cross_check():
 def test_summand_rejects_bad_colors():
     params = KnotParams(-3, 2, 3, -3)
     with pytest.raises(ValueError):
-        summand(params, 1, ColorTuple(2, 0, 0, 0, 1))
+        summand(params, 1, ColorTuple(2, 0, 0, 0))
     with pytest.raises(ValueError):
-        summand(params, 1, ColorTuple(1, 1, 0, 0, 1))
+        summand(params, 1, ColorTuple(1, 1, 0, 0))
 
 
 def test_colored_jones_normalization():

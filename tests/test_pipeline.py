@@ -144,6 +144,10 @@ def test_run_verification_case2():
 def test_run_verification_rejects_small_nmax():
     with pytest.raises(ValueError):
         run_verification(KnotParams(-3, 2, 3, -3), 3)
+    # grid_run refuses it before it parses the grid, so the reversed range
+    # goes unreported.
+    with pytest.raises(ValueError, match="need n_max >= 4, got 3"):
+        grid_run("r=-3..-5;s=2;t=3;u=-1", 3)
 
 
 def test_invalid_params_rejected_at_parse():
@@ -172,6 +176,11 @@ def test_parse_grid():
         parse_grid("r=-3;s=2;t=3,3;u=-1")
     with pytest.raises(ValueError, match="'u=-1,-3,-1'"):
         parse_grid("r=-3;s=2;t=3;u=-1,-3,-1")
+    # A value that is not an integer names its clause too.
+    with pytest.raises(ValueError, match="'r=-3..'"):
+        parse_grid("r=-3..;s=2;t=3;u=-1")
+    with pytest.raises(ValueError, match="'r=a'"):
+        parse_grid("r=a;s=2;t=3;u=-1")
 
 
 def test_grid_run_small(tmp_path):
@@ -503,6 +512,12 @@ def test_cli_invalid_params_exit_code(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: --n-max above the ceiling 9\n"
+    assert not out.exists()
+    # n_max below 4 is refused also for a grid that yields no tuple.
+    rc = main(["verify", "--grid", "r=-2;s=2;t=3;u=-1", "--n-max", "1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: need n_max >= 4, got 1\n"
     assert not out.exists()
     for grid, clause in (("r=-3;s=2;t=3;u=-1;r=-5", "'r=-5'"),
                          ("r=-3;s=2;t=3,3;u=-1", "'t=3,3'")):
