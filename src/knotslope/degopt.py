@@ -165,7 +165,7 @@ def degree_objective(params, n, colors):
     terms always combine to an integer on even colors.
     """
     r, s, t, u = params.astuple()
-    a, b, c, d = colors.a, colors.b, colors.c, colors.d
+    a, b, c, d = colors
     value = dplus_theta(a, b, c)
     value += 2 * dplus_delta6j(a, b, c, n, n, n)
     value += dplus_delta6j(b, n, n, d, n, n)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .ktg import circle, delta6j, framing_power, theta
-from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div, slot_bytes
+from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -71,19 +71,6 @@ class KnotParams:
         """The {"r", "s", "t", "u"} mapping that JSON records and reports carry."""
         return {"r": self.r, "s": self.s, "t": self.t, "u": self.u}
 
-    def key(self):
-        """Canonical parameter string, used for cache paths."""
-        return f"{self.r}_{self.s}_{self.t}_{self.u}"
-
-
-class ColorTuple(NamedTuple):
-    """One even lattice point (a, b, c, d) of the summation domain."""
-
-    a: int
-    b: int
-    c: int
-    d: int
-
 
 def _c_range(a, b, n):
     """The even c in [0, 2n] that make (a, b, c) admissible."""
@@ -91,7 +78,8 @@ def _c_range(a, b, n):
 
 
 def domain_points(n):
-    """The summation domain at ambient color n, in lexicographic order."""
+    """The summation domain at ambient color n: its even lattice points as
+    (a, b, c, d) tuples, in lexicographic order."""
     if n < 0:
         raise ValueError(f"negative ambient color {n}")
     top = 2 * n
@@ -100,7 +88,7 @@ def domain_points(n):
         for b in range(0, top + 1, 2):
             for c in _c_range(a, b, n):
                 for d in range(0, top + 1, 2):
-                    points.append(ColorTuple(a, b, c, d))
+                    points.append((a, b, c, d))
     return points
 
 
@@ -214,11 +202,11 @@ def colored_jones(params, N):
 
     The grouped sum runs twice over the same factor tables: once over
     their l1 norms, which bounds every coefficient of the total, and once
-    over the factors packed into integers at v^4 = 2^w, with w one bit
-    wider than that bound, rounded up to whole bytes.  Only the total is
-    unpacked.  It carries L^4, and the four final divisions by L and the
-    classical limit J_N(1) = N double as tripwires for the integrality of
-    the sum and for the slot width.
+    over the factors packed into integers at v^4 = 2^w by a PackedRing
+    built for that bound.  Only the total is unpacked.  It carries L^4,
+    and the four final divisions by L and the classical limit J_N(1) = N
+    double as tripwires for the integrality of the sum and for the slot
+    width.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
@@ -230,7 +218,7 @@ def colored_jones(params, N):
 
     leaves = _leaves(params, n, lcm)
     bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
-    ring = PackedRing(slot_bytes(bound), 4)
+    ring = PackedRing(bound, 4)
     packed = leaves.map(ring.pack)
     del leaves  # only the packed tables are used from here; free the rest
     total = ring.unpack(_grouped_sum(n, packed))

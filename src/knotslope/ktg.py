@@ -100,7 +100,9 @@ def _delta_frame(a, b, c, alpha, beta, gamma):
     """Common index bookkeeping for the 6j quotient and its degree.
 
     Returns (half_sum, tops, offsets, zlo, zhi) where the four binomials of
-    the z-sum are [z+1; half_sum+1] and [tops[i]; z - offsets[i]].
+    the z-sum are [z+1; half_sum+1] and [tops[i]; z - offsets[i]].  The
+    z-range zlo..zhi holds exactly the z for which every argument is in
+    range, so it is empty (zhi < zlo) when a top is negative.
     """
     for total in (a + b + c, a + beta + gamma, alpha + b + gamma, alpha + beta + c):
         if total % 2:
@@ -111,7 +113,7 @@ def _delta_frame(a, b, c, alpha, beta, gamma):
     tops = ((-a + b + c) // 2, (a - b + c) // 2, (a + b - c) // 2)
     offsets = ((a + beta + gamma) // 2, (alpha + b + gamma) // 2, (alpha + beta + c) // 2)
     zlo = max(half, *offsets)
-    zhi = min(t + o for t, o in zip(tops, offsets))
+    zhi = min(t + o for t, o in zip(tops, offsets)) if min(tops) >= 0 else zlo - 1
     return half, tops, offsets, zlo, zhi
 
 
@@ -123,8 +125,6 @@ def delta6j(a, b, c, alpha, beta, gamma):
     that state sums can skip vanishing summands uniformly.
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
-    if min(tops) < 0 or zlo > zhi:
-        return ZERO
     acc = ZERO
     for z in range(zlo, zhi + 1):
         term = qbinom(z + 1, half + 1)
@@ -155,7 +155,7 @@ def dplus_delta6j(a, b, c, alpha, beta, gamma):
     no degree).
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
-    if min(tops) < 0 or zlo > zhi:
+    if zlo > zhi:
         raise InadmissibleColoring(
             f"empty summation range for ({a},{b},{c},{alpha},{beta},{gamma})"
         )

@@ -16,9 +16,10 @@ enough samples exist per residue class.  The closed form, the report's
 classification, least period and edgepath fragment all read the
 prediction's model and surface side; nothing is rebuilt per report.
 
-grid_run checks jobs and n_max before it expands the grid, runs one
-verification per tuple and writes the JSON report array and the CSV
-summary, whose flag cells are read by their CSV_COLUMNS names.  The color
+grid_run checks jobs and n_max before it expands the grid and each
+output's parent directory before any tuple runs, runs one verification
+per tuple and writes the JSON report array and the CSV summary, whose
+flag cells are read by their CSV_COLUMNS names.  The color
 limits of the command line live in the cli module.
 
 All rationals are serialized as "p/q" strings and every JSON document is
@@ -215,15 +216,20 @@ def poly_record(params, N, poly):
     return json.dumps(_poly_fields(params, N, poly), sort_keys=True)
 
 
+def cache_path(cache_dir, params, N):
+    """The record file of one polynomial: <cache_dir>/<r>_<s>_<t>_<u>/<N>.json."""
+    return Path(cache_dir) / f"{params.r}_{params.s}_{params.t}_{params.u}" / f"{N}.json"
+
+
 def cache_store(cache_dir, params, N, poly):
-    """Write one polynomial record; the key is '<r>_<s>_<t>_<u>/<N>'.
+    """Write one polynomial record to its cache_path.
 
     The record is the poly_record fields plus "format": CACHE_FORMAT.  It
     goes to a temporary file beside it and is renamed into place, so a
     reader never sees a partial record and a failed write leaves any
     earlier record intact and no temporary file behind.
     """
-    path = Path(cache_dir) / params.key() / f"{N}.json"
+    path = cache_path(cache_dir, params, N)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     record = dict(_poly_fields(params, N, poly), format=CACHE_FORMAT)
@@ -243,7 +249,7 @@ def cache_load(cache_dir, params, N):
     colored Jones polynomial: the classical limit J_N(1) = N (the
     coefficient sum) and even exponents only.
     """
-    path = Path(cache_dir) / params.key() / f"{N}.json"
+    path = cache_path(cache_dir, params, N)
     if not path.exists():
         return None
     try:
@@ -282,7 +288,7 @@ def jones_cached(params, N, cache_dir):
     cached = cache_load(cache_dir, params, N)
     if cached is not None:
         return cached
-    (Path(cache_dir) / params.key()).mkdir(parents=True, exist_ok=True)
+    cache_path(cache_dir, params, N).parent.mkdir(parents=True, exist_ok=True)
     poly = colored_jones(params, N)
     cache_store(cache_dir, params, N, poly)
     return poly
@@ -370,21 +376,37 @@ def _csv_row(doc):
     return [_fmt_cell(value) for value in head + flags]
 
 
+def _check_parent(path):
+    """Raise now, naming path, the OSError that writing path would raise
+    for want of a parent directory: FileNotFoundError for a missing one,
+    NotADirectoryError for a file.  Creates nothing."""
+    path = Path(path)
+    try:
+        os.stat(f"{path.parent}/")  # the trailing slash resolves it as a directory
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     """Run the verification over a parameter grid and write the reports.
 
     Returns a summary dict with verified/mismatched/skipped counts and,
     under "mismatches", one ((r, s, t, u), failed check names) pair per
     mismatched tuple, in grid order.  The JSON array and CSV are written
-    deterministically; each output is written even if the other one
-    fails, and then the first error is raised.  jobs below 1 and n_max
-    below 4 are errors, raised before the grid is expanded; at most
-    min(jobs, tuple count, CPU count) worker processes are started.
+    deterministically; an output whose parent is not a directory is an
+    error raised before any tuple runs, and an output that fails later is
+    written past: the other one is still written, and then the first error
+    is raised.  jobs below 1 and n_max below 4 are errors, raised before
+    the grid is expanded; at most min(jobs, tuple count, CPU count) worker
+    processes are started.
     """
     if jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     _check_n_max(n_max)
     tuples, skipped = parse_grid(spec)
+    for path in (out_json, out_csv):
+        if path is not None:
+            _check_parent(path)
     worker_args = [(p, n_max, cache_dir) for p in tuples]
     workers = min(jobs, len(tuples), os.cpu_count() or 1)
     started = time.monotonic()

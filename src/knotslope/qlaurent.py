@@ -20,8 +20,8 @@ Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
 v^k Z[v^stride], held as integers evaluated at v^stride = 2^w, so that a
 sum of products is big-integer arithmetic from the packed factors to the
-one result that is read back from fixed-width slots (slot_bytes,
-_pack_slots, _unpack_slots).
+one result that is read back from fixed-width slots, sized from a
+bound on the coefficients when the ring is built.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
@@ -186,9 +186,7 @@ class LaurentPoly:
         """Multiply by sign * v^exponent (sign must be +1 or -1)."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if sign == 1:
-            return LaurentPoly._raw({e + exponent: c for e, c in self._terms.items()})
-        return LaurentPoly._raw({e + exponent: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw({e + exponent: sign * c for e, c in self._terms.items()})
 
     # -- comparisons ----------------------------------------------------
 
@@ -243,81 +241,29 @@ ZERO = LaurentPoly._raw({})
 ONE = LaurentPoly._raw({0: 1})
 
 
-# -- Kronecker slots ---------------------------------------------------------
-#
-# A term map whose exponents lie on lo + stride * k, k >= 0, is packed as
-# the integer sum of c * 2^(w k) with w = 8 * width: its value at
-# v^stride = 2^w, divided by v^lo.  Each coefficient sits in one w-bit
-# slot as a balanced digit: stored biased by half = 2^(w-1), so the slot
-# is never negative, and read back minus half.  A slot therefore holds
-# exactly the coefficients of magnitude below 2^(w-1).
-
-
-def slot_bytes(bound):
-    """Bytes per slot for coefficients of magnitude at most bound.
-
-    One bit wider than the bound, for the sign of the balanced digit,
-    rounded up to whole bytes.
-    """
-    return (bound.bit_length() + 8) // 8
-
-
-def _bias(count, width):
-    """half = 2^(8*width - 1) in each of count slots."""
-    half_slot = (1 << (8 * width - 1)).to_bytes(width, "little")
-    return int.from_bytes(half_slot * count, "little")
-
-
-def _pack_slots(terms, lo, stride, width):
-    """A nonzero term map as one integer with one slot per stride step.
-
-    lo must be the lowest exponent and stride must divide every offset
-    from it.  A coefficient too wide for its slot raises OverflowError.
-    """
-    half = 1 << (8 * width - 1)
-    count = (max(terms) - lo) // stride + 1
-    slots = [half] * count
-    for e, c in terms.items():
-        slots[(e - lo) // stride] = c + half
-    biased = int.from_bytes(
-        b"".join([c.to_bytes(width, "little") for c in slots]), "little")
-    return biased - _bias(count, width)
-
-
-def _unpack_slots(value, lo, stride, width):
-    """The term map whose packed integer is value; zero gives {}.
-
-    Exact when every coefficient has magnitude below 2^(8*width - 1): the
-    top nonzero slot of such a value lies at or below bit_length / w,
-    w = 8 * width.  One slot more than that keeps value plus the bias
-    positive and below 2^(w * count) for any value, so a value packed
-    from wider coefficients still reads back, as wrong digits, for the
-    caller's exactness checks to catch.
-    """
-    count = abs(value).bit_length() // (8 * width) + 2
-    half = 1 << (8 * width - 1)
-    raw = (value + _bias(count, width)).to_bytes(count * width, "little")
-    from_bytes = int.from_bytes
-    digits = [from_bytes(raw[i:i + width], "little") - half
-              for i in range(0, count * width, width)]
-    return {lo + k * stride: c for k, c in enumerate(digits) if c}
-
-
 class PackedRing:
     """Laurent polynomials of one coset v^k Z[v^stride] as packed integers.
 
     A packed value v^lo * P(v^stride), with P a polynomial, is held as
-    the integer P(2^w) and lo, w = 8 * width.  Evaluation at
-    v^stride = 2^w is a ring homomorphism, so products and sums of packed
-    values take big-integer arithmetic only, and intermediate values may
-    have any coefficients.  unpack reads a result back exactly when its
-    coefficients have magnitude below 2^(w-1) (see slot_bytes); pack
-    raises OverflowError for a coefficient too wide for its slot.  The
-    ring counts the products and sums it forms.
+    the integer P(2^w) and lo, w = 8 * width: the terms at exponents
+    lo + stride * k, k >= 0, become the integer sum of c * 2^(w k).
+    Evaluation at v^stride = 2^w is a ring homomorphism, so products and
+    sums of packed values take big-integer arithmetic only, and
+    intermediate values may have any coefficients.
+
+    Each coefficient sits in one w-bit slot as a balanced digit: stored
+    biased by half = 2^(w-1), so the slot is never negative, and read back
+    minus half.  A slot therefore holds exactly the coefficients of
+    magnitude below 2^(w-1).  The ring is built for coefficients of
+    magnitude at most bound, so a slot is one bit wider than the bound,
+    for the sign, rounded up to whole bytes.  unpack reads a result back
+    exactly when its coefficients lie within the bound; pack raises
+    OverflowError for a coefficient too wide for its slot.  The ring
+    counts the products and sums it forms.
     """
 
-    def __init__(self, width, stride):
-        self.width = width
+    def __init__(self, bound, stride):
+        self.width = (bound.bit_length() + 8) // 8
         self.stride = stride
         self.muls = 0
         self.adds = 0
@@ -325,15 +271,38 @@ class PackedRing:
     def pack(self, poly):
         if not poly:
             return Packed(0, 0, self)
-        terms = poly._terms
+        terms, stride, width = poly._terms, self.stride, self.width
         lo = min(terms)
-        if any((e - lo) % self.stride for e in terms):
-            raise ArithmeticError(f"exponents outside one coset mod {self.stride}")
-        return Packed(_pack_slots(terms, lo, self.stride, self.width), lo, self)
+        if any((e - lo) % stride for e in terms):
+            raise ArithmeticError(f"exponents outside one coset mod {stride}")
+        half = 1 << (8 * width - 1)
+        slots = [half] * ((max(terms) - lo) // stride + 1)
+        for e, c in terms.items():
+            slots[(e - lo) // stride] = c + half
+        biased = b"".join([c.to_bytes(width, "little") for c in slots])
+        bias = half.to_bytes(width, "little") * len(slots)
+        value = int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
+        return Packed(value, lo, self)
 
     def unpack(self, packed):
-        return LaurentPoly._raw(
-            _unpack_slots(packed.value, packed.lo, self.stride, self.width))
+        """The LaurentPoly of a packed value; zero gives the zero polynomial.
+
+        The top nonzero slot of a value whose coefficients fit their slots
+        lies at or below bit_length / w.  Reading one slot more than that
+        keeps value plus the bias positive and below 2^(w * count) for any
+        value, so a value packed from wider coefficients still reads back,
+        as wrong digits, for the caller's exactness checks to catch.
+        """
+        width = self.width
+        count = abs(packed.value).bit_length() // (8 * width) + 2
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+        raw = (packed.value + bias).to_bytes(count * width, "little")
+        from_bytes = int.from_bytes
+        digits = [from_bytes(raw[i:i + width], "little") - half
+                  for i in range(0, count * width, width)]
+        lo, stride = packed.lo, self.stride
+        return LaurentPoly._raw({lo + k * stride: c for k, c in enumerate(digits) if c})
 
 
 class Packed:

@@ -31,13 +31,14 @@ def qfact(k):
 
 
 def validate_colors(colors, n):
-    """Reject a ColorTuple outside the summation domain at color n."""
+    """Reject an (a, b, c, d) point outside the summation domain at color n."""
+    a, b, c, d = colors
     top = 2 * n
-    for x in (colors.a, colors.b, colors.c, colors.d):
+    for x in (a, b, c, d):
         if x % 2 or not 0 <= x <= top:
             raise ValueError(f"color {x} outside the even range [0, {top}]")
-    if not is_admissible(colors.a, colors.b, colors.c):
-        raise ValueError(f"({colors.a}, {colors.b}, {colors.c}) is not admissible")
+    if not is_admissible(a, b, c):
+        raise ValueError(f"({a}, {b}, {c}) is not admissible")
 
 
 def summand(params, n, colors):
@@ -49,7 +50,7 @@ def summand(params, n, colors):
     any common multiple.
     """
     validate_colors(colors, n)
-    a, b, c, d = colors.a, colors.b, colors.c, colors.d
+    a, b, c, d = colors
     num = theta(a, b, c)
     d1 = delta6j(a, b, c, n, n, n)
     num = num * d1 * d1 * delta6j(b, n, n, d, n, n)

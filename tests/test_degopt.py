@@ -22,7 +22,7 @@ from knotslope.degopt import (
     residue_data,
     stabilization_threshold,
 )
-from knotslope.jones import ColorTuple, KnotParams, domain_points
+from knotslope.jones import KnotParams, domain_points
 
 CASE_EXAMPLES = {
     (-3, 2, 3, -3): "1",
@@ -50,7 +50,7 @@ def test_classify_examples():
 
 def test_objective_trivial_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert degree_objective(params, 0, ColorTuple(0, 0, 0, 0)) == 0
+    assert degree_objective(params, 0, (0, 0, 0, 0)) == 0
 
 
 def test_objective_face_identity():
@@ -60,7 +60,7 @@ def test_objective_face_identity():
         for n in range(0, 9):
             for b in range(0, 2 * n + 1, 2):
                 for c in range(0, 2 * n - b + 1, 2):
-                    colors = ColorTuple(b + c, b, c, 2 * n)
+                    colors = (b + c, b, c, 2 * n)
                     assert degree_objective(params, n, colors) == face_objective(
                         params, n, b, c
                     ), (tup, n, b, c)
@@ -68,7 +68,7 @@ def test_objective_face_identity():
 
 def test_objective_face_specific_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert degree_objective(params, 1, ColorTuple(2, 2, 0, 2)) == face_objective(
+    assert degree_objective(params, 1, (2, 2, 0, 2)) == face_objective(
         params, 1, 2, 0
     )
 
@@ -97,14 +97,14 @@ def line_value(params, n, b):
 def test_brute_examples():
     params = KnotParams(-3, 2, 3, -3)
     assert brute_max_objective(params, 0) == 0
-    assert argmax(params, 0) == [ColorTuple(0, 0, 0, 0)]
+    assert argmax(params, 0) == [(0, 0, 0, 0)]
     assert brute_max_objective(params, 4) == closed_form_dplus(degree_model(params), 5) == 24
     # The paper's claim: the maximizers lie on the face a = b + c, d = 2n.
-    assert all(p.d == 8 and p.a == p.b + p.c for p in argmax(params, 4))
+    assert all(d == 8 and a == b + c for a, b, c, d in argmax(params, 4))
 
     params = KnotParams(-3, 4, 5, -1)
     assert brute_max_objective(params, 3) == -6
-    points = {(p.a, p.b, p.c, p.d) for p in argmax(params, 3)}
+    points = set(argmax(params, 3))
     assert (0, 0, 0, 6) in points
     assert all(b == c and a == b + c and d == 6 for a, b, c, d in points)
 
@@ -115,14 +115,12 @@ def test_monotone_in_d_and_a():
     for tup in [(-3, 2, 3, -3), (-5, 6, 7, -1), (-3, 4, 5, -1)]:
         params = KnotParams(*tup)
         for n in (1, 2, 3):
-            for p in domain_points(n):
-                base = degree_objective(params, n, p)
-                if p.d + 2 <= 2 * n:
-                    stepped = ColorTuple(p.a, p.b, p.c, p.d + 2)
-                    assert degree_objective(params, n, stepped) > base
-                if p.a + 2 <= min(p.b + p.c, 2 * n):
-                    stepped = ColorTuple(p.a + 2, p.b, p.c, p.d)
-                    assert degree_objective(params, n, stepped) > base
+            for a, b, c, d in domain_points(n):
+                base = degree_objective(params, n, (a, b, c, d))
+                if d + 2 <= 2 * n:
+                    assert degree_objective(params, n, (a, b, c, d + 2)) > base
+                if a + 2 <= min(b + c, 2 * n):
+                    assert degree_objective(params, n, (a + 2, b, c, d)) > base
 
 
 def test_fast_equals_brute_on_grid():
@@ -150,7 +148,7 @@ def test_line_tie_gives_equal_values():
     assert line_peak(params, n) == 3
     assert line_value(params, n, 2) == line_value(params, n, 4) == 10
     assert brute_max_objective(params, n) == 10
-    assert [(p.b, p.c) for p in argmax(params, n)] == [(2, 4), (4, 2)]
+    assert [(b, c) for _, b, c, _ in argmax(params, n)] == [(2, 4), (4, 2)]
 
     params = KnotParams(-5, 6, 7, -1)
     assert line_peak(params, 1) == 1

@@ -10,7 +10,6 @@ from oracles import summand
 
 from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_model
 from knotslope.jones import (
-    ColorTuple,
     KnotParams,
     _grouped_sum,
     _leaves,
@@ -29,7 +28,6 @@ from knotslope.qlaurent import (
     cyclotomic,
     exact_div,
     qint,
-    slot_bytes,
 )
 
 
@@ -68,16 +66,15 @@ def test_params_validation():
         KnotParams(-1, 2, 3, -1)  # r too large
     with pytest.raises(ValueError):
         KnotParams(-3, 2, 3, -2)  # u even
-    assert KnotParams(-3, 2, 3, -1).key() == "-3_2_3_-1"
 
 
 def test_domain_points_small():
-    assert domain_points(0) == [ColorTuple(0, 0, 0, 0)]
+    assert domain_points(0) == [(0, 0, 0, 0)]
     pts = domain_points(1)
     assert len(pts) == 10
-    triples = {(p.a, p.b, p.c) for p in pts}
+    triples = {p[:3] for p in pts}
     assert triples == {(0, 0, 0), (0, 2, 2), (2, 0, 2), (2, 2, 0), (2, 2, 2)}
-    assert {p.d for p in pts} == {0, 2}
+    assert {p[3] for p in pts} == {0, 2}
     assert pts == sorted(pts)
     with pytest.raises(ValueError):
         domain_points(-1)
@@ -94,19 +91,18 @@ def test_domain_points_count_against_filter():
             for d in range(0, 2 * n + 1, 2)
             if a <= b + c and b <= a + c and c <= a + b
         ]
-        got = [(p.a, p.b, p.c, p.d) for p in domain_points(n)]
-        assert got == expected
+        assert domain_points(n) == expected
 
 
 def test_summand_trivial_point():
     params = KnotParams(-3, 2, 3, -3)
-    assert summand(params, 0, ColorTuple(0, 0, 0, 0)) == (ONE, ONE)
+    assert summand(params, 0, (0, 0, 0, 0)) == (ONE, ONE)
 
 
 def test_summand_composes_factors():
     params = KnotParams(-3, 2, 3, -3)
     n = 1
-    colors = ColorTuple(2, 2, 2, 2)
+    colors = (2, 2, 2, 2)
     value = summand(params, n, colors)
     d1 = delta6j(2, 2, 2, n, n, n)
     num = theta(2, 2, 2) * d1 * d1 * delta6j(2, n, n, 2, n, n)
@@ -122,7 +118,7 @@ def test_summand_composes_factors():
 def test_summand_factor_cross_check():
     params = KnotParams(-3, 2, 3, -3)
     n = 1
-    colors = ColorTuple(2, 2, 0, 0)
+    colors = (2, 2, 0, 0)
     value = summand(params, n, colors)
     d1 = delta6j(2, 2, 0, n, n, n)
     expected_num = theta(2, 2, 0) * d1 * d1 * delta6j(2, n, n, 0, n, n)
@@ -137,9 +133,9 @@ def test_summand_factor_cross_check():
 def test_summand_rejects_bad_colors():
     params = KnotParams(-3, 2, 3, -3)
     with pytest.raises(ValueError):
-        summand(params, 1, ColorTuple(2, 0, 0, 0))
+        summand(params, 1, (2, 0, 0, 0))
     with pytest.raises(ValueError):
-        summand(params, 1, ColorTuple(1, 1, 0, 0))
+        summand(params, 1, (1, 1, 0, 0))
 
 
 def test_colored_jones_normalization():
@@ -248,7 +244,7 @@ def test_l1_bound_covers_the_total():
             total = _grouped_sum(n, leaves)
             bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
             assert max(abs(c) for _, c in total.terms()) <= bound
-            ring = PackedRing(slot_bytes(bound), 4)
+            ring = PackedRing(bound, 4)
             assert ring.unpack(_grouped_sum(n, leaves.map(ring.pack))) == total
 
 

@@ -1,6 +1,6 @@
 """Building-block evaluators against hand expansions and degree laws."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from oracles import qfact
@@ -184,3 +184,31 @@ def test_delta_degree_law_state_sum_shapes():
                 if value.is_zero():
                     continue
                 assert value.max_deg == dplus_delta6j(b, n, n, d, n, n), (b, d, n)
+
+
+def test_delta_emptiness_and_degree_law_on_general_shapes():
+    # Every 6-tuple with entries 0..6 and even vertex sums: the quotient
+    # is zero exactly when its degree raises for an empty z-range, and
+    # otherwise the degree law holds.  The empty ones include a negative
+    # top, (4,0,0,0,2,2), and an empty range with every top non-negative,
+    # (2,2,0,4,0,0).
+    counts = {True: 0, False: 0}
+    for a, b, c, alpha, beta, gamma in product(range(7), repeat=6):
+        sums = (a + b + c, a + beta + gamma, alpha + b + gamma, alpha + beta + c)
+        if any(x % 2 for x in sums):
+            continue
+        args = (a, b, c, alpha, beta, gamma)
+        value = delta6j(*args)
+        try:
+            degree = dplus_delta6j(*args)
+        except InadmissibleColoring:
+            assert value.is_zero(), args
+            counts[True] += 1
+            continue
+        assert value.max_deg == degree, args
+        counts[False] += 1
+    assert counts == {True: 11478, False: 3418}
+    for args in ((4, 0, 0, 0, 2, 2), (2, 2, 0, 4, 0, 0)):
+        assert delta6j(*args) == ZERO
+        with pytest.raises(InadmissibleColoring):
+            dplus_delta6j(*args)

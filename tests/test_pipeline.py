@@ -287,6 +287,7 @@ def test_cache_round_trip(tmp_path):
     poly = colored_jones(params, 3)
     assert cache_load(tmp_path, params, 3) is None
     path = cache_store(tmp_path, params, 3, poly)
+    assert path == tmp_path / "-3_2_3_-3" / "3.json"
     assert path.exists()
     assert cache_load(tmp_path, params, 3) == poly
 
@@ -376,7 +377,7 @@ def test_cache_discards_records_of_another_format(tmp_path, caplog):
 
     params = KnotParams(-3, 2, 3, -3)
     poly = colored_jones(params, 3)
-    path = tmp_path / params.key() / "3.json"
+    path = pipeline_mod.cache_path(tmp_path, params, 3)
     path.parent.mkdir(parents=True)
     for fmt in (None, pipeline_mod.CACHE_FORMAT + 1):
         record = json.loads(pipeline_mod.poly_record(params, 3, poly))
@@ -528,18 +529,19 @@ def test_cli_invalid_params_exit_code(tmp_path, capsys):
 
 
 def test_cli_file_errors_exit_code(tmp_path, capsys, monkeypatch):
-    # An unwritable --out still lets --csv be written in full, and an
-    # unwritable --csv lets --out be; a cache path under a regular file
-    # fails before any polynomial is computed.  Each is one error line,
-    # exit 1.
+    # An --out that fails at write time (it is a directory) still lets
+    # --csv be written in full, and such a --csv lets --out be; a cache
+    # path under a regular file fails before any polynomial is computed.
+    # Each is one error line, exit 1.
     args = ["verify", "--grid", "r=-3;s=2;t=3;u=-3..-1", "--n-max", "4"]
     assert main(args + ["--out", str(tmp_path / "ok.json"),
                         "--csv", str(tmp_path / "ok.csv")]) == 0
     capsys.readouterr()
-    missing = tmp_path / "missing"
+    taken = tmp_path / "taken"
+    taken.mkdir()
     for out, csv_path, kept, reference in (
-            (missing / "r.json", tmp_path / "r.csv", tmp_path / "r.csv", "ok.csv"),
-            (tmp_path / "j.json", missing / "j.csv", tmp_path / "j.json", "ok.json")):
+            (taken, tmp_path / "r.csv", tmp_path / "r.csv", "ok.csv"),
+            (tmp_path / "j.json", taken, tmp_path / "j.json", "ok.json")):
         rc = main(args + ["--out", str(out), "--csv", str(csv_path)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -560,6 +562,31 @@ def test_cli_file_errors_exit_code(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_verify_output_parent_checked_before_any_tuple_runs(tmp_path, capsys, monkeypatch):
+    # An output in a missing directory, or under a regular file, fails
+    # before the first tuple runs, with the line the write would give,
+    # and leaves neither output behind.
+    import knotslope.pipeline as pipeline_mod
+
+    calls = []
+    monkeypatch.setattr(pipeline_mod, "_run_one", calls.append)
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    args = ["verify", "--grid", "r=-3;s=2;t=3;u=-3..-1", "--n-max", "4"]
+    missing_json, blocked_csv = tmp_path / "missing" / "r.json", blocker / "j.csv"
+    for out, csv_path, bad, error in (
+            (missing_json, tmp_path / "r.csv", missing_json, FileNotFoundError),
+            (tmp_path / "j.json", blocked_csv, blocked_csv, NotADirectoryError)):
+        with pytest.raises(error) as info:
+            bad.write_text("")
+        assert main(args + ["--out", str(out), "--csv", str(csv_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {info.value}\n"
+        assert captured.out == ""
+        assert calls == []
+        assert not out.exists() and not csv_path.exists()
 
 
 def test_verify_counts_inadmissible_system_as_mismatch(tmp_path, capsys, monkeypatch):

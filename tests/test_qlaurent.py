@@ -20,7 +20,6 @@ from knotslope.qlaurent import (
     exact_div,
     qbinom,
     qint,
-    slot_bytes,
 )
 
 
@@ -228,9 +227,9 @@ def test_mul_small_and_sparse_operands_take_loop():
     assert qint(2) * qint(2) == LaurentPoly({4: 1, 0: 2, -4: 1})
 
 
-def packed_product(a, b, width, stride):
-    """a * b for term maps a, b, through a PackedRing(width, stride)."""
-    ring = PackedRing(width, stride)
+def packed_product(a, b, bound, stride):
+    """a * b for term maps a, b, through a PackedRing(bound, stride)."""
+    ring = PackedRing(bound, stride)
     return ring.unpack(ring.pack(LaurentPoly(a)) * ring.pack(LaurentPoly(b)))
 
 
@@ -244,9 +243,9 @@ def test_packed_ring_cancellation(g, offset, k, c, d):
     b = {0: d, g: -d}
     expected = LaurentPoly({offset: c * d, offset + g * k: -c * d})
     assert LaurentPoly(a) * LaurentPoly(b) == expected
-    width = slot_bytes(k * abs(c * d))
-    assert packed_product(a, b, width, g) == expected
-    assert packed_product(a, b, width, 1) == expected
+    bound = k * abs(c * d)
+    assert packed_product(a, b, bound, g) == expected
+    assert packed_product(a, b, bound, 1) == expected
 
 
 def test_packed_ring_at_the_slot_bound():
@@ -261,8 +260,8 @@ def test_packed_ring_at_the_slot_bound():
                 expected = LaurentPoly(a) * LaurentPoly(b)
                 bound = m * c * c
                 assert max(abs(x) for _, x in expected.terms()) == bound
-                assert packed_product(a, b, slot_bytes(bound), 4) == expected
-                assert packed_product(a, b, slot_bytes(bound), 1) == expected
+                assert packed_product(a, b, bound, 4) == expected
+                assert packed_product(a, b, bound, 1) == expected
 
 
 WIDE = 2 ** 200
@@ -295,11 +294,11 @@ def test_packed_ring_matches_dict_arithmetic(operands):
     stride, a, b, c = operands
     p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
     norms = [x.l1_norm() for x in (p, q, r)]
-    width = slot_bytes(max(*norms, norms[0] * norms[1] + norms[2]))
+    bound = max(*norms, norms[0] * norms[1] + norms[2])
     product = p * q
     # At the operands' stride and at stride 1, which holds every coset.
     for ring_stride in {stride, 1}:
-        ring = PackedRing(width, ring_stride)
+        ring = PackedRing(bound, ring_stride)
         pp, pq, pr = ring.pack(p), ring.pack(q), ring.pack(r)
         assert ring.unpack(pp * pq) == product
         assert ring.unpack(pp * pq + pr) == product + r
@@ -311,7 +310,7 @@ def test_packed_ring_matches_dict_arithmetic(operands):
 
 
 def test_packed_sum_across_cosets_raises():
-    ring = PackedRing(2, 4)
+    ring = PackedRing(3, 4)
     two, one = ring.pack(qint(2)), ring.pack(ONE)  # v^2 + v^-2 and 1
     with pytest.raises(ArithmeticError):
         two + one
