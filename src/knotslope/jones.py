@@ -26,17 +26,21 @@ taken, and the result is bit-identical however the work is ordered.
 The grouped sum runs on packed integers (qlaurent.PackedRing): each
 factor is evaluated once at v^4 = 2^w, every level of the sum is
 big-integer arithmetic, and only the total is read back into a Laurent
-polynomial.  The slot width w comes from a first run of the same grouped
-sum over the factors' l1 norms, which bounds every coefficient of the
-total.  The final divisions and the classical limit J_N(1) = N check the
-result, so a slot too narrow for it raises ArithmeticError.
+polynomial.  The knot enters only through the framing factors f(x)^w,
+signed monomials, so the factors, L and the ring are built once per n
+(_state_tables) and a knot twists them by Packed.shift, with no
+multiply.  A twist keeps every l1 norm, so one run of the same grouped
+sum over the factors' l1 norms per n bounds every coefficient of the
+total and sets the slot width w.  The final divisions and the classical
+limit J_N(1) = N check the result, so a slot too narrow for it raises
+ArithmeticError.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
 
 from .ktg import circle, delta6j, framing_power, theta
 from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div
@@ -122,106 +126,89 @@ def theta_lcm_exponents(n):
     return exponents
 
 
-class _Leaves(NamedTuple):
-    """The factors of the grouped state sum at one ambient color n.
+@lru_cache(maxsize=None)
+def _state_tables(n):
+    """The knot-independent tables of the state sum at ambient color n.
 
-    a, b, c, d map each even color x to its twisted factor
-    O^x f(x)^w L / theta(x,n,n), with w = r, s, t, u; bd maps (b, d) to
-    delta6j(b,n,n,d,n,n); theta and delta map each admissible sorted
-    triple a <= b <= c to theta(a,b,c) and delta6j(a,b,c,n,n,n), which are
-    symmetric in (a, b, c): permuting the triple permutes the four
-    quantum binomials of each z-term and leaves the z-range unchanged.
+    Returns (lcm, ring, base, bd, tri): L = lcm_x theta(x,n,n), and the
+    PackedRing and the tables packed in it, where base maps each even color
+    x to O^x L / theta(x,n,n), bd maps (b, d) to delta6j(b,n,n,d,n,n), and
+    tri maps each admissible sorted triple a <= b <= c to
+    theta(a,b,c) delta6j(a,b,c,n,n,n)^2, which is symmetric in (a, b, c):
+    permuting the triple permutes the four quantum binomials of each
+    z-term and leaves the z-range unchanged.  The ring's bound is the
+    grouped sum over the l1 norms with base's norms for all four twisted
+    tables.  Each cofactor L / theta(x,n,n) is an exact division, so an L
+    that misses a factor of some theta raises NonExactDivision here.
+    Callers share the tables and only read them; the ring's counters move.
     """
-
-    a: dict
-    b: dict
-    c: dict
-    d: dict
-    bd: dict
-    theta: dict
-    delta: dict
-
-    def map(self, f):
-        """The same tables with f applied to every factor."""
-        return _Leaves(*({k: f(v) for k, v in table.items()} for table in self))
-
-
-def _leaves(params, n, lcm):
-    """The factor tables of the state sum, brought over L = lcm.
-
-    Each cofactor L / theta(x,n,n) is an exact division, so an L that
-    misses a factor of some theta raises NonExactDivision here.
-    """
+    lcm = ONE
+    for d, m in theta_lcm_exponents(n).items():
+        lcm = lcm * cyclotomic(d) ** m
     evens = range(0, 2 * n + 1, 2)
     base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
-
-    def twisted(w):
-        table = {}
-        for x in evens:
-            m = framing_power(x, w)
-            table[x] = base[x].shift(m.exponent, m.sign)
-        return table
-
+    bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     triples = [(a, b, c) for a in evens for b in evens for c in _c_range(a, b, n)
                if a <= b <= c]
-    return _Leaves(
-        *(twisted(w) for w in params.astuple()),
-        bd={(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens},
-        theta={abc: theta(*abc) for abc in triples},
-        delta={abc: delta6j(*abc, n, n, n) for abc in triples},
-    )
+    factors = {abc: (theta(*abc), delta6j(*abc, n, n, n)) for abc in triples}
+
+    norm = LaurentPoly.l1_norm
+    base_norm = {x: norm(p) for x, p in base.items()}
+    ring = PackedRing(_grouped_sum(
+        n, base_norm, base_norm, base_norm, base_norm,
+        {k: norm(p) for k, p in bd.items()},
+        {abc: norm(t) * norm(dl) * norm(dl) for abc, (t, dl) in factors.items()}), 4)
+    pack = ring.pack
+    tri = {}
+    for abc, (t, dl) in factors.items():
+        packed_delta = pack(dl)
+        tri[abc] = pack(t) * packed_delta * packed_delta
+    return (lcm, ring, {x: pack(p) for x, p in base.items()},
+            {k: pack(p) for k, p in bd.items()}, tri)
 
 
-def _grouped_sum(n, f):
-    """The grouped state sum over the factor tables f: J_sum * L^4.
+def _grouped_sum(n, fa, fb, fc, fd, bd, tri):
+    """The grouped state sum: J_sum * L^4 for the twisted factor tables
+    fa, fb, fc, fd and _state_tables' bd and tri.
 
-    The inner d-sum is formed once per b-value, and the product
-    theta(a,b,c) delta6j(a,b,c,n,n,n)^2 once per sorted triple.  Only + and
-    * are applied to the factors, so the same traversal runs over
-    LaurentPoly factors, over packed integers, and over l1 norms, where it
-    gives an upper bound of the l1 norm of the total, because
-    ||PQ|| <= ||P|| ||Q|| and ||P + Q|| <= ||P|| + ||Q||.
+    The inner d-sum is formed once per b-value.  Only + and * are applied
+    to the factors, so the same traversal runs over LaurentPoly factors,
+    over packed integers, and over l1 norms, where it gives an upper
+    bound of the l1 norm of the total, because ||PQ|| <= ||P|| ||Q|| and
+    ||P + Q|| <= ||P|| + ||Q||.
     """
     evens = range(0, 2 * n + 1, 2)
-    w = {b: f.b[b] * sum(f.bd[b, d] * f.d[d] for d in evens) for b in evens}
-    tri = {abc: f.theta[abc] * f.delta[abc] * f.delta[abc] for abc in f.theta}
+    w = {b: fb[b] * sum(bd[b, d] * fd[d] for d in evens) for b in evens}
     total = 0
     for a in evens:
         mid = 0
         for b in evens:
             inner = 0
             for c in _c_range(a, b, n):
-                inner = inner + tri[tuple(sorted((a, b, c)))] * f.c[c]
+                inner = inner + tri[tuple(sorted((a, b, c)))] * fc[c]
             mid = mid + inner * w[b]
-        total = total + mid * f.a[a]
+        total = total + mid * fa[a]
     return total
 
 
 def colored_jones(params, N):
     """The N-colored Jones polynomial of the knot, exactly.
 
-    The grouped sum runs twice over the same factor tables: once over
-    their l1 norms, which bounds every coefficient of the total, and once
-    over the factors packed into integers at v^4 = 2^w by a PackedRing
-    built for that bound.  Only the total is unpacked.  It carries L^4,
-    and the four final divisions by L and the classical limit J_N(1) = N
+    Each weight w of (r, s, t, u) twists _state_tables(n)'s base by
+    f(x)^w, and the grouped sum runs over the four twisted tables and the
+    cached bd and tri.  Only the total is unpacked.  It carries L^4, and
+    the four final divisions by L and the classical limit J_N(1) = N
     double as tripwires for the integrality of the sum and for the slot
     width.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
     n = N - 1
-    lcm_exponents = theta_lcm_exponents(n)
-    lcm = ONE
-    for d, m in lcm_exponents.items():
-        lcm = lcm * cyclotomic(d) ** m
-
-    leaves = _leaves(params, n, lcm)
-    bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
-    ring = PackedRing(bound, 4)
-    packed = leaves.map(ring.pack)
-    del leaves  # only the packed tables are used from here; free the rest
-    total = ring.unpack(_grouped_sum(n, packed))
+    lcm, ring, base, bd, tri = _state_tables(n)
+    fa, fb, fc, fd = ({x: f.shift(framing_power(x, w)) for x, f in base.items()}
+                      for w in params.astuple())
+    muls, adds = ring.muls, ring.adds
+    total = ring.unpack(_grouped_sum(n, fa, fb, fc, fd, bd, tri))
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
@@ -229,11 +216,11 @@ def colored_jones(params, N):
             "(product of thetas %d); total span %d before the peel; "
             "%d-bit slots for an l1 bound of %d bits, total max |coef| "
             "%d bits; %d packed multiplies, %d packed adds",
-            n, sum(lcm_exponents.values()), _span(lcm),
+            n, sum(theta_lcm_exponents(n).values()), _span(lcm),
             sum(_span(theta(x, n, n)) for x in range(0, 2 * n + 1, 2)),
-            _span(total), 8 * ring.width, bound.bit_length(),
+            _span(total), 8 * ring.width, ring.bound.bit_length(),
             max((abs(c) for _, c in total.terms()), default=0).bit_length(),
-            ring.muls, ring.adds,
+            ring.muls - muls, ring.adds - adds,
         )
     # total == J_sum * L^4; peel L off exactly.
     for _ in range(4):

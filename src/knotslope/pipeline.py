@@ -393,8 +393,9 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     Returns a summary dict with verified/mismatched/skipped counts and,
     under "mismatches", one ((r, s, t, u), failed check names) pair per
     mismatched tuple, in grid order.  The JSON array and CSV are written
-    deterministically; an output whose parent is not a directory is an
-    error raised before any tuple runs, and an output that fails later is
+    deterministically; an output whose parent is not a directory, or a
+    JSON and a CSV output that resolve to one file, is an error raised
+    before any tuple runs, and an output that fails later is
     written past: the other one is still written, and then the first error
     is raised.  jobs below 1 and n_max below 4 are errors, raised before
     the grid is expanded; at most min(jobs, tuple count, CPU count) worker
@@ -404,6 +405,9 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
         raise ValueError(f"--jobs must be >= 1, got {jobs}")
     _check_n_max(n_max)
     tuples, skipped = parse_grid(spec)
+    if out_json is not None and out_csv is not None and \
+            Path(out_json).resolve() == Path(out_csv).resolve():
+        raise ValueError(f"--out and --csv name the same file {out_csv}")
     for path in (out_json, out_csv):
         if path is not None:
             _check_parent(path)

@@ -263,6 +263,7 @@ class PackedRing:
     """
 
     def __init__(self, bound, stride):
+        self.bound = bound
         self.width = (bound.bit_length() + 8) // 8
         self.stride = stride
         self.muls = 0
@@ -320,6 +321,11 @@ class Packed:
         self.value = value
         self.lo = lo
         self.ring = ring
+
+    def shift(self, monomial):
+        """The value times a signed monomial (its sign and exponent): a
+        sign flip and a move of lo, with no multiply."""
+        return Packed(monomial.sign * self.value, self.lo + monomial.exponent, self.ring)
 
     def __mul__(self, other):
         self.ring.muls += 1

@@ -12,7 +12,7 @@ from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_mode
 from knotslope.jones import (
     KnotParams,
     _grouped_sum,
-    _leaves,
+    _state_tables,
     colored_jones,
     domain_points,
     theta_exponents,
@@ -29,6 +29,16 @@ from knotslope.qlaurent import (
     exact_div,
     qint,
 )
+
+
+@pytest.fixture
+def fresh_state_tables():
+    """Empty the per-n table cache before and after the test, so that a
+    table cached by an earlier test cannot hide a patch of the norm, the
+    ring or a leaf function, and a table built under one cannot leak."""
+    _state_tables.cache_clear()
+    yield
+    _state_tables.cache_clear()
 
 
 def flat_state_sum(params, N, points=None):
@@ -210,45 +220,83 @@ def test_lcm_missing_a_factor_is_not_divisible():
             exact_div(short, theta(x, n, n))
 
 
-def test_colored_jones_logs_denominator_spans(caplog, capsys):
+def debug_counts(params, N, caplog):
+    """The DEBUG line of one colored_jones call: (line, slot bits, bound
+    bits, total max |coef| bits, packed multiplies, packed adds)."""
+    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="knotslope.jones"):
-        colored_jones(KnotParams(-3, 2, 3, -3), 4)
+        colored_jones(params, N)
     lines = [r.getMessage() for r in caplog.records if r.name == "knotslope.jones"]
     assert len(lines) == 1
-    assert lines[0].startswith("colored_jones n=3: L has ")
-    assert "product of thetas" in lines[0] and "before the peel" in lines[0]
-    slot, bound, coef, muls, adds = map(int, re.search(
+    return (lines[0], *map(int, re.search(
         r"(\d+)-bit slots for an l1 bound of (\d+) bits, total max \|coef\| "
-        r"(\d+) bits; (\d+) packed multiplies, (\d+) packed adds", lines[0]).groups())
+        r"(\d+) bits; (\d+) packed multiplies, (\d+) packed adds", lines[0]).groups()))
+
+
+def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys):
+    line, slot, bound, coef, muls, adds = debug_counts(KnotParams(-3, 2, 3, -3), 4, caplog)
+    assert line.startswith("colored_jones n=3: L has ")
+    assert "product of thetas" in line and "before the peel" in line
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
     assert 0 < coef <= bound
-    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 2
-    # products per sorted admissible triple and 1 per admissible (a, b, c),
-    # then 16 (a, b) and 4 a products.  Each sum adds all but the first
-    # term of its group.
+    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 1 per
+    # admissible (a, b, c), then 16 (a, b) and 4 a products.  Each sum
+    # adds all but the first term of its group.  The tri products are
+    # formed with the cached tables, not in the call.
     triples = len({p[:3] for p in domain_points(3)})
-    sorted_triples = len({tuple(sorted(p[:3])) for p in domain_points(3)})
-    assert (muls, adds) == (16 + 4 + 2 * sorted_triples + triples + 16 + 4,
+    assert (muls, adds) == (16 + 4 + triples + 16 + 4,
                             4 * 3 + (triples - 16) + 4 * 3 + 3)
+    # A second knot at the same n reads the cached tables and logs this
+    # call's counts, not the ring's running totals.
+    assert debug_counts(KnotParams(-5, 6, 5, -1), 4, caplog)[4:] == (muls, adds)
     assert capsys.readouterr().out == ""
 
 
 def test_l1_bound_covers_the_total():
-    # The grouped sum over dict-arithmetic factors is the reference for
-    # the packed total, and its coefficients stay within the l1 bound.
+    # The grouped sum over dict-arithmetic factors, each twisted by its
+    # framing as a LaurentPoly shift, is the reference for the packed
+    # traversal over _state_tables, and its coefficients stay within the
+    # ring's l1 bound.
     for tup in FLAT_ORACLE_TUPLES:
         params = KnotParams(*tup)
         for N in range(1, 8):
             n = N - 1
-            leaves = _leaves(params, n, cyclotomic_power_product(theta_lcm_exponents(n)))
-            total = _grouped_sum(n, leaves)
-            bound = _grouped_sum(n, leaves.map(LaurentPoly.l1_norm))
-            assert max(abs(c) for _, c in total.terms()) <= bound
-            ring = PackedRing(bound, 4)
-            assert ring.unpack(_grouped_sum(n, leaves.map(ring.pack))) == total
+            evens = range(0, 2 * n + 1, 2)
+            lcm = cyclotomic_power_product(theta_lcm_exponents(n))
+            twisted = []
+            for w in params.astuple():
+                table = {}
+                for x in evens:
+                    m = framing_power(x, w)
+                    table[x] = (circle(x) * exact_div(lcm, theta(x, n, n))).shift(
+                        m.exponent, m.sign)
+                twisted.append(table)
+            bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
+            tri = {abc: theta(*abc) * delta6j(*abc, n, n, n) ** 2
+                   for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
+            total = _grouped_sum(n, *twisted, bd, tri)
+
+            cached_lcm, ring, base, packed_bd, packed_tri = _state_tables(n)
+            assert cached_lcm == lcm
+            packed = [{x: base[x].shift(framing_power(x, w)) for x in evens}
+                      for w in params.astuple()]
+            assert ring.unpack(_grouped_sum(n, *packed, packed_bd, packed_tri)) == total
+            assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
 
-def test_colored_jones_rejects_too_narrow_slots(monkeypatch):
+def test_state_tables_are_reused_across_knots(fresh_state_tables):
+    # A second knot at the same n reads the tables the first one built,
+    # and its result equals the one from tables built afresh.
+    for N in (4, 6):
+        colored_jones(KnotParams(-3, 2, 3, -3), N)
+        hits = _state_tables.cache_info().hits
+        warm = colored_jones(KnotParams(-5, 6, 5, -1), N)
+        assert _state_tables.cache_info().hits == hits + 1
+        _state_tables.cache_clear()
+        assert colored_jones(KnotParams(-5, 6, 5, -1), N) == warm
+
+
+def test_colored_jones_rejects_too_narrow_slots(fresh_state_tables, monkeypatch):
     # A unit norm for every factor makes the bound, and so the slots, far
     # too narrow for the total; its misread digits fail the final peel.
     monkeypatch.setattr(LaurentPoly, "l1_norm", lambda self: 1)
@@ -258,7 +306,7 @@ def test_colored_jones_rejects_too_narrow_slots(monkeypatch):
         assert not isinstance(info.value, OverflowError)
 
 
-def test_colored_jones_checks_the_classical_limit(monkeypatch):
+def test_colored_jones_checks_the_classical_limit(fresh_state_tables, monkeypatch):
     # A total off by L^4 passes the four divisions by L; only J_N(1) = N
     # catches it.
     lcm4 = cyclotomic_power_product(theta_lcm_exponents(3)) ** 4

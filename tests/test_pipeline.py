@@ -589,6 +589,25 @@ def test_verify_output_parent_checked_before_any_tuple_runs(tmp_path, capsys, mo
         assert not out.exists() and not csv_path.exists()
 
 
+def test_verify_refuses_one_file_for_both_outputs(tmp_path, capsys, monkeypatch):
+    # The CSV would overwrite the JSON report; the clash is an error
+    # before the first tuple runs, and neither output is written.
+    import knotslope.pipeline as pipeline_mod
+
+    calls = []
+    monkeypatch.setattr(pipeline_mod, "_run_one", calls.append)
+    monkeypatch.chdir(tmp_path)
+    args = ["verify", "--grid", "r=-3;s=2;t=3;u=-3..-1", "--n-max", "4"]
+    for out, csv_path in (("r.out", "r.out"), ("r.out", "./r.out"),
+                          (str(tmp_path / "r.out"), "r.out")):
+        assert main(args + ["--out", out, "--csv", csv_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out and --csv name the same file {csv_path}\n"
+        assert captured.out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_counts_inadmissible_system_as_mismatch(tmp_path, capsys, monkeypatch):
     # A distinguished system failing E2 makes the tuple a mismatch, even
     # though every identity flag holds.

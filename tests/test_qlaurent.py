@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import qfact
 
+from knotslope.ktg import SignedMonomial
 from knotslope.qlaurent import (
     ONE,
     ZERO,
@@ -307,6 +308,26 @@ def test_packed_ring_matches_dict_arithmetic(operands):
         assert ring.unpack(pp * pq + ring.pack(-product)) == ZERO
         assert ring.unpack(pr + ring.pack(-r)) == ZERO
         assert ring.muls == 4
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_ring_operands(), st.sampled_from([1, -1]), st.integers(-20, 20))
+def test_packed_shift_matches_laurent_shift(operands, sign, exponent):
+    # A twist by a signed monomial is LaurentPoly.shift read back from the
+    # ring, commutes with packed * and +, and forms no product.
+    stride, a, b, c = operands
+    p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    m = SignedMonomial(sign, exponent)
+    norms = [x.l1_norm() for x in (p, q, r)]
+    ring = PackedRing(max(*norms, norms[0] * norms[1] + norms[2]), stride)
+    pp, pq, pr = ring.pack(p), ring.pack(q), ring.pack(r)
+    for x, packed in ((p, pp), (q, pq), (r, pr)):
+        assert ring.unpack(packed.shift(m)) == x.shift(exponent, sign)
+    total = (p * q + r).shift(exponent, sign)
+    assert ring.unpack((pp * pq + pr).shift(m)) == total
+    assert ring.unpack(pp.shift(m) * pq + pr.shift(m)) == total
+    assert ring.unpack(pp * pq.shift(m) + pr.shift(m)) == total
+    assert ring.muls == 3
 
 
 def test_packed_sum_across_cosets_raises():
