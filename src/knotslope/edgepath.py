@@ -45,37 +45,14 @@ def uv(slope):
 
 
 def interp_point(near, far, fraction):
-    """Projective interpolation of two vertices, weight `fraction` on far.
-
-    Returns the combined curve system k*[far] + (m-k)*[near] for
-    fraction = k/m, plus its uv-coordinates.  Edgepath keeps the fraction
-    in (0, 1].
+    """Projective interpolation of two vertices, weight `fraction` on far:
+    the uv-point of the curve system [m, b, c] = k*[far] + (m-k)*[near]
+    for fraction = k/m.  Edgepath keeps the fraction in (0, 1].
     """
     k, m = fraction.numerator, fraction.denominator
-    curve = (m, k * (far.denominator - 1) + (m - k) * (near.denominator - 1),
-             k * far.numerator + (m - k) * near.numerator)
-    a, b, c = curve
-    return curve, (Fraction(b, a + b), Fraction(c, a + b))
-
-
-def partial_fraction_from_u(near, far, u0):
-    """The unique weight on `far` whose interpolated point has u-coordinate u0.
-
-    With q, w the denominators of the near/far slopes, the projective sum
-    gives k*w + (m-k)*q = m/(1-u0), so the weight is
-    (1/(1-u0) - q) / (w - q).  u0 must lie in the edge's u-interval;
-    hitting an endpoint returns 0 or 1, and a point inside gives a weight
-    between them.
-    """
-    u0 = Fraction(u0)
-    u_near, _ = uv(near)
-    u_far, _ = uv(far)
-    lo, hi = min(u_near, u_far), max(u_near, u_far)
-    if not lo <= u0 <= hi:
-        raise ValueError(f"u0={u0} outside the edge interval [{lo}, {hi}]")
-    q = near.denominator
-    w = far.denominator
-    return (Fraction(1) / (1 - u0) - q) / (w - q)
+    b = k * (far.denominator - 1) + (m - k) * (near.denominator - 1)
+    c = k * far.numerator + (m - k) * near.numerator
+    return (Fraction(b, m + b), Fraction(c, m + b))
 
 
 @dataclass(frozen=True)
@@ -96,7 +73,7 @@ class Edgepath:
         """The traversal points: every vertex's uv but the last, then the
         ending point."""
         *head, near, far = self.vertices
-        _, ending = interp_point(near, far, self.fraction)
+        ending = interp_point(near, far, self.fraction)
         return [uv(v) for v in (*head, near)] + [ending]
 
     def signs(self):
@@ -191,9 +168,11 @@ def gamma_system(params):
     (t-1)^2/(s+t-1) - r - t: that path climbs the chain <1/r>,
     <1/(r+1)>, ... for k complete edges and then takes a partial edge.
     The other two paths are the Seifert chains cut short by partial final
-    edges, each weighted to end at the u-coordinate (t-1)s/(ts+t-1).  That
-    all three ending points share it and that their v-coordinates cancel
-    is E3, which check_admissible evaluates.
+    edges toward <0>: the fraction s/(s+t-1) of the edge from <1/(s+1)>
+    and (t-1)/(s+t-1) of the edge from <1/t>, the weights that put both
+    endings at the u-coordinate (t-1)s/(ts+t-1).  That all three ending
+    points share it and that their v-coordinates cancel is E3, which
+    check_admissible evaluates.
     """
     r, s, t, u = params.astuple()
     lam, k, final_frac = _chain_cut(params)
@@ -201,16 +180,13 @@ def gamma_system(params):
         raise ValueError(f"no interior-ending system: 1/r-path length {lam} <= 0 for {params}")
     if not 0 <= k <= -r - 2:
         raise ArithmeticError(f"chain cut k={k} out of range for {params}")
-    u0 = ending_u(params)
 
     chain1 = tuple(Fraction(1, r + i) for i in range(k + 2))
     zero = Fraction(0)
     return EdgepathSystem((
         Edgepath(Fraction(1, r), chain1, final_frac),
-        Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u),
-                 partial_fraction_from_u(Fraction(1, s + 1), zero, u0)),
-        Edgepath(Fraction(1, t), (Fraction(1, t), zero),
-                 partial_fraction_from_u(Fraction(1, t), zero, u0)),
+        Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u), Fraction(s, s + t - 1)),
+        Edgepath(Fraction(1, t), (Fraction(1, t), zero), Fraction(t - 1, s + t - 1)),
     ))
 
 

@@ -144,7 +144,8 @@ def _state_tables(n):
     """
     lcm = ONE
     for d, m in theta_lcm_exponents(n).items():
-        lcm = lcm * cyclotomic(d) ** m
+        for _ in range(m):
+            lcm = lcm * cyclotomic(d)
     evens = range(0, 2 * n + 1, 2)
     base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}

@@ -20,7 +20,6 @@ coefficients.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .qlaurent import ZERO, qbinom, qint
@@ -63,22 +62,17 @@ def circle(k):
     return p if k % 2 == 0 else -p
 
 
-@lru_cache(maxsize=None)
-def _theta_sorted(a, b, c):
-    h = (a + b + c) // 2
-    p0, p1 = (-a + b + c) // 2, (a - b + c) // 2
-    return circle(h) * qbinom(h, p0) * qbinom(h - p0, p1)
-
-
 def theta(a, b, c):
-    """Theta net value O^h [h]! / ([p0]! [p1]! [p2]!), symmetric in a, b, c.
+    """Theta net value O^h [h]! / ([h-a]! [h-b]! [h-c]!), symmetric in a, b, c.
 
-    h = (a+b+c)/2 and p0, p1, p2 = h-a, h-b, h-c; the multinomial is the
-    product of the quantum binomials [h; p0] and [h-p0; p1].
+    h = (a+b+c)/2; the multinomial is the product of the quantum binomials
+    [h; h-a] = [h]! / ([h-a]! [a]!) and [a; h-b] = [a]! / ([h-b]! [h-c]!).
+    Nothing is cached here: the state sum builds its theta tables once
+    per n (jones._state_tables).
     """
     require_admissible(a, b, c)
-    x, y, z = sorted((a, b, c))
-    return _theta_sorted(x, y, z)
+    h = (a + b + c) // 2
+    return circle(h) * qbinom(h, h - a) * qbinom(a, h - b)
 
 
 def framing_power(a, w):

@@ -56,7 +56,9 @@ class LaurentPoly:
 
     Immutable after construction.  The term map never stores a zero
     coefficient, so equal values always have identical term maps and
-    results of the ring operations are canonical.
+    results of the ring operations are canonical.  The operands of +, -
+    and * are polynomials, and + also takes the int 0, so that sum()
+    works; there are no int scalars and no power.
     """
 
     __slots__ = ("_terms",)
@@ -75,12 +77,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         p._terms = clean_terms
         return p
-
-    @classmethod
-    def monomial(cls, exponent, coefficient=1):
-        if coefficient == 0:
-            return ZERO
-        return cls._raw({int(exponent): coefficient})
 
     # -- basic queries ------------------------------------------------
 
@@ -120,12 +116,10 @@ class LaurentPoly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.monomial(0, other)
+        if other == 0 or not other._terms:
+            return self
         if not self._terms:
             return other
-        if not other._terms:
-            return self
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -144,14 +138,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product with a LaurentPoly or an int.
-
-        Two polynomials are multiplied by the schoolbook loop over their
-        term pairs, accumulating into one dict; the result is canonical.
+        """Product of two polynomials, by the schoolbook loop over their
+        term pairs accumulating into one dict; the result is canonical.
         Packed (Kronecker) products are PackedRing's job.
         """
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._terms.items()})
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
@@ -167,20 +157,6 @@ class LaurentPoly:
                 elif e in out:
                     del out[e]
         return LaurentPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def shift(self, exponent, sign=1):
         """Multiply by sign * v^exponent (sign must be +1 or -1)."""

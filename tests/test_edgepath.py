@@ -19,7 +19,6 @@ from knotslope.edgepath import (
     euler_ratio,
     gamma_system,
     interp_point,
-    partial_fraction_from_u,
     seifert_system,
     slope_report,
     twist,
@@ -42,26 +41,9 @@ def test_uv_examples():
 
 def test_interp_point_examples():
     near, far = F(0), F(1, 3)
-    curve, point = interp_point(near, far, F(0))
-    assert curve == (1, 0, 0) and point == (0, 0)
-    curve, point = interp_point(near, far, F(1))
-    assert curve == (1, 2, 1) and point == (F(2, 3), F(1, 3))
-    curve, point = interp_point(near, far, F(1, 2))
-    assert curve == (2, 2, 1) and point == (F(1, 2), F(1, 4))
-
-
-def test_partial_fraction_from_u():
-    # The two partial arms of the interior-ending system at (s,t) = (2,5).
-    s, t = 2, 5
-    u0 = F((t - 1) * s, t * s + t - 1)
-    zero = F(0)
-    assert partial_fraction_from_u(F(1, s + 1), zero, u0) == F(s, s + t - 1)
-    assert partial_fraction_from_u(F(1, t), zero, u0) == F(t - 1, s + t - 1)
-    # Degenerate endpoints give 0 and 1.
-    assert partial_fraction_from_u(F(1, 3), zero, F(0)) == 1
-    assert partial_fraction_from_u(F(1, 3), zero, F(2, 3)) == 0
-    with pytest.raises(ValueError):
-        partial_fraction_from_u(F(1, 3), zero, F(3, 4))
+    assert interp_point(near, far, F(0)) == (0, 0)
+    assert interp_point(near, far, F(1)) == (F(2, 3), F(1, 3))
+    assert interp_point(near, far, F(1, 2)) == (F(1, 2), F(1, 4))
 
 
 def test_edge_signs_and_lengths():
@@ -145,8 +127,6 @@ def test_gamma_partial_fractions_match_u0():
         u0 = ending_u(params)
         system = gamma_system(params)
         for path in system.paths:
-            if path.fraction != 1:
-                assert path.fraction == partial_fraction_from_u(*path.vertices[-2:], u0)
             assert path.points[-1][0] == u0
 
 
@@ -251,12 +231,12 @@ def test_chain_length_decides_the_quadratic_case(monkeypatch):
     def counted(params):
         built.append(params)
         system = real(params)
-        # E3 and the chain cut: every path ends at u0, each final fraction
-        # is the weight that reaches u0, and the ending v-coordinates cancel.
+        # E3 and the chain cut: every path ends at u0, which fixes each
+        # final fraction (on these partial edges the ending's u strictly
+        # decreases in it), and the ending v-coordinates cancel.
         u0 = ending_u(params)
         for path in system.paths:
             assert path.points[-1][0] == u0, params
-            assert path.fraction == partial_fraction_from_u(*path.vertices[-2:], u0), params
         assert sum(path.points[-1][1] for path in system.paths) == 0, params
         return system
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import math
 import random
 import re
 
@@ -54,7 +55,7 @@ def flat_state_sum(params, N, points=None):
         points = domain_points(n)
     common = ONE
     for x in range(0, 2 * n + 1, 2):
-        common = common * theta(x, n, n) ** 4
+        common = common * math.prod([theta(x, n, n)] * 4, start=ONE)
     total = ZERO
     for colors in points:
         num, den = summand(params, n, colors)
@@ -119,8 +120,8 @@ def test_summand_composes_factors():
     for w in (-3, 2, 3, -3):
         m = framing_power(2, w)
         num = num.shift(m.exponent, m.sign)
-    num = num * circle(2) ** 4
-    den = theta(2, n, n) ** 4
+    num = num * math.prod([circle(2)] * 4, start=ONE)
+    den = math.prod([theta(2, n, n)] * 4, start=ONE)
     assert not value[0].is_zero()
     assert value == (num, den)
 
@@ -190,7 +191,7 @@ def test_colored_jones_digest_pin():
 def cyclotomic_power_product(exponents):
     result = ONE
     for d, m in exponents.items():
-        result = result * cyclotomic(d) ** m
+        result = result * math.prod([cyclotomic(d)] * m, start=ONE)
     return result
 
 
@@ -218,6 +219,17 @@ def test_lcm_missing_a_factor_is_not_divisible():
         x = next(x for x in range(0, 2 * n + 1, 2) if theta_exponents(x, n).get(d) == top)
         with pytest.raises(NonExactDivision):
             exact_div(short, theta(x, n, n))
+
+
+def test_lcm_multiplicities_in_closed_form():
+    # L carries Phi_d(v^4) twice for 2 <= d <= n+1 with d not dividing
+    # n+1, and once for the divisors of n+1 and for n+1 < d <= 2n+1.
+    # Every multiplicity is 1 or 2, so _state_tables multiplies each
+    # factor in by a loop, with no power.
+    for n in range(41):
+        expected = {d: 1 if (n + 1) % d == 0 or d > n + 1 else 2
+                    for d in range(2, 2 * n + 2)}
+        assert theta_lcm_exponents(n) == expected, n
 
 
 def debug_counts(params, N, caplog):
@@ -272,7 +284,7 @@ def test_l1_bound_covers_the_total():
                         m.exponent, m.sign)
                 twisted.append(table)
             bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
-            tri = {abc: theta(*abc) * delta6j(*abc, n, n, n) ** 2
+            tri = {abc: theta(*abc) * math.prod([delta6j(*abc, n, n, n)] * 2, start=ONE)
                    for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
             total = _grouped_sum(n, *twisted, bd, tri)
 
@@ -309,7 +321,7 @@ def test_colored_jones_rejects_too_narrow_slots(fresh_state_tables, monkeypatch)
 def test_colored_jones_checks_the_classical_limit(fresh_state_tables, monkeypatch):
     # A total off by L^4 passes the four divisions by L; only J_N(1) = N
     # catches it.
-    lcm4 = cyclotomic_power_product(theta_lcm_exponents(3)) ** 4
+    lcm4 = math.prod([cyclotomic_power_product(theta_lcm_exponents(3))] * 4, start=ONE)
     unpack = PackedRing.unpack
     monkeypatch.setattr(PackedRing, "unpack", lambda ring, p: unpack(ring, p) + lcm4)
     with pytest.raises(ArithmeticError, match=r"J_4\(1\)"):

@@ -92,7 +92,7 @@ def test_circle_examples():
     assert circle(1) == -qint(2)
     assert circle(2) == qint(3)
     for k in range(21):
-        assert circle(k) == (1 if k % 2 == 0 else -1) * qint(k + 1)
+        assert circle(k) == (qint(k + 1) if k % 2 == 0 else -qint(k + 1))
         assert circle(k).max_deg == 2 * k
     with pytest.raises(ValueError):
         circle(-1)
@@ -103,7 +103,7 @@ def test_framing_power_examples():
     assert framing_power(0, 5) == (1, 0)
     assert framing_power(1, 4) == (1, -6)
     sign, exponent = framing_power(2, 1)
-    assert LaurentPoly.monomial(exponent, sign) == LaurentPoly({-4: -1})
+    assert LaurentPoly({exponent: sign}) == LaurentPoly({-4: -1})
     with pytest.raises(NonRealPhase):
         framing_power(1, 1)
     with pytest.raises(ValueError):

@@ -97,16 +97,11 @@ def test_ring_op_examples():
     assert p * p == LaurentPoly({4: 1, 0: 2, -4: 1})
     assert ONE.shift(-4, -1) == LaurentPoly({-4: -1})
     assert (p - p).is_zero()
-    assert 3 * p == LaurentPoly({2: 3, -2: 3})
-    assert 0 * p == ZERO and (0 * p).is_zero()
-    assert p + 1 == 1 + p == LaurentPoly({2: 1, 0: 1, -2: 1})
+    assert 0 + p == p + 0 == p
     assert sum([p, -p, p]) == p
     assert ZERO.shift(5, -1) == ZERO
     # A polynomial equals only a polynomial, even the constant one.
     assert ONE != 1 and ZERO != 0
-    assert p ** 0 == ONE and p ** 3 == p * p * p
-    with pytest.raises(ValueError):
-        p ** -1
     with pytest.raises(ValueError):
         p.shift(2, 0)
 
@@ -339,7 +334,7 @@ def test_packed_sum_across_cosets_raises():
         ring.pack(LaurentPoly({0: 1, 2: 1}))
     # Zero lies in every coset; v^4 * 1 lies in the coset of 1.
     assert ring.unpack(two + ring.pack(ZERO)) == qint(2)
-    assert ring.unpack(one + ring.pack(LaurentPoly.monomial(4, -3))) == LaurentPoly({0: 1, 4: -3})
+    assert ring.unpack(one + ring.pack(LaurentPoly({4: -3}))) == LaurentPoly({0: 1, 4: -3})
 
 
 def stride1_div(p, q):
@@ -382,9 +377,9 @@ def test_strided_exact_div_examples():
     p2 = q * LaurentPoly({0: 1, 2: 3})
     assert exact_div(p2, q) == LaurentPoly({0: 1, 2: 3})
     with pytest.raises(NonExactDivision):
-        exact_div(p2 + LaurentPoly.monomial(1), q)
+        exact_div(p2 + LaurentPoly({1: 1}), q)
     with pytest.raises(NonExactDivision):
-        exact_div(p + LaurentPoly.monomial(p.min_deg + 2), q)
+        exact_div(p + LaurentPoly({p.min_deg + 2: 1}), q)
     with pytest.raises(NonExactDivision):
         exact_div(qint(2), qint(3))
 
