@@ -143,12 +143,6 @@ def seifert_system(params):
     ))
 
 
-def ending_u(params):
-    """Common ending u-coordinate of the non-Seifert system: (t-1)s/(ts+t-1)."""
-    r, s, t, u = params.astuple()
-    return Fraction((t - 1) * s, t * s + t - 1)
-
-
 def _chain_cut(params):
     """Total 1/r-path length, its complete-edge count and final fraction.
 
@@ -285,7 +279,7 @@ def slope_report(params):
         "admissibility": admissibility.to_json(),
     }
     if gamma is not None:
-        report["u0"] = str(ending_u(params))
+        report["u0"] = str(gamma.ending_u())
         report["k"] = k
         report["gamma_lengths"] = [str(p.length()) for p in gamma.paths]
         report["twists"]["gamma"] = str(gamma_twist)

@@ -15,25 +15,27 @@ signals an implementation fault, never bad input.
 
 Every theta(x,n,n) is a signed monomial times a product of cyclotomic
 polynomials Phi_d(v^4), with multiplicities given by floor counts
-(theta_exponents).  colored_jones brings every level of the grouped sum
-over the one common denominator L = lcm_x theta(x,n,n), the product of
-Phi_d(v^4) to the largest of those multiplicities, and divides L^4 out
-at the end.  The cofactors L / theta(x,n,n) and the final division are
-exact divisions, so a wrong exponent vector or a total that is not a
-Laurent polynomial raises NonExactDivision.  No polynomial gcd is ever
-taken, and the result is bit-identical however the work is ordered.
+(theta_exponents).  colored_jones brings the sum over the one common
+denominator L = lcm_x theta(x,n,n), the product of Phi_d(v^4) to the
+largest of those multiplicities, and divides L^4 out at the end.  The
+cofactors L / theta(x,n,n) and the final division are exact divisions,
+so a wrong exponent vector or a total that is not a Laurent polynomial
+raises NonExactDivision.  No polynomial gcd is ever taken, and the
+result is bit-identical however the work is ordered.
 
-The grouped sum runs on packed integers (qlaurent.PackedRing): each
-factor is evaluated once at v^4 = 2^w, every level of the sum is
-big-integer arithmetic, and only the total is read back into a Laurent
-polynomial.  The knot enters only through the framing factors f(x)^w,
-signed monomials, so the factors, L and the ring are built once per n
-(_state_tables) and a knot twists them by Packed.shift, with no
-multiply.  A twist keeps every l1 norm, so one run of the same grouped
-sum over the factors' l1 norms per n bounds every coefficient of the
-total and sets the slot width w.  The final divisions and the classical
-limit J_N(1) = N check the result, so a slot too narrow for it raises
-ArithmeticError.
+The knot enters only through the framing factors f(x)^w, signed
+monomials.  Everything else folds, once per n (_state_tables), into two
+tables over L: q[b][a, c], the theta, the squared 6j quotient and the a-
+and c-cofactors, and r[b][d], the (b, d) 6j quotient and the b- and
+d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
+for each b, and one product per b.  The tables live in a PackedRing
+(qlaurent): each is evaluated once at v^4 = 2^w, the sum is big-integer
+arithmetic, a framing factor is a Packed.shift with no multiply, and
+only the total is read back into a Laurent polynomial.  A twist keeps
+every l1 norm, so the same fold and sum over the l1 norms, once per n,
+bound every coefficient of the total and set the slot width w.  The
+final divisions and the classical limit J_N(1) = N check the result, so
+a slot too narrow for it raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -130,16 +132,18 @@ def theta_lcm_exponents(n):
 def _state_tables(n):
     """The knot-independent tables of the state sum at ambient color n.
 
-    Returns (lcm, ring, base, bd, tri): L = lcm_x theta(x,n,n), and the
-    PackedRing and the tables packed in it, where base maps each even color
-    x to O^x L / theta(x,n,n), bd maps (b, d) to delta6j(b,n,n,d,n,n), and
-    tri maps each admissible sorted triple a <= b <= c to
-    theta(a,b,c) delta6j(a,b,c,n,n,n)^2, which is symmetric in (a, b, c):
-    permuting the triple permutes the four quantum binomials of each
-    z-term and leaves the z-range unchanged.  The ring's bound is the
-    grouped sum over the l1 norms with base's norms for all four twisted
-    tables.  Each cofactor L / theta(x,n,n) is an exact division, so an L
-    that misses a factor of some theta raises NonExactDivision here.
+    Returns (lcm, ring, q, r): L = lcm_x theta(x,n,n), the PackedRing, and
+    _fold's q and r packed in it.  The fold reads base, which maps each
+    even color x to O^x L / theta(x,n,n), bd, which maps (b, d) to
+    delta6j(b,n,n,d,n,n), and tri, which maps each admissible sorted triple
+    a <= b <= c to theta(a,b,c) delta6j(a,b,c,n,n,n)^2.  tri is symmetric
+    in (a, b, c): permuting the triple permutes the four quantum binomials
+    of each z-term and leaves the z-range unchanged.  The ring's bound is
+    the same fold and two-level sum run over the l1 norms, which a twist
+    keeps; it bounds the l1 norm of the total, and so every coefficient,
+    because ||PQ|| <= ||P|| ||Q|| and ||P + Q|| <= ||P|| + ||Q||.  Each
+    cofactor L / theta(x,n,n) is an exact division, so an L that misses a
+    factor of some theta raises NonExactDivision here.
     Callers share the tables and only read them; the ring's counters move.
     """
     lcm = ONE
@@ -154,50 +158,54 @@ def _state_tables(n):
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n)) for abc in triples}
 
     norm = LaurentPoly.l1_norm
-    base_norm = {x: norm(p) for x, p in base.items()}
-    ring = PackedRing(_grouped_sum(
-        n, base_norm, base_norm, base_norm, base_norm,
-        {k: norm(p) for k, p in bd.items()},
-        {abc: norm(t) * norm(dl) * norm(dl) for abc, (t, dl) in factors.items()}), 4)
+    norm_q, norm_r = _fold(
+        n, {x: norm(p) for x, p in base.items()}, {k: norm(p) for k, p in bd.items()},
+        {abc: norm(t) * norm(dl) * norm(dl) for abc, (t, dl) in factors.items()})
+    ring = PackedRing(sum(sum(norm_q[b].values()) * sum(norm_r[b].values())
+                          for b in evens), 4)
     pack = ring.pack
     tri = {}
     for abc, (t, dl) in factors.items():
         packed_delta = pack(dl)
         tri[abc] = pack(t) * packed_delta * packed_delta
-    return (lcm, ring, {x: pack(p) for x, p in base.items()},
-            {k: pack(p) for k, p in bd.items()}, tri)
+    return (lcm, ring, *_fold(n, {x: pack(p) for x, p in base.items()},
+                              {k: pack(p) for k, p in bd.items()}, tri))
 
 
-def _grouped_sum(n, fa, fb, fc, fd, bd, tri):
-    """The grouped state sum: J_sum * L^4 for the twisted factor tables
-    fa, fb, fc, fd and _state_tables' bd and tri.
+def _fold(n, base, bd, tri):
+    """The tables q and r of the state sum, each keyed by b first.
 
-    The inner d-sum is formed once per b-value.  Only + and * are applied
-    to the factors, so the same traversal runs over LaurentPoly factors,
-    over packed integers, and over l1 norms, where it gives an upper
-    bound of the l1 norm of the total, because ||PQ|| <= ||P|| ||Q|| and
-    ||P + Q|| <= ||P|| + ||Q||.
+    q[b][a, c] = tri[sorted(a, b, c)] base[a] base[c] over the admissible
+    (a, b, c), and r[b][d] = bd[b, d] base[b] base[d].  Each product
+    base[a] base[c] is formed once per unordered pair, and q[b][a, c] once
+    for a <= c, as q is symmetric in a and c; bd is not symmetric.  Only *
+    is applied, so the fold runs over LaurentPoly factors, over packed
+    integers and over l1 norms alike.
     """
     evens = range(0, 2 * n + 1, 2)
-    w = {b: fb[b] * sum(bd[b, d] * fd[d] for d in evens) for b in evens}
-    total = 0
+    pair = {(a, c): base[a] * base[c] for a in evens for c in evens if a <= c}
+    q = {b: {} for b in evens}
     for a in evens:
-        mid = 0
         for b in evens:
-            inner = 0
             for c in _c_range(a, b, n):
-                inner = inner + tri[tuple(sorted((a, b, c)))] * fc[c]
-            mid = mid + inner * w[b]
-        total = total + mid * fa[a]
-    return total
+                if a <= c:
+                    q[b][a, c] = q[b][c, a] = tri[tuple(sorted((a, b, c)))] * pair[a, c]
+    r = {b: {d: bd[b, d] * pair[min(b, d), max(b, d)] for d in evens} for b in evens}
+    return q, r
 
 
 def colored_jones(params, N):
     """The N-colored Jones polynomial of the knot, exactly.
 
-    Each weight w of (r, s, t, u) twists _state_tables(n)'s base by
-    f(x)^w, and the grouped sum runs over the four twisted tables and the
-    cached bd and tri.  Only the total is unpacked.  It carries L^4, and
+    With f_w(x) = f(x)^w for the weights w of (r, s, t, u), the total
+    J_sum L^4 is the sum over b of
+
+        f_s(b) (sum over a, c of f_r(a) f_t(c) q[b][a, c])
+               (sum over d of f_u(d) r[b][d])
+
+    over _state_tables(n)'s q and r.  Each f is a signed monomial, applied
+    by Packed.shift, so a call makes n + 1 packed multiplies, one per b,
+    and shifted adds.  Only the total is unpacked.  It carries L^4, and
     the four final divisions by L and the classical limit J_N(1) = N
     double as tripwires for the integrality of the sum and for the slot
     width.
@@ -205,11 +213,12 @@ def colored_jones(params, N):
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
     n = N - 1
-    lcm, ring, base, bd, tri = _state_tables(n)
-    fa, fb, fc, fd = ({x: f.shift(framing_power(x, w)) for x, f in base.items()}
-                      for w in params.astuple())
+    lcm, ring, q, r = _state_tables(n)
+    fr, fs, ft, fu = ({x: framing_power(x, w) for x in q} for w in params.astuple())
     muls, adds = ring.muls, ring.adds
-    total = ring.unpack(_grouped_sum(n, fa, fb, fc, fd, bd, tri))
+    total = ring.unpack(sum(
+        (sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items())
+         * sum(v.shift(fu[d]) for d, v in r[b].items())).shift(fs[b]) for b in q))
 
     if log.isEnabledFor(logging.DEBUG):
         log.debug(

@@ -3,10 +3,12 @@
   qfact       the quantum factorial, which the qbinom, theta and 6j
               tests divide against
   summand     one exact state-sum term, which the flat oracle of
-              tests/test_jones.py sums term by term against the grouped
-              sum of colored_jones
-  line_check  an independent three-line check of the ending u-coordinate
-              that gamma_system computes
+              tests/test_jones.py sums term by term against the packed
+              two-level sum of colored_jones
+  ending_u    the closed form (t-1)s/(ts+t-1) of the u-coordinate where
+              the interior-ending system's paths end, which the report's
+              u0 and E3 read from the built system
+  line_check  an independent three-line check of that ending u-coordinate
 
 None of them runs in the package itself.
 """
@@ -15,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from knotslope.degopt import classify
-from knotslope.edgepath import ending_u
 from knotslope.ktg import circle, delta6j, framing_power, is_admissible, theta
 from knotslope.qlaurent import ONE, qint
 
@@ -62,6 +63,12 @@ def summand(params, n, colors):
         num = num * circle(x)
         den = den * theta(x, n, n)
     return num, den
+
+
+def ending_u(params):
+    """Common ending u-coordinate of the interior-ending system: (t-1)s/(ts+t-1)."""
+    r, s, t, u = params.astuple()
+    return Fraction((t - 1) * s, t * s + t - 1)
 
 
 def line_check(params):

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from oracles import ending_u
 
 from knotslope.cli import main
 from knotslope.degopt import (
@@ -22,7 +23,6 @@ from knotslope.degopt import (
 )
 from knotslope.edgepath import (
     check_admissible,
-    ending_u,
     gamma_system,
     seifert_system,
     twist,

@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import line_check
+from oracles import ending_u, line_check
 
 import knotslope.edgepath as edgepath_mod
 from knotslope.cli import main
@@ -15,7 +15,6 @@ from knotslope.edgepath import (
     _chain_cut,
     boundary_slope,
     check_admissible,
-    ending_u,
     euler_ratio,
     gamma_system,
     interp_point,

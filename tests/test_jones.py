@@ -12,7 +12,7 @@ from oracles import summand
 from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_model
 from knotslope.jones import (
     KnotParams,
-    _grouped_sum,
+    _fold,
     _state_tables,
     colored_jones,
     domain_points,
@@ -161,7 +161,8 @@ FLAT_ORACLE_TUPLES = [(-3, 2, 3, -3), (-3, 6, 5, -3)]
 
 
 def test_colored_jones_equals_summand_total():
-    for tup in FLAT_ORACLE_TUPLES:
+    # One tuple of every tag: 1 and 2.2 above, then 2.1, 2.3 and 2.4.
+    for tup in FLAT_ORACLE_TUPLES + [(-5, 6, 7, -1), (-5, 8, 9, -1), (-3, 4, 5, -3)]:
         params = KnotParams(*tup)
         for N in range(1, 5):
             assert colored_jones(params, N) == flat_state_sum(params, N)
@@ -179,6 +180,9 @@ POLY_DIGESTS = {
     # Recorded from the dict-arithmetic state sum that packed integers replaced.
     ((-3, 2, 3, -3), 8): "4d236bc50c00f6a7453abe79334cce4a973e8670aa7a2c49f0719ac61b85fe3f",
     ((-3, 6, 5, -3), 8): "03f797f397a356acd7fefba99f4229b7abe8b188df2a1d41fbd872db75947659",
+    # Recorded from the three-level grouped sum that the q and r tables replaced.
+    ((-3, 2, 3, -3), 9): "524c85356a6f726673c6e2f554c22e540eb86237efa84813d0920e9db5fd469c",
+    ((-3, 6, 5, -3), 9): "1a9bf28b731d4ba8ad598dec13af12aeb9aa73c0db52434ccc22c0fd55bf1c29",
 }
 
 
@@ -251,48 +255,51 @@ def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys
     assert "product of thetas" in line and "before the peel" in line
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
     assert 0 < coef <= bound
-    # n = 3, four even colors: 16 (b, d) products and 4 b-factors, 1 per
-    # admissible (a, b, c), then 16 (a, b) and 4 a products.  Each sum
-    # adds all but the first term of its group.  The tri products are
-    # formed with the cached tables, not in the call.
+    # One product per b, n + 1 = 4 in all; the fold into q and r is done
+    # with the cached tables, not in the call.  Each sum adds all but the
+    # first term of its group: for each b, the (a, c) with (a, b, c)
+    # admissible and the n + 1 values of d, then the n + 1 products.
     triples = len({p[:3] for p in domain_points(3)})
-    assert (muls, adds) == (16 + 4 + triples + 16 + 4,
-                            4 * 3 + (triples - 16) + 4 * 3 + 3)
+    assert (muls, adds) == (4, (triples - 4) + 4 * 3 + 3)
     # A second knot at the same n reads the cached tables and logs this
     # call's counts, not the ring's running totals.
     assert debug_counts(KnotParams(-5, 6, 5, -1), 4, caplog)[4:] == (muls, adds)
     assert capsys.readouterr().out == ""
 
 
-def test_l1_bound_covers_the_total():
-    # The grouped sum over dict-arithmetic factors, each twisted by its
-    # framing as a LaurentPoly shift, is the reference for the packed
-    # traversal over _state_tables, and its coefficients stay within the
+def test_l1_bound_covers_the_total(monkeypatch):
+    # The same fold over dict-arithmetic factors, each term twisted by its
+    # framing as a LaurentPoly shift, is the reference for the packed total
+    # that colored_jones unpacks, and its coefficients stay within the
     # ring's l1 bound.
+    totals = []
+    unpack = PackedRing.unpack
+    monkeypatch.setattr(PackedRing, "unpack",
+                        lambda ring, p: totals.append(unpack(ring, p)) or totals[-1])
     for tup in FLAT_ORACLE_TUPLES:
         params = KnotParams(*tup)
         for N in range(1, 8):
             n = N - 1
             evens = range(0, 2 * n + 1, 2)
             lcm = cyclotomic_power_product(theta_lcm_exponents(n))
-            twisted = []
-            for w in params.astuple():
-                table = {}
-                for x in evens:
-                    m = framing_power(x, w)
-                    table[x] = (circle(x) * exact_div(lcm, theta(x, n, n))).shift(
-                        m.exponent, m.sign)
-                twisted.append(table)
+            base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
             bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
             tri = {abc: theta(*abc) * math.prod([delta6j(*abc, n, n, n)] * 2, start=ONE)
                    for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
-            total = _grouped_sum(n, *twisted, bd, tri)
+            q, r = _fold(n, base, bd, tri)
+            fr, fs, ft, fu = ({x: framing_power(x, w) for x in evens}
+                              for w in params.astuple())
+            total = ZERO
+            for b in evens:
+                qb = sum((v.shift(fr[a].exponent + ft[c].exponent, fr[a].sign * ft[c].sign)
+                          for (a, c), v in q[b].items()), ZERO)
+                rb = sum((v.shift(fu[d].exponent, fu[d].sign) for d, v in r[b].items()), ZERO)
+                total = total + (qb * rb).shift(fs[b].exponent, fs[b].sign)
 
-            cached_lcm, ring, base, packed_bd, packed_tri = _state_tables(n)
+            colored_jones(params, N)
+            cached_lcm, ring, _, _ = _state_tables(n)
             assert cached_lcm == lcm
-            packed = [{x: base[x].shift(framing_power(x, w)) for x in evens}
-                      for w in params.astuple()]
-            assert ring.unpack(_grouped_sum(n, *packed, packed_bd, packed_tri)) == total
+            assert totals.pop() == total
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
 
