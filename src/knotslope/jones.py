@@ -14,10 +14,10 @@ The total is guaranteed to be a Laurent polynomial; a failed final division
 signals an implementation fault, never bad input.
 
 Every theta(x,n,n) is a signed monomial times a product of cyclotomic
-polynomials Phi_d(v^4), with multiplicities given by floor counts
-(theta_exponents).  colored_jones brings the sum over the one common
+polynomials Phi_d(v^4).  colored_jones brings the sum over the one common
 denominator L = lcm_x theta(x,n,n), the product of Phi_d(v^4) to the
-largest of those multiplicities, and divides L^4 out at the end.  The
+largest multiplicity over x, which is 1 or 2 in closed form
+(theta_lcm_exponents), and divides L^4 out at the end.  The
 cofactors L / theta(x,n,n) and the final division are exact divisions,
 so a wrong exponent vector or a total that is not a Laurent polynomial
 raises NonExactDivision.  No polynomial gcd is ever taken, and the
@@ -31,9 +31,11 @@ d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
 for each b, and one product per b.  The tables live in a PackedRing
 (qlaurent): each is evaluated once at v^4 = 2^w, the sum is big-integer
 arithmetic, a framing factor is a Packed.shift with no multiply, and
-only the total is read back into a Laurent polynomial.  A twist keeps
-every l1 norm, so the same fold and sum over the l1 norms, once per n,
-bound every coefficient of the total and set the slot width w.  The
+only the total is read back into a Laurent polynomial.  One fold
+(_fold) builds the tables from their leaves, and a twist keeps every l1
+norm, so the same fold over the leaves' l1 norms, then the same sum over
+the norm tables, once per n, bounds every coefficient of the total and
+sets the slot width w.  The
 final divisions and the classical limit J_N(1) = N check the result, so
 a slot too narrow for it raises ArithmeticError.
 """
@@ -78,9 +80,11 @@ class KnotParams:
         return {"r": self.r, "s": self.s, "t": self.t, "u": self.u}
 
 
-def _c_range(a, b, n):
-    """The even c in [0, 2n] that make (a, b, c) admissible."""
-    return range(abs(a - b), min(a + b, 2 * n) + 1, 2)
+def _triples(n):
+    """The admissible even triples (a, b, c) in [0, 2n], in lexicographic order."""
+    evens = range(0, 2 * n + 1, 2)
+    return [(a, b, c) for a in evens for b in evens
+            for c in range(abs(a - b), min(a + b, 2 * n) + 1, 2)]
 
 
 def domain_points(n):
@@ -88,44 +92,32 @@ def domain_points(n):
     (a, b, c, d) tuples, in lexicographic order."""
     if n < 0:
         raise ValueError(f"negative ambient color {n}")
-    top = 2 * n
-    points = []
-    for a in range(0, top + 1, 2):
-        for b in range(0, top + 1, 2):
-            for c in _c_range(a, b, n):
-                for d in range(0, top + 1, 2):
-                    points.append((a, b, c, d))
-    return points
-
-
-def theta_exponents(x, n):
-    """Cyclotomic exponent vector of theta(x,n,n), as {d: m} with m > 0.
-
-    With h = x/2 + n, theta(x,n,n) = +/-[h+1] [h]! / ([n-x/2]! [x/2]!^2),
-    and [k] is a monomial times the product of Phi_d(v^4) over d | k,
-    d > 1.  So theta(x,n,n) is a signed monomial times prod_d Phi_d(v^4)^m
-    with m = [d | h+1] + floor(h/d) - floor((n-x/2)/d) - 2 floor((x/2)/d).
-    """
-    k = x // 2
-    h = k + n
-    exponents = {}
-    for d in range(2, h + 2):
-        m = ((h + 1) % d == 0) + h // d - (n - k) // d - 2 * (k // d)
-        if m:
-            exponents[d] = m
-    return exponents
+    return [(*abc, d) for abc in _triples(n) for d in range(0, 2 * n + 1, 2)]
 
 
 def theta_lcm_exponents(n):
     """Exponent vector of L = lcm_x theta(x,n,n) over the even x in [0, 2n].
 
-    The per-d maximum of the theta_exponents vectors.
+    The vector is {d: 1 if d | n+1 or d > n+1, else 2} over 2 <= d <= 2n+1.
+
+    Proof.  With k = x/2 and h = k + n,
+    theta(x,n,n) = +/-[h+1] [h]! / ([n-k]! [k]!^2), and [j] is a monomial
+    times the product of Phi_d(v^4) over the d > 1 that divide j.  So
+    Phi_d(v^4) occurs in theta(x,n,n) to the power
+
+        m_d(k) = [d | h+1] + floor(h/d) - floor((n-k)/d) - 2 floor(k/d)
+               = floor((rho + 2 sigma + 1)/d),
+
+    with rho = (n-k) mod d and sigma = k mod d, as h + 1 = (n-k) + 2k + 1.
+    As rho, sigma < d, m_d(k) <= 2.  Let nu = n mod d.  If sigma <= nu,
+    then rho = nu - sigma and rho + 2 sigma + 1 = nu + sigma + 1 < 2d, so
+    m_d(k) = 2 needs sigma > nu.  Some k in [0, n] has sigma > nu exactly
+    when d <= n+1 and d does not divide n+1 (for d > n+1, sigma = k <= n
+    = nu), and k = d-1 then gives 2.  Otherwise the maximum is 1, reached
+    at k = d-1 for d <= n+1 and at k = n for n+1 < d <= 2n+1.  For
+    d > 2n+1 every m_d(k) = floor((n+k+1)/d) is 0.
     """
-    exponents = {}
-    for x in range(0, 2 * n + 1, 2):
-        for d, m in theta_exponents(x, n).items():
-            exponents[d] = max(exponents.get(d, 0), m)
-    return exponents
+    return {d: 1 if (n + 1) % d == 0 or d > n + 1 else 2 for d in range(2, 2 * n + 2)}
 
 
 @lru_cache(maxsize=None)
@@ -135,15 +127,18 @@ def _state_tables(n):
     Returns (lcm, ring, q, r): L = lcm_x theta(x,n,n), the PackedRing, and
     _fold's q and r packed in it.  The fold reads base, which maps each
     even color x to O^x L / theta(x,n,n), bd, which maps (b, d) to
-    delta6j(b,n,n,d,n,n), and tri, which maps each admissible sorted triple
-    a <= b <= c to theta(a,b,c) delta6j(a,b,c,n,n,n)^2.  tri is symmetric
-    in (a, b, c): permuting the triple permutes the four quantum binomials
-    of each z-term and leaves the z-range unchanged.  The ring's bound is
-    the same fold and two-level sum run over the l1 norms, which a twist
-    keeps; it bounds the l1 norm of the total, and so every coefficient,
-    because ||PQ|| <= ||P|| ||Q|| and ||P + Q|| <= ||P|| + ||Q||.  Each
-    cofactor L / theta(x,n,n) is an exact division, so an L that misses a
-    factor of some theta raises NonExactDivision here.
+    delta6j(b,n,n,d,n,n), and factors, which maps each admissible sorted
+    triple a <= b <= c to (theta(a,b,c), delta6j(a,b,c,n,n,n)).  Their
+    product theta delta6j^2 is symmetric in (a, b, c): permuting the
+    triple permutes the four quantum binomials of each z-term and leaves
+    the z-range unchanged.  _fold runs twice over these leaves: first
+    over their l1 norms, which a twist keeps, and the ring's bound is the
+    two-level sum of the norm tables; then over the leaves packed in the
+    ring.  The bound covers the l1 norm of the total, and so every
+    coefficient, because ||PQ|| <= ||P|| ||Q|| and
+    ||P + Q|| <= ||P|| + ||Q||.  Each cofactor L / theta(x,n,n) is an
+    exact division, so an L that misses a factor of some theta raises
+    NonExactDivision here.
     Callers share the tables and only read them; the ring's counters move.
     """
     lcm = ONE
@@ -153,44 +148,38 @@ def _state_tables(n):
     evens = range(0, 2 * n + 1, 2)
     base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
-    triples = [(a, b, c) for a in evens for b in evens for c in _c_range(a, b, n)
-               if a <= b <= c]
-    factors = {abc: (theta(*abc), delta6j(*abc, n, n, n)) for abc in triples}
-
-    norm = LaurentPoly.l1_norm
-    norm_q, norm_r = _fold(
-        n, {x: norm(p) for x, p in base.items()}, {k: norm(p) for k, p in bd.items()},
-        {abc: norm(t) * norm(dl) * norm(dl) for abc, (t, dl) in factors.items()})
+    factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
+               for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
+    norm_q, norm_r = _fold(n, LaurentPoly.l1_norm, base, bd, factors)
     ring = PackedRing(sum(sum(norm_q[b].values()) * sum(norm_r[b].values())
                           for b in evens), 4)
-    pack = ring.pack
-    tri = {}
-    for abc, (t, dl) in factors.items():
-        packed_delta = pack(dl)
-        tri[abc] = pack(t) * packed_delta * packed_delta
-    return (lcm, ring, *_fold(n, {x: pack(p) for x, p in base.items()},
-                              {k: pack(p) for k, p in bd.items()}, tri))
+    return (lcm, ring, *_fold(n, ring.pack, base, bd, factors))
 
 
-def _fold(n, base, bd, tri):
-    """The tables q and r of the state sum, each keyed by b first.
+def _fold(n, f, base, bd, factors):
+    """The tables q and r of the state sum, each keyed by b first, over
+    the leaves mapped by f.
 
-    q[b][a, c] = tri[sorted(a, b, c)] base[a] base[c] over the admissible
-    (a, b, c), and r[b][d] = bd[b, d] base[b] base[d].  Each product
-    base[a] base[c] is formed once per unordered pair, and q[b][a, c] once
-    for a <= c, as q is symmetric in a and c; bd is not symmetric.  Only *
-    is applied, so the fold runs over LaurentPoly factors, over packed
-    integers and over l1 norms alike.
+    With tri = f(theta) f(delta)^2 for each (theta, delta) of factors,
+    q[b][a, c] = tri[sorted(a, b, c)] f(base[a]) f(base[c]) over the
+    admissible (a, b, c), and r[b][d] = f(bd[b, d]) f(base[b]) f(base[d]).
+    Each product f(base[a]) f(base[c]) is formed once per unordered pair,
+    and q[b][a, c] once for a <= c, as q is symmetric in a and c; bd is
+    not symmetric.  Only * is applied to the mapped leaves, so f can map
+    to LaurentPoly factors, packed integers or l1 norms alike.
     """
     evens = range(0, 2 * n + 1, 2)
+    base = {x: f(p) for x, p in base.items()}
+    tri = {}
+    for abc, (t, dl) in factors.items():
+        delta = f(dl)
+        tri[abc] = f(t) * delta * delta
     pair = {(a, c): base[a] * base[c] for a in evens for c in evens if a <= c}
     q = {b: {} for b in evens}
-    for a in evens:
-        for b in evens:
-            for c in _c_range(a, b, n):
-                if a <= c:
-                    q[b][a, c] = q[b][c, a] = tri[tuple(sorted((a, b, c)))] * pair[a, c]
-    r = {b: {d: bd[b, d] * pair[min(b, d), max(b, d)] for d in evens} for b in evens}
+    for a, b, c in _triples(n):
+        if a <= c:
+            q[b][a, c] = q[b][c, a] = tri[tuple(sorted((a, b, c)))] * pair[a, c]
+    r = {b: {d: f(bd[b, d]) * pair[min(b, d), max(b, d)] for d in evens} for b in evens}
     return q, r
 
 

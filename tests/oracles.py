@@ -2,6 +2,10 @@
 
   qfact       the quantum factorial, which the qbinom, theta and 6j
               tests divide against
+  theta_exponents
+              the cyclotomic exponent vector of theta(x,n,n) by floor
+              counts, the reference for theta's factorization and for
+              the closed form of jones.theta_lcm_exponents
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the packed
               two-level sum of colored_jones
@@ -29,6 +33,24 @@ def qfact(k):
     if k == 0:
         return ONE
     return qfact(k - 1) * qint(k)
+
+
+def theta_exponents(x, n):
+    """Cyclotomic exponent vector of theta(x,n,n), as {d: m} with m > 0.
+
+    With h = x/2 + n, theta(x,n,n) = +/-[h+1] [h]! / ([n-x/2]! [x/2]!^2),
+    and [k] is a monomial times the product of Phi_d(v^4) over d | k,
+    d > 1.  So theta(x,n,n) is a signed monomial times prod_d Phi_d(v^4)^m
+    with m = [d | h+1] + floor(h/d) - floor((n-x/2)/d) - 2 floor((x/2)/d).
+    """
+    k = x // 2
+    h = k + n
+    exponents = {}
+    for d in range(2, h + 2):
+        m = ((h + 1) % d == 0) + h // d - (n - k) // d - 2 * (k // d)
+        if m:
+            exponents[d] = m
+    return exponents
 
 
 def validate_colors(colors, n):

@@ -7,16 +7,20 @@ import random
 import re
 
 import pytest
-from oracles import summand
+from oracles import summand, theta_exponents
 
-from knotslope.degopt import brute_max_objective, closed_form_dplus, degree_model
+from knotslope.degopt import (
+    brute_max_objective,
+    closed_form_dplus,
+    degree_model,
+    degree_objective,
+)
 from knotslope.jones import (
     KnotParams,
     _fold,
     _state_tables,
     colored_jones,
     domain_points,
-    theta_exponents,
     theta_lcm_exponents,
 )
 from knotslope.ktg import circle, delta6j, framing_power, theta
@@ -226,13 +230,15 @@ def test_lcm_missing_a_factor_is_not_divisible():
 
 
 def test_lcm_multiplicities_in_closed_form():
-    # L carries Phi_d(v^4) twice for 2 <= d <= n+1 with d not dividing
-    # n+1, and once for the divisors of n+1 and for n+1 < d <= 2n+1.
-    # Every multiplicity is 1 or 2, so _state_tables multiplies each
-    # factor in by a loop, with no power.
+    # The closed form of theta_lcm_exponents is the per-d maximum of the
+    # floor counts of every theta(x,n,n): Phi_d(v^4) twice for
+    # 2 <= d <= n+1 with d not dividing n+1, and once for the divisors of
+    # n+1 and for n+1 < d <= 2n+1.
     for n in range(41):
-        expected = {d: 1 if (n + 1) % d == 0 or d > n + 1 else 2
-                    for d in range(2, 2 * n + 2)}
+        expected = {}
+        for x in range(0, 2 * n + 1, 2):
+            for d, m in theta_exponents(x, n).items():
+                expected[d] = max(expected.get(d, 0), m)
         assert theta_lcm_exponents(n) == expected, n
 
 
@@ -268,8 +274,9 @@ def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys
 
 
 def test_l1_bound_covers_the_total(monkeypatch):
-    # The same fold over dict-arithmetic factors, each term twisted by its
-    # framing as a LaurentPoly shift, is the reference for the packed total
+    # The same fold over dict-arithmetic factors (the identity leaf map),
+    # each term twisted by its framing as a LaurentPoly shift, is the
+    # reference for the packed total
     # that colored_jones unpacks, and its coefficients stay within the
     # ring's l1 bound.
     totals = []
@@ -284,9 +291,9 @@ def test_l1_bound_covers_the_total(monkeypatch):
             lcm = cyclotomic_power_product(theta_lcm_exponents(n))
             base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
             bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
-            tri = {abc: theta(*abc) * math.prod([delta6j(*abc, n, n, n)] * 2, start=ONE)
-                   for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
-            q, r = _fold(n, base, bd, tri)
+            factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
+                       for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
+            q, r = _fold(n, lambda p: p, base, bd, factors)
             fr, fs, ft, fu = ({x: framing_power(x, w) for x in evens}
                               for w in params.astuple())
             total = ZERO
@@ -301,6 +308,30 @@ def test_l1_bound_covers_the_total(monkeypatch):
             assert cached_lcm == lcm
             assert totals.pop() == total
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
+
+
+# The ring's l1 bound for n = 0..9, recorded from the hand-written norm
+# fold that _fold's leaf map replaced (bit lengths 1, 14, 33, 48, 68, 82,
+# 107, 111, 138 and 155).  A looser bound would still cover the total,
+# but it would widen the slots, 8 to 160 bits here, and slow every
+# packed multiply.
+RING_BOUNDS = (
+    1,
+    12960,
+    8087040000,
+    258557044032000,
+    184992581711314944000,
+    2453949102244065958224000,
+    152476351161369646918381508874240,
+    2237844711978116593698040689496320,
+    230469638437075336299409026956640216678400,
+    27698263347646360977760389778811175529557540864,
+)
+
+
+def test_ring_bound_pin():
+    for n, bound in enumerate(RING_BOUNDS):
+        assert _state_tables(n)[1].bound == bound, n
 
 
 def test_state_tables_are_reused_across_knots(fresh_state_tables):
@@ -429,3 +460,19 @@ def test_exact_dplus_matches_brute():
         params = KnotParams(*tup)
         for N in range(1, 5):
             assert colored_jones(params, N).max_deg == brute_max_objective(params, N - 1)
+
+
+def test_leading_term_counts_the_maximizers():
+    # The top degree of J_N is the exhaustive maximum of degree_objective
+    # over the lattice, and its coefficient is the number of lattice points
+    # that reach it: the maximizers' top terms never cancel, and each
+    # is +1.  Tags 1, 2.1, 2.2 and 2.3, then 2.4 at both u.
+    for tup in [(-3, 2, 3, -3), (-5, 6, 7, -1), (-3, 6, 5, -3), (-5, 8, 9, -1),
+                (-3, 4, 5, -3), (-3, 4, 5, -1)]:
+        params = KnotParams(*tup)
+        for N in range(1, 7):
+            n = N - 1
+            values = [degree_objective(params, n, colors) for colors in domain_points(n)]
+            top = max(values)
+            poly = colored_jones(params, N)
+            assert (poly.max_deg, poly.leading_coeff) == (top, values.count(top)), (tup, N)
