@@ -17,11 +17,14 @@ Every theta(x,n,n) is a signed monomial times a product of cyclotomic
 polynomials Phi_d(v^4).  colored_jones brings the sum over the one common
 denominator L = lcm_x theta(x,n,n), the product of Phi_d(v^4) to the
 largest multiplicity over x, which is 1 or 2 in closed form
-(theta_lcm_exponents), and divides L^4 out at the end.  The
-cofactors L / theta(x,n,n) and the final division are exact divisions,
-so a wrong exponent vector or a total that is not a Laurent polynomial
-raises NonExactDivision.  No polynomial gcd is ever taken, and the
-result is bit-identical however the work is ordered.
+(theta_lcm_exponents), and divides L^4 out at the end.  In q = v^4, L
+and every theta are products of binomials q^j - 1 (lcm_binomials,
+theta_binomials; theta up to a signed monomial), which is the one kind
+of divisor qlaurent.exact_div takes.  L itself, the cofactors
+L / theta(x,n,n) and the final division are exact divisions, so a wrong
+exponent vector or a total that is not a Laurent polynomial raises
+NonExactDivision.  No polynomial gcd is ever taken, and the result is
+bit-identical however the work is ordered.
 
 The knot enters only through the framing factors f(x)^w, signed
 monomials.  Everything else folds, once per n (_state_tables), into two
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ktg import circle, delta6j, framing_power, theta
-from .qlaurent import ONE, LaurentPoly, PackedRing, cyclotomic, exact_div
+from .qlaurent import ONE, LaurentPoly, NonExactDivision, PackedRing, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -120,6 +123,41 @@ def theta_lcm_exponents(n):
     return {d: 1 if (n + 1) % d == 0 or d > n + 1 else 2 for d in range(2, 2 * n + 2)}
 
 
+def lcm_binomials(n):
+    """The binomial vector of L = lcm_x theta(x,n,n): {j: beta_j}, nonzero
+    entries only, with L = prod (v^(4j) - 1)^beta_j.
+
+    q^j - 1 is the product of Phi_d(q) over the divisors d of j, so
+    L = prod over d of Phi_d(q)^m_d, with m = theta_lcm_exponents(n) and
+    m_1 = 0, exactly when the beta_j over the multiples j of d sum to m_d
+    for every d >= 1.  Solved from the top d = 2n+1 down:
+    beta_d = m_d - sum of beta_j over the multiples j > d of d.
+    """
+    m = theta_lcm_exponents(n)
+    beta = {}
+    for d in range(2 * n + 1, 0, -1):
+        beta[d] = m.get(d, 0) - sum(beta[j] for j in range(2 * d, 2 * n + 2, d))
+    return {j: b for j, b in beta.items() if b}
+
+
+def theta_binomials(x, n):
+    """The binomial vector of theta(x,n,n): {j: gamma_j}, nonzero entries
+    only, with theta(x,n,n) a signed monomial times prod (v^(4j) - 1)^gamma_j.
+
+    With k = x/2 and h = k + n, theta(x,n,n) = +/-[h+1] [h]! / ([n-k]! [k]!^2)
+    (Kauffman and Lins, Temperley-Lieb Recoupling Theory, 1994), and
+    [j] = v^(-2(j-1)) (q^j - 1)/(q - 1).  The numerator holds h + 1
+    quantum integers and the denominator h, which leaves q - 1 once in
+    the denominator.
+    """
+    k = x // 2
+    h = k + n
+    gamma = {j: (j == h + 1) + (j <= h) - (j <= n - k) - 2 * (j <= k)
+             for j in range(1, h + 2)}
+    gamma[1] -= 1
+    return {j: e for j, e in gamma.items() if e}
+
+
 @lru_cache(maxsize=None)
 def _state_tables(n):
     """The knot-independent tables of the state sum at ambient color n.
@@ -136,17 +174,22 @@ def _state_tables(n):
     two-level sum of the norm tables; then over the leaves packed in the
     ring.  The bound covers the l1 norm of the total, and so every
     coefficient, because ||PQ|| <= ||P|| ||Q|| and
-    ||P + Q|| <= ||P|| + ||Q||.  Each cofactor L / theta(x,n,n) is an
-    exact division, so an L that misses a factor of some theta raises
-    NonExactDivision here.
+    ||P + Q|| <= ||P|| + ||Q||.  L and each cofactor L / theta(x,n,n)
+    are exact divisions by binomials; dividing theta(x,n,n) by its own
+    binomials must leave a signed monomial, and an L that misses a factor
+    of some theta raises NonExactDivision here.
     Callers share the tables and only read them; the ring's counters move.
     """
-    lcm = ONE
-    for d, m in theta_lcm_exponents(n).items():
-        for _ in range(m):
-            lcm = lcm * cyclotomic(d)
+    lcm = exact_div(ONE, {j: -b for j, b in lcm_binomials(n).items()})
     evens = range(0, 2 * n + 1, 2)
-    base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
+    base = {}
+    for x in evens:
+        gamma = theta_binomials(x, n)
+        (e, sign), *rest = exact_div(theta(x, n, n), gamma).terms()
+        if rest or sign not in (1, -1):
+            raise NonExactDivision(f"theta({x},{n},{n}) is not a signed monomial "
+                                   "times its binomials")
+        base[x] = circle(x) * exact_div(lcm, gamma).shift(-e, sign)
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
@@ -195,9 +238,9 @@ def colored_jones(params, N):
     over _state_tables(n)'s q and r.  Each f is a signed monomial, applied
     by Packed.shift, so a call makes n + 1 packed multiplies, one per b,
     and shifted adds.  Only the total is unpacked.  It carries L^4, and
-    the four final divisions by L and the classical limit J_N(1) = N
-    double as tripwires for the integrality of the sum and for the slot
-    width.
+    the final division by L^4's binomials and the classical limit
+    J_N(1) = N double as tripwires for the integrality of the sum and for
+    the slot width.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
@@ -209,21 +252,21 @@ def colored_jones(params, N):
         (sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items())
          * sum(v.shift(fu[d]) for d, v in r[b].items())).shift(fs[b]) for b in q))
 
+    beta = lcm_binomials(n)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "colored_jones n=%d: L has %d cyclotomic factors, span %d "
+            "colored_jones n=%d: L has %d binomial factors, span %d "
             "(product of thetas %d); total span %d before the peel; "
             "%d-bit slots for an l1 bound of %d bits, total max |coef| "
             "%d bits; %d packed multiplies, %d packed adds",
-            n, sum(theta_lcm_exponents(n).values()), _span(lcm),
+            n, sum(map(abs, beta.values())), _span(lcm),
             sum(_span(theta(x, n, n)) for x in range(0, 2 * n + 1, 2)),
             _span(total), 8 * ring.width, ring.bound.bit_length(),
             max((abs(c) for _, c in total.terms()), default=0).bit_length(),
             ring.muls - muls, ring.adds - adds,
         )
-    # total == J_sum * L^4; peel L off exactly.
-    for _ in range(4):
-        total = exact_div(total, lcm)
+    # total == J_sum * L^4; divide L^4 out exactly.
+    total = exact_div(total, {j: 4 * b for j, b in beta.items()})
 
     prefactor = framing_power(n, -4 * params.u)
     sign = prefactor.sign * (-1 if n % 2 else 1)

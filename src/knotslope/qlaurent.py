@@ -3,18 +3,17 @@
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
-ring operations, exact division, quantum integers with their
-binomials, and the cyclotomic polynomials
-Phi_d(v^4) that quantum integers factor into.  There is no field of
-fractions: state sums bring their quotients over a known common
-denominator and clear it with exact_div, whose failure signals a fault.
+ring operations, quantum integers with their binomials, and one exact
+division.  There is no field of fractions: state sums bring their
+quotients over a known common denominator and clear it with exact_div,
+whose failure signals a fault.
 
 LaurentPoly has one product: the schoolbook loop over term pairs of the
-two dicts.  The state sum's polynomials have every exponent in
-v^k Z[v^4], so exact_div first divides exponent offsets by the operands'
-common stride (the gcd of the offsets, 4 there) and runs its schoolbook
-peel on the compressed coefficient arrays, with every divisibility and
-remainder check in place.
+two dicts.  Every denominator of the state sum is a unit times a product
+of binomials q^j - 1 in q = v^4 (a quantum integer [j] is
+v^(-2(j-1)) (q^j - 1)/(q - 1)), so exact_div divides by such a product
+only, in one pass over a dense array per binomial, with the remainder
+checked each time.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
@@ -35,9 +34,9 @@ Conventions:
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
+from itertools import accumulate
 
 # A coefficient as to_json writes it: a decimal integer.
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -48,7 +47,7 @@ class ZeroPolynomial(ValueError):
 
 
 class NonExactDivision(ArithmeticError):
-    """exact_div was called on a pair with a nonzero remainder."""
+    """A division that must be exact left a nonzero remainder."""
 
 
 class LaurentPoly:
@@ -201,15 +200,21 @@ class LaurentPoly:
 
     # -- dense helpers (internal) ----------------------------------------
 
-    def _dense(self, stride=1):
-        """Ascending coefficients at exponents lo, lo + stride, ..., plus lo.
+    def _dense(self, stride):
+        """Ascending coefficients at exponents lo, lo + stride, ..., plus lo,
+        for a nonzero polynomial.
 
-        stride must divide every exponent offset from the lowest one.
+        Raises ArithmeticError unless every exponent lies in the coset of
+        the lowest one mod stride.
         """
-        lo = self.min_deg
-        out = [0] * ((self.max_deg - lo) // stride + 1)
-        for e, c in self._terms.items():
-            out[(e - lo) // stride] = c
+        terms = self._terms
+        lo = min(terms)
+        out = [0] * ((max(terms) - lo) // stride + 1)
+        for e, c in terms.items():
+            k, rem = divmod(e - lo, stride)
+            if rem:
+                raise ArithmeticError(f"exponents outside one coset mod {stride}")
+            out[k] = c
         return out, lo
 
 
@@ -248,16 +253,11 @@ class PackedRing:
     def pack(self, poly):
         if not poly:
             return Packed(0, 0, self)
-        terms, stride, width = poly._terms, self.stride, self.width
-        lo = min(terms)
-        if any((e - lo) % stride for e in terms):
-            raise ArithmeticError(f"exponents outside one coset mod {stride}")
+        coeffs, lo = poly._dense(self.stride)
+        width = self.width
         half = 1 << (8 * width - 1)
-        slots = [half] * ((max(terms) - lo) // stride + 1)
-        for e, c in terms.items():
-            slots[(e - lo) // stride] = c + half
-        biased = b"".join([c.to_bytes(width, "little") for c in slots])
-        bias = half.to_bytes(width, "little") * len(slots)
+        biased = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        bias = half.to_bytes(width, "little") * len(coeffs)
         value = int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
         return Packed(value, lo, self)
 
@@ -338,23 +338,6 @@ def qint(k):
 
 
 @lru_cache(maxsize=None)
-def cyclotomic(d):
-    """Cyclotomic polynomial Phi_d(v^4), d >= 1.
-
-    Built as v^(4d) - 1 divided exactly by Phi_e(v^4) for every proper
-    divisor e of d.  Each quantum integer factors as
-    [k] = v^(-2(k-1)) * prod over d | k, d > 1, of Phi_d(v^4).
-    """
-    if d < 1:
-        raise ValueError(f"cyclotomic polynomial undefined for {d}")
-    p = LaurentPoly._raw({4 * d: 1, 0: -1})
-    for e in range(1, d):
-        if d % e == 0:
-            p = exact_div(p, cyclotomic(e))
-    return p
-
-
-@lru_cache(maxsize=None)
 def qbinom(n, k):
     """Symmetric quantum binomial [n]! / ([k]! [n-k]!), 0 <= k <= n.
 
@@ -374,65 +357,39 @@ def qbinom(n, k):
 # -- exact division -----------------------------------------------------
 
 
-def _stride(*term_maps):
-    """Common stride of nonzero term maps.
+def exact_div(p, binomials):
+    """Exact quotient of p by prod (v^(4j) - 1)^e over the (j, e) items of
+    binomials, j >= 1; a negative e multiplies.
 
-    The gcd of every exponent's offset from its own map's lowest exponent,
-    or 1 when every map is a single term.
+    p must lie in one coset v^k Z[v^4].  It is read once into its dense
+    coefficient array in q = v^4, every product is applied, and then every
+    division.  Over 1 - q^j instead of q^j - 1, a product is a subtraction
+    of the array shifted by j, and a quotient is a running sum along each
+    residue class mod j, whose top j entries are the remainder and must
+    be zero; each factor's sign flip is applied once at the end.  A
+    nonzero remainder raises NonExactDivision.
+
+    The division stays the integrality tripwire of the state sum.  Write
+    the divisor as N'/D, with N' and D the products of the binomials of
+    positive and of negative e.  Then T / (N'/D) is a Laurent polynomial
+    exactly when N' divides T D, and that holds exactly when every
+    division of the chain on T D is exact: each factor of N' divides what
+    is left of T D exactly when the rest of N' divides the quotient.
     """
-    g = 0
-    for t in term_maps:
-        lo = min(t)
-        g = math.gcd(g, *[e - lo for e in t])
-    return g or 1
-
-
-def exact_div(p, q):
-    """Exact quotient p / q in the Laurent ring.
-
-    Raises NonExactDivision if q does not divide p over Z[v, v^-1], and
-    ZeroDivisionError for a zero divisor.  Used as a correctness tripwire:
-    state-sum totals must clear their theta denominators exactly.
-
-    Both operands are taken as dense coefficient arrays compressed by
-    their common stride (the gcd of every exponent offset, 4 for the
-    state sum's polynomials), and _peel divides those.  An exact quotient
-    has the same stride, so the compressed peel performs the same
-    nonzero steps and the same checks as the uncompressed one.
-    """
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return ZERO
-    g = _stride(p._terms, q._terms)
-    num, num_off = p._dense(g)
-    den, den_off = q._dense(g)
-    quot = _peel(num, den)
-    shift = num_off - den_off
-    return LaurentPoly._raw({shift + i * g: c for i, c in enumerate(quot) if c})
-
-
-def _peel(num, den):
-    """Schoolbook quotient of dense ascending coefficient lists.
-
-    Raises NonExactDivision unless den divides num exactly over Z.
-    """
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        raise NonExactDivision("dividend degree span below divisor")
-    lead = den[-1]
-    quot = [0] * (dn - dd + 1)
-    work = num[:]
-    for i in range(dn - dd, -1, -1):
-        c = work[i + dd]
-        if c == 0:
-            continue
-        f, r = divmod(c, lead)
-        if r:
-            raise NonExactDivision("leading coefficient not divisible")
-        quot[i] = f
-        for j in range(dd + 1):
-            work[i + j] -= f * den[j]
-    if any(work[:dd]):
-        raise NonExactDivision("nonzero remainder")
-    return quot
+    coeffs, lo = p._dense(4)
+    sign = 1
+    for j, e in binomials.items():
+        for _ in range(-e):
+            coeffs = [a - b for a, b in zip(coeffs + [0] * j, [0] * j + coeffs)]
+            sign = -sign
+    for j, e in binomials.items():
+        for _ in range(e):
+            for i in range(j):
+                coeffs[i::j] = accumulate(coeffs[i::j])
+            if any(coeffs[-j:]):
+                raise NonExactDivision(f"nonzero remainder mod v^{4 * j} - 1")
+            del coeffs[-j:]
+            sign = -sign
+    return LaurentPoly._raw({lo + 4 * i: sign * c for i, c in enumerate(coeffs) if c})

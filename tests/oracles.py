@@ -1,5 +1,19 @@
 """Test-only oracles: independent computations that the package is checked against.
 
+  schoolbook_div
+              exact division by any polynomial: the schoolbook peel
+              (peel) on coefficient arrays compressed by the operands'
+              common stride (common_stride).  The reference that
+              qlaurent.exact_div, which divides by binomials v^(4j) - 1
+              only, is checked against, and the division for the tests
+              whose divisors are other polynomials
+  binomial_product
+              prod (v^(4j) - 1)^e by the dict multiply, the products
+              that exact_div's divisors stand for
+  cyclotomic  Phi_d(v^4), by exact division of v^(4d) - 1 by the
+              Phi_e(v^4) of the proper divisors e of d: the reference
+              that L and every theta are the cyclotomic products the
+              package's binomial vectors claim
   qfact       the quantum factorial, which the qbinom, theta and 6j
               tests divide against
   theta_exponents
@@ -9,6 +23,10 @@
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the packed
               two-level sum of colored_jones
+  habiro_coefficients
+              Habiro's cyclotomic coefficients H_k of J_1..J_N, a
+              cross-N check of every coefficient by a theorem the
+              package does not use
   ending_u    the closed form (t-1)s/(ts+t-1) of the u-coordinate where
               the interior-ending system's paths end, which the report's
               u0 and E3 read from the built system
@@ -17,12 +35,99 @@
 None of them runs in the package itself.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from knotslope.degopt import classify
 from knotslope.ktg import circle, delta6j, framing_power, is_admissible, theta
-from knotslope.qlaurent import ONE, qint
+from knotslope.qlaurent import ONE, ZERO, LaurentPoly, NonExactDivision, qint
+
+
+def common_stride(*term_maps):
+    """Common stride of nonzero term maps.
+
+    The gcd of every exponent's offset from its own map's lowest exponent,
+    or 1 when every map is a single term.
+    """
+    g = 0
+    for t in term_maps:
+        lo = min(t)
+        g = math.gcd(g, *[e - lo for e in t])
+    return g or 1
+
+
+def peel(num, den):
+    """Schoolbook quotient of dense ascending coefficient lists.
+
+    Raises NonExactDivision unless den divides num exactly over Z.
+    """
+    dn, dd = len(num) - 1, len(den) - 1
+    if dn < dd:
+        raise NonExactDivision("dividend degree span below divisor")
+    lead = den[-1]
+    quot = [0] * (dn - dd + 1)
+    work = num[:]
+    for i in range(dn - dd, -1, -1):
+        c = work[i + dd]
+        if c == 0:
+            continue
+        f, r = divmod(c, lead)
+        if r:
+            raise NonExactDivision("leading coefficient not divisible")
+        quot[i] = f
+        for j in range(dd + 1):
+            work[i + j] -= f * den[j]
+    if any(work[:dd]):
+        raise NonExactDivision("nonzero remainder")
+    return quot
+
+
+def schoolbook_div(p, q):
+    """Exact quotient p / q in the Laurent ring, for any divisor q.
+
+    Raises NonExactDivision if q does not divide p over Z[v, v^-1], and
+    ZeroDivisionError for a zero divisor.  Both operands are taken as
+    dense coefficient arrays compressed by their common stride, and peel
+    divides those.  An exact quotient has the same stride, so the
+    compressed peel performs the same nonzero steps and the same checks
+    as the uncompressed one.
+    """
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return ZERO
+    g = common_stride(p._terms, q._terms)
+    num, num_off = p._dense(g)
+    den, den_off = q._dense(g)
+    shift = num_off - den_off
+    return LaurentPoly({shift + i * g: c for i, c in enumerate(peel(num, den))})
+
+
+def binomial_product(binomials):
+    """prod (v^(4j) - 1)^e over the items of binomials, every e >= 0, by
+    the dict multiply."""
+    product = ONE
+    for j, e in binomials.items():
+        product = math.prod([LaurentPoly({4 * j: 1, 0: -1})] * e, start=product)
+    return product
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Cyclotomic polynomial Phi_d(v^4), d >= 1.
+
+    Built as v^(4d) - 1 divided exactly by Phi_e(v^4) for every proper
+    divisor e of d.  Each quantum integer factors as
+    [k] = v^(-2(k-1)) * prod over d | k, d > 1, of Phi_d(v^4).
+    """
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomial undefined for {d}")
+    p = LaurentPoly({4 * d: 1, 0: -1})
+    for e in range(1, d):
+        if d % e == 0:
+            p = schoolbook_div(p, cyclotomic(e))
+    return p
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +190,32 @@ def summand(params, n, colors):
         num = num * circle(x)
         den = den * theta(x, n, n)
     return num, den
+
+
+def habiro_coefficients(polys):
+    """Habiro's coefficients H_0, ..., H_(M-1) of the colored Jones
+    polynomials polys = [J_1, ..., J_M] of one 0-framed knot.
+
+    J_N / [N] = sum over k < N of H_k prod_(j=1..k) {N+j}{N-j}, with
+    {m} = v^(2m) - v^(-2m), and every H_k is a Laurent polynomial that
+    does not depend on N (K. Habiro, Invent. Math. 171, 2008).  So J_N
+    gives H_(N-1) by one exact division once H_0..H_(N-2) are known, and
+    it is a polynomial only if J_N agrees with every J_M for M < N.
+    Every division is schoolbook_div's; NonExactDivision means polys is
+    not the sequence of one knot.
+    """
+    def braces(m):
+        return LaurentPoly({2 * m: 1, -2 * m: -1})
+
+    coeffs = []
+    for N, poly in enumerate(polys, start=1):
+        products = [ONE]
+        for j in range(1, N):
+            products.append(products[-1] * braces(N + j) * braces(N - j))
+        rest = schoolbook_div(poly, qint(N)) - sum(
+            (h * p for h, p in zip(coeffs, products)), ZERO)
+        coeffs.append(schoolbook_div(rest, products[N - 1]))
+    return coeffs
 
 
 def ending_u(params):

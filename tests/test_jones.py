@@ -7,7 +7,14 @@ import random
 import re
 
 import pytest
-from oracles import summand, theta_exponents
+from oracles import (
+    binomial_product,
+    cyclotomic,
+    habiro_coefficients,
+    schoolbook_div,
+    summand,
+    theta_exponents,
+)
 
 from knotslope.degopt import (
     brute_max_objective,
@@ -21,6 +28,8 @@ from knotslope.jones import (
     _state_tables,
     colored_jones,
     domain_points,
+    lcm_binomials,
+    theta_binomials,
     theta_lcm_exponents,
 )
 from knotslope.ktg import circle, delta6j, framing_power, theta
@@ -30,7 +39,6 @@ from knotslope.qlaurent import (
     LaurentPoly,
     NonExactDivision,
     PackedRing,
-    cyclotomic,
     exact_div,
     qint,
 )
@@ -63,10 +71,10 @@ def flat_state_sum(params, N, points=None):
     total = ZERO
     for colors in points:
         num, den = summand(params, n, colors)
-        total = total + num * exact_div(common, den)
+        total = total + num * schoolbook_div(common, den)
     prefactor = framing_power(n, -4 * params.u)
     sign = prefactor.sign * (-1 if n % 2 else 1)
-    return exact_div(total, common).shift(prefactor.exponent, sign)
+    return schoolbook_div(total, common).shift(prefactor.exponent, sign)
 
 
 def test_params_validation():
@@ -221,12 +229,60 @@ def test_lcm_missing_a_factor_is_not_divisible():
     lcm = theta_lcm_exponents(n)
     full = cyclotomic_power_product(lcm)
     for x in range(0, 2 * n + 1, 2):
-        exact_div(full, theta(x, n, n))
+        schoolbook_div(full, theta(x, n, n))
     for d, top in lcm.items():
-        short = exact_div(full, cyclotomic(d))
+        short = schoolbook_div(full, cyclotomic(d))
         x = next(x for x in range(0, 2 * n + 1, 2) if theta_exponents(x, n).get(d) == top)
         with pytest.raises(NonExactDivision):
-            exact_div(short, theta(x, n, n))
+            schoolbook_div(short, theta(x, n, n))
+
+
+def test_lcm_binomials_are_the_cyclotomic_product():
+    # prod (q^j - 1)^beta_j is L = prod Phi_d(q)^m_d: multiplied out with
+    # the negative beta_j moved to the other side, and as the division
+    # chain that _state_tables builds L with.
+    for n in range(16):
+        beta = lcm_binomials(n)
+        lcm = cyclotomic_power_product(theta_lcm_exponents(n))
+        assert binomial_product({j: b for j, b in beta.items() if b > 0}) == \
+            lcm * binomial_product({j: -b for j, b in beta.items() if b < 0}), n
+        assert exact_div(ONE, {j: -b for j, b in beta.items()}) == lcm, n
+
+
+def test_theta_binomials_have_the_cyclotomic_content():
+    # q^j - 1 carries Phi_d(q) once for each divisor d of j, so theta's
+    # binomial vector carries Phi_d to the sum of gamma_j over the
+    # multiples j of d: the floor counts for d > 1, and 0 for d = 1.
+    for n in range(13):
+        for x in range(0, 2 * n + 1, 2):
+            gamma = theta_binomials(x, n)
+            content = {d: sum(e for j, e in gamma.items() if j % d == 0)
+                       for d in range(1, x // 2 + n + 2)}
+            assert content.pop(1) == 0, (x, n)
+            assert {d: m for d, m in content.items() if m} == theta_exponents(x, n), (x, n)
+
+
+def test_state_tables_reject_an_lcm_missing_a_factor(monkeypatch):
+    # With one Phi_d dropped from L, the cofactor of a theta that carries
+    # Phi_d to the full multiplicity is not exact.
+    n = 7
+    full = theta_lcm_exponents(n)
+    for d in full:
+        short = dict(full)
+        short[d] -= 1
+        monkeypatch.setattr("knotslope.jones.theta_lcm_exponents", lambda n, short=short: short)
+        with pytest.raises(NonExactDivision):
+            _state_tables.__wrapped__(n)
+
+
+def test_state_tables_check_that_theta_is_a_unit_times_its_binomials(monkeypatch):
+    # A theta off by a factor its binomial vector does not carry leaves
+    # more than a signed monomial after the division by its binomials.
+    for factor in (qint(2), LaurentPoly({0: 2})):
+        monkeypatch.setattr("knotslope.jones.theta",
+                            lambda *colors, factor=factor: theta(*colors) * factor)
+        with pytest.raises(NonExactDivision, match="not a signed monomial"):
+            _state_tables.__wrapped__(3)
 
 
 def test_lcm_multiplicities_in_closed_form():
@@ -257,7 +313,9 @@ def debug_counts(params, N, caplog):
 
 def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys):
     line, slot, bound, coef, muls, adds = debug_counts(KnotParams(-3, 2, 3, -3), 4, caplog)
-    assert line.startswith("colored_jones n=3: L has ")
+    # L = (q^4 - 1)(q^5 - 1)(q^6 - 1)(q^7 - 1)(q^3 - 1) / ((q^2 - 1)(q - 1)^4),
+    # in all 10 binomial factors, of span 4 * 19 in v.
+    assert line.startswith("colored_jones n=3: L has 10 binomial factors, span 76 ")
     assert "product of thetas" in line and "before the peel" in line
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
     assert 0 < coef <= bound
@@ -289,7 +347,7 @@ def test_l1_bound_covers_the_total(monkeypatch):
             n = N - 1
             evens = range(0, 2 * n + 1, 2)
             lcm = cyclotomic_power_product(theta_lcm_exponents(n))
-            base = {x: circle(x) * exact_div(lcm, theta(x, n, n)) for x in evens}
+            base = {x: circle(x) * schoolbook_div(lcm, theta(x, n, n)) for x in evens}
             bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
             factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                        for abc in {tuple(sorted(p[:3])) for p in domain_points(n)}}
@@ -357,13 +415,49 @@ def test_colored_jones_rejects_too_narrow_slots(fresh_state_tables, monkeypatch)
 
 
 def test_colored_jones_checks_the_classical_limit(fresh_state_tables, monkeypatch):
-    # A total off by L^4 passes the four divisions by L; only J_N(1) = N
+    # A total off by L^4 passes the division by L^4; only J_N(1) = N
     # catches it.
     lcm4 = math.prod([cyclotomic_power_product(theta_lcm_exponents(3))] * 4, start=ONE)
     unpack = PackedRing.unpack
     monkeypatch.setattr(PackedRing, "unpack", lambda ring, p: unpack(ring, p) + lcm4)
     with pytest.raises(ArithmeticError, match=r"J_4\(1\)"):
         colored_jones(KnotParams(-3, 2, 3, -3), 4)
+
+
+# One tuple of every tag, as for the flat oracle, plus 2.4 at u = -1.
+HABIRO_TUPLES = FLAT_ORACLE_TUPLES + [(-5, 6, 7, -1), (-5, 8, 9, -1), (-3, 4, 5, -3),
+                                      (-3, 4, 5, -1)]
+
+
+def corruptions(poly):
+    """Three wrong versions of poly that keep its value at v = 1 and its
+    exponents' coset mod 4, as a corrupted cache record could: a +1/-1
+    pair at the top and bottom terms, a swap of the top coefficient with
+    the first unequal one, and the top term moved down one slot."""
+    terms = dict(poly.terms())
+    top, bottom = poly.max_deg, poly.min_deg
+    pair = poly + LaurentPoly({top: 1, bottom: -1})
+    other = next(e for e in sorted(terms, reverse=True) if terms[e] != terms[top])
+    swapped = dict(terms)
+    swapped[top], swapped[other] = terms[other], terms[top]
+    moved = dict(terms)
+    moved[top - 4] = moved.get(top - 4, 0) + moved.pop(top)
+    return [pair, LaurentPoly(swapped), LaurentPoly(moved)]
+
+
+def test_habiro_coefficients_across_colors():
+    # Habiro's theorem ties J_N to every J_M with M < N: each H_k is a
+    # Laurent polynomial, H_0 = 1, and a corrupted J_N breaks the division
+    # that yields H_(N-1).
+    for tup in HABIRO_TUPLES:
+        polys = [colored_jones(KnotParams(*tup), N) for N in range(1, 8)]
+        coeffs = habiro_coefficients(polys)
+        assert len(coeffs) == 7 and coeffs[0] == ONE, tup
+        for N in range(2, 8):
+            for bad in corruptions(polys[N - 1]):
+                assert sum(c for _, c in bad.terms()) == N
+                with pytest.raises(NonExactDivision):
+                    habiro_coefficients(polys[:N - 1] + [bad])
 
 
 def test_summand_order_independence():
@@ -426,7 +520,7 @@ def test_two_colored_values_at_roots_of_unity():
         for s in range(2, 11, 2):
             for t in range(3, 12, 2):
                 for u in range(-7, 0, 2):
-                    poly = exact_div(colored_jones(KnotParams(r, s, t, u), 2), qint(2))
+                    poly = schoolbook_div(colored_jones(KnotParams(r, s, t, u), 2), qint(2))
                     at_minus_one, norm_i, norm_omega, at_i = values_at_roots_of_unity(poly)
                     det = (s * u - 1) * t + r * t * u + r * (s * u - 1)
                     arf_sign = 1 if det % 8 in (1, 7) else -1

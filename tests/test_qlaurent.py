@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import qfact
+from oracles import binomial_product, common_stride, cyclotomic, peel, qfact, schoolbook_div
 
 from knotslope.ktg import SignedMonomial
 from knotslope.qlaurent import (
@@ -15,9 +15,6 @@ from knotslope.qlaurent import (
     NonExactDivision,
     PackedRing,
     ZeroPolynomial,
-    _peel,
-    _stride,
-    cyclotomic,
     exact_div,
     qbinom,
     qint,
@@ -85,7 +82,7 @@ def test_qfact_and_multinom_small():
 def test_qbinom_against_factorials():
     for n in range(0, 9):
         for k in range(0, n + 1):
-            assert qbinom(n, k) == exact_div(qfact(n), qfact(k) * qfact(n - k))
+            assert qbinom(n, k) == schoolbook_div(qfact(n), qfact(k) * qfact(n - k))
     for n, k in ((2, 3), (2, -1)):
         with pytest.raises(ValueError):
             qbinom(n, k)
@@ -107,19 +104,41 @@ def test_ring_op_examples():
 
 
 def test_exact_div_examples():
-    assert exact_div(qint(2) * qint(3), qint(2)) == qint(3)
+    # [k] = v^(-2(k-1)) (q^k - 1)/(q - 1) with q = v^4, so
+    # [4]/[2] = [4] v^2 (q - 1)/(q^2 - 1) = v^4 + v^-4.
+    for k in range(2, 9):
+        assert exact_div(qint(k), {k: 1, 1: -1}) == ONE.shift(-2 * (k - 1))
+        assert exact_div(ONE, {k: -1, 1: 1}).shift(-2 * (k - 1)) == qint(k)
+    assert exact_div(qint(4), {2: 1, 1: -1}).shift(2) == LaurentPoly({4: 1, -4: 1})
+    assert exact_div(qint(2) * qint(3), {}) == qint(2) * qint(3)
+    # The sign: (q - 1)/(q^2 - 1) is 1/(q + 1), not its negative.
+    assert exact_div(LaurentPoly({4: 1, 0: -1}), {1: 1}) == ONE
+    assert exact_div(LaurentPoly({8: 1, 0: -1}), {2: 1, 1: -1}) == LaurentPoly({4: 1, 0: -1})
+    assert exact_div(ZERO, {3: 2, 1: -1}) == ZERO
+    with pytest.raises(NonExactDivision):
+        exact_div(qint(3), {2: 1})
+    with pytest.raises(NonExactDivision):
+        exact_div(LaurentPoly({0: 3}), {1: 1})
+    # Not in one coset v^k Z[v^4]: no dense array in q to divide.
+    with pytest.raises(ArithmeticError) as info:
+        exact_div(LaurentPoly({0: 1, 2: 1}), {1: 1})
+    assert not isinstance(info.value, NonExactDivision)
+
+
+def test_schoolbook_div_examples():
+    assert schoolbook_div(qint(2) * qint(3), qint(2)) == qint(3)
     # [4]/[2]: long-division oracle fixes the true quotient v^4 + v^-4.
     quot, rem = naive_div(dict(qint(4).terms()), dict(qint(2).terms()))
     assert not rem
     expected = LaurentPoly({e: int(c) for e, c in quot.items()})
     assert expected == LaurentPoly({4: 1, -4: 1})
-    assert exact_div(qint(4), qint(2)) == expected
+    assert schoolbook_div(qint(4), qint(2)) == expected
     with pytest.raises(ZeroDivisionError):
-        exact_div(ONE, ZERO)
+        schoolbook_div(ONE, ZERO)
     with pytest.raises(NonExactDivision):
-        exact_div(qint(3), qint(2))
+        schoolbook_div(qint(3), qint(2))
     with pytest.raises(NonExactDivision):
-        exact_div(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
+        schoolbook_div(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
 
 
 def test_degree_accessors():
@@ -176,12 +195,18 @@ def test_mul_degree_is_additive(p, q):
 @settings(max_examples=150, deadline=None)
 @given(small_polys, small_polys)
 def test_exact_div_inverts_mul(p, q):
-    if q.is_zero():
-        return
-    assert exact_div(p * q, q) == p
+    # The schoolbook oracle inverts any product; exact_div inverts the
+    # product by binomials, here with the exponents of p stretched into
+    # one coset mod 4 and q's terms read as a binomial vector.
+    if not q.is_zero():
+        assert schoolbook_div(p * q, q) == p
+    p4 = LaurentPoly({4 * e + 2: c for e, c in p.terms()})
+    binomials = {abs(e) + 1: c % 3 for e, c in q.terms()}
+    product = exact_div(p4, {j: -e for j, e in binomials.items()})
+    assert exact_div(product, binomials) == p4
 
 
-# -- packed ring and strided division against their references ------------
+# -- packed ring and the division oracle against their references ---------
 
 HUGE = 2 ** 1000
 
@@ -203,11 +228,11 @@ def strided_terms(draw, max_terms=24):
 
 
 def test_stride_examples():
-    assert _stride({3: 1, 7: 2, 15: 1}) == 4
-    assert _stride({3: 1, 7: 2}, {-2: 1, 6: 5}) == 4
-    assert _stride({3: 1, 7: 2}, {-2: 1, 4: 5}) == 2
-    assert _stride({5: 1}, {-2: 1}) == 1
-    assert _stride({5: 1}, {-2: 1, 7: 1}) == 9
+    assert common_stride({3: 1, 7: 2, 15: 1}) == 4
+    assert common_stride({3: 1, 7: 2}, {-2: 1, 6: 5}) == 4
+    assert common_stride({3: 1, 7: 2}, {-2: 1, 4: 5}) == 2
+    assert common_stride({5: 1}, {-2: 1}) == 1
+    assert common_stride({5: 1}, {-2: 1, 7: 1}) == 9
 
 
 def test_mul_small_and_sparse_operands_take_loop():
@@ -338,10 +363,10 @@ def test_packed_sum_across_cosets_raises():
 
 
 def stride1_div(p, q):
-    """exact_div's peel on uncompressed (stride 1) coefficient arrays."""
-    num, num_off = p._dense()
-    den, den_off = q._dense()
-    quot = _peel(num, den)
+    """The oracle's peel on uncompressed (stride 1) coefficient arrays."""
+    num, num_off = p._dense(1)
+    den, den_off = q._dense(1)
+    quot = peel(num, den)
     return LaurentPoly({num_off - den_off + i: c for i, c in enumerate(quot)})
 
 
@@ -355,15 +380,17 @@ def division_outcome(divide, p, q):
 @settings(max_examples=60, deadline=None)
 @given(strided_terms(12), strided_terms(12), strided_terms(6), st.booleans())
 def test_strided_exact_div_matches_stride1(a, b, c, perturb):
+    # The division oracle's stride compression against its own peel on
+    # uncompressed arrays.
     p, q = LaurentPoly(a), LaurentPoly(b)
     prod = p * q
-    assert exact_div(prod, q) == p == stride1_div(prod, q)
+    assert schoolbook_div(prod, q) == p == stride1_div(prod, q)
     # Near misses and unrelated pairs: both paths agree, including on
     # raising NonExactDivision; dividend and divisor strides may differ.
     other = prod + LaurentPoly(c) if perturb else LaurentPoly(c)
     if other.is_zero():
         return
-    outcome = division_outcome(exact_div, other, q)
+    outcome = division_outcome(schoolbook_div, other, q)
     assert outcome == division_outcome(stride1_div, other, q)
     if outcome is not NonExactDivision:
         assert outcome * q == other
@@ -372,16 +399,56 @@ def test_strided_exact_div_matches_stride1(a, b, c, perturb):
 def test_strided_exact_div_examples():
     q = qint(3)  # stride 4
     p = qint(4) * q  # stride 4
-    assert exact_div(p, q) == qint(4)
+    assert schoolbook_div(p, q) == qint(4)
     # A dividend of stride 2 over a divisor of stride 4: common stride 2.
     p2 = q * LaurentPoly({0: 1, 2: 3})
-    assert exact_div(p2, q) == LaurentPoly({0: 1, 2: 3})
+    assert schoolbook_div(p2, q) == LaurentPoly({0: 1, 2: 3})
     with pytest.raises(NonExactDivision):
-        exact_div(p2 + LaurentPoly({1: 1}), q)
+        schoolbook_div(p2 + LaurentPoly({1: 1}), q)
     with pytest.raises(NonExactDivision):
-        exact_div(p + LaurentPoly({p.min_deg + 2: 1}), q)
+        schoolbook_div(p + LaurentPoly({p.min_deg + 2: 1}), q)
     with pytest.raises(NonExactDivision):
-        exact_div(qint(2), qint(3))
+        schoolbook_div(qint(2), qint(3))
+
+
+# -- exact_div against the schoolbook oracle ----------------------------------
+
+
+@st.composite
+def binomial_quotients(draw):
+    """(p, binomials): a nonzero p in one coset mod 4 and a binomial vector
+    with exponents in [-2, 2], j in [1, 7]."""
+    offset = draw(st.integers(-12, 12))
+    ks = draw(st.sets(st.integers(0, 20), min_size=1, max_size=12))
+    p = LaurentPoly({offset + 4 * k: draw(coefficients) for k in ks})
+    binomials = draw(st.dictionaries(st.integers(1, 7), st.integers(-2, 2), max_size=5))
+    return p, binomials
+
+
+@settings(max_examples=80, deadline=None)
+@given(binomial_quotients(), st.sampled_from(["low", "middle", "top"]),
+       st.sampled_from([1, -1]))
+def test_exact_div_matches_schoolbook(operands, where, delta):
+    # With N' and D the products of the binomials of positive and of
+    # negative exponent, exact_div(p N', binomials) is p D, and so is the
+    # oracle's N' \ (p N' D).
+    p, binomials = operands
+    numer = binomial_product({j: e for j, e in binomials.items() if e > 0})
+    denom = binomial_product({j: -e for j, e in binomials.items() if e < 0})
+    dividend = p * numer
+    assert exact_div(dividend, binomials) == p * denom == \
+        schoolbook_div(dividend * denom, numer)
+    # One coefficient off by one: both paths agree, and both raise unless
+    # N' divides D (a perturbation by a monomial m leaves m D to divide).
+    coeffs, lo = dividend._dense(4)
+    k = {"low": 0, "middle": len(coeffs) // 2, "top": len(coeffs) - 1}[where]
+    other = dividend + LaurentPoly({lo + 4 * k: delta})
+    if other.is_zero():
+        return
+    expected = division_outcome(schoolbook_div, other * denom, numer)
+    assert division_outcome(exact_div, other, binomials) == expected
+    if division_outcome(schoolbook_div, denom, numer) is NonExactDivision:
+        assert expected is NonExactDivision
 
 
 # Phi_d(x) for d <= 12 as ascending coefficient lists in x.
