@@ -18,9 +18,9 @@ polynomials Phi_d(v^4).  colored_jones brings the sum over the one common
 denominator L = lcm_x theta(x,n,n), the product of Phi_d(v^4) to the
 largest multiplicity over x, which is 1 or 2 in closed form
 (theta_lcm_exponents), and divides L^4 out at the end.  In q = v^4, L
-and every theta are products of binomials q^j - 1 (lcm_binomials,
-theta_binomials; theta up to a signed monomial), which is the one kind
-of divisor qlaurent.exact_div takes.  L itself, the cofactors
+and every theta are products of binomials q^j - 1 (lcm_binomials, and
+ktg.theta_factors up to a signed monomial), which is the one kind of
+divisor qlaurent.exact_div takes.  L itself, the cofactors
 L / theta(x,n,n) and the final division are exact divisions, so a wrong
 exponent vector or a total that is not a Laurent polynomial raises
 NonExactDivision.  No polynomial gcd is ever taken, and the result is
@@ -49,8 +49,8 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ktg import circle, delta6j, framing_power, theta
-from .qlaurent import ONE, LaurentPoly, NonExactDivision, PackedRing, exact_div
+from .ktg import circle, delta6j, framing_power, theta, theta_factors
+from .qlaurent import ONE, LaurentPoly, PackedRing, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -140,24 +140,6 @@ def lcm_binomials(n):
     return {j: b for j, b in beta.items() if b}
 
 
-def theta_binomials(x, n):
-    """The binomial vector of theta(x,n,n): {j: gamma_j}, nonzero entries
-    only, with theta(x,n,n) a signed monomial times prod (v^(4j) - 1)^gamma_j.
-
-    With k = x/2 and h = k + n, theta(x,n,n) = +/-[h+1] [h]! / ([n-k]! [k]!^2)
-    (Kauffman and Lins, Temperley-Lieb Recoupling Theory, 1994), and
-    [j] = v^(-2(j-1)) (q^j - 1)/(q - 1).  The numerator holds h + 1
-    quantum integers and the denominator h, which leaves q - 1 once in
-    the denominator.
-    """
-    k = x // 2
-    h = k + n
-    gamma = {j: (j == h + 1) + (j <= h) - (j <= n - k) - 2 * (j <= k)
-             for j in range(1, h + 2)}
-    gamma[1] -= 1
-    return {j: e for j, e in gamma.items() if e}
-
-
 @lru_cache(maxsize=None)
 def _state_tables(n):
     """The knot-independent tables of the state sum at ambient color n.
@@ -175,21 +157,18 @@ def _state_tables(n):
     ring.  The bound covers the l1 norm of the total, and so every
     coefficient, because ||PQ|| <= ||P|| ||Q|| and
     ||P + Q|| <= ||P|| + ||Q||.  L and each cofactor L / theta(x,n,n)
-    are exact divisions by binomials; dividing theta(x,n,n) by its own
-    binomials must leave a signed monomial, and an L that misses a factor
-    of some theta raises NonExactDivision here.
+    are exact divisions by binomials, the cofactor's read from
+    ktg.theta_factors(x, n, n), so an L that misses a factor of some
+    theta raises NonExactDivision here.
     Callers share the tables and only read them; the ring's counters move.
     """
     lcm = exact_div(ONE, {j: -b for j, b in lcm_binomials(n).items()})
     evens = range(0, 2 * n + 1, 2)
     base = {}
     for x in evens:
-        gamma = theta_binomials(x, n)
-        (e, sign), *rest = exact_div(theta(x, n, n), gamma).terms()
-        if rest or sign not in (1, -1):
-            raise NonExactDivision(f"theta({x},{n},{n}) is not a signed monomial "
-                                   "times its binomials")
-        base[x] = circle(x) * exact_div(lcm, gamma).shift(-e, sign)
+        unit, binomials = theta_factors(x, n, n)
+        cofactor = exact_div(lcm, {j: -e for j, e in binomials.items()})
+        base[x] = circle(x) * cofactor.shift(-unit.exponent, unit.sign)
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
@@ -254,13 +233,15 @@ def colored_jones(params, N):
 
     beta = lcm_binomials(n)
     if log.isEnabledFor(logging.DEBUG):
+        # theta(x,n,n) is a unit over prod (v^(4j) - 1)^e: its span is
+        # -4 sum j e over its binomial vector.
         log.debug(
             "colored_jones n=%d: L has %d binomial factors, span %d "
             "(product of thetas %d); total span %d before the peel; "
             "%d-bit slots for an l1 bound of %d bits, total max |coef| "
             "%d bits; %d packed multiplies, %d packed adds",
             n, sum(map(abs, beta.values())), _span(lcm),
-            sum(_span(theta(x, n, n)) for x in range(0, 2 * n + 1, 2)),
+            sum(-4 * j * e for x in q for j, e in theta_factors(x, n, n)[1].items()),
             _span(total), 8 * ring.width, ring.bound.bit_length(),
             max((abs(c) for _, c in total.terms()), default=0).bit_length(),
             ring.muls - muls, ring.adds - adds,

@@ -2,7 +2,8 @@
 
 Four atoms and their exact maximal degrees:
 
-  theta(a,b,c)      value of the theta net with edge colors a, b, c
+  theta(a,b,c)      value of the theta net with edge colors a, b, c,
+                    and theta_factors, its unit and binomial vector
   circle(k)         value of the k-colored unknot, (-1)^k [k+1]
   framing_power     the framing-twist scalar f(a)^w as a signed monomial
   delta6j           the quotient of the 6j tetrahedron by the theta,
@@ -11,6 +12,12 @@ Four atoms and their exact maximal degrees:
 Colors are non-negative integers.  A triple is admissible when its sum is
 even and it satisfies the triangle inequality; theta vanishes conceptually
 outside that set and we reject such input outright.
+
+theta and each z-term of delta6j are a signed monomial times a quotient
+of quantum factorials (Kauffman and Lins, Temperley-Lieb Recoupling
+Theory, 1994).  Each is built as that monomial times
+qlaurent.exact_div(ONE, binomials), with the binomial vector from
+qlaurent.factorial_binomials, so a wrong vector raises NonExactDivision.
 
 The framing scalar f(a) = (sqrt(-1))^(-a) v^(-a(a+2)/2) is only ever needed
 in real combinations here (even colors, or fourth powers), so it is kept as
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .qlaurent import ZERO, qbinom, qint
+from .qlaurent import ONE, ZERO, exact_div, factorial_binomials, qint
 
 
 class InadmissibleColoring(ValueError):
@@ -62,17 +69,28 @@ def circle(k):
     return p if k % 2 == 0 else -p
 
 
-def theta(a, b, c):
-    """Theta net value O^h [h]! / ([h-a]! [h-b]! [h-c]!), symmetric in a, b, c.
+def theta_factors(a, b, c):
+    """theta(a,b,c) as (unit, binomials), with theta = unit times
+    exact_div(ONE, binomials).
 
-    h = (a+b+c)/2; the multinomial is the product of the quantum binomials
-    [h; h-a] = [h]! / ([h-a]! [a]!) and [a; h-b] = [a]! / ([h-b]! [h-c]!).
-    Nothing is cached here: the state sum builds its theta tables once
-    per n (jones._state_tables).
+    With h = (a+b+c)/2, theta = O^h [h]! / ([h-a]! [h-b]! [h-c]!)
+    = (-1)^h [h+1]! / ([h-a]! [h-b]! [h-c]!), as O^h = (-1)^h [h+1].  The
+    unit is (-1)^h times the factorial quotient's monomial.
     """
     require_admissible(a, b, c)
     h = (a + b + c) // 2
-    return circle(h) * qbinom(h, h - a) * qbinom(a, h - b)
+    exponent, binomials = factorial_binomials((h + 1,), (h - a, h - b, h - c))
+    return SignedMonomial(-1 if h % 2 else 1, exponent), binomials
+
+
+def theta(a, b, c):
+    """Theta net value, symmetric in a, b, c.
+
+    Nothing is cached here: the state sum builds its theta tables once
+    per n (jones._state_tables).
+    """
+    unit, binomials = theta_factors(a, b, c)
+    return exact_div(ONE, binomials).shift(unit.exponent, unit.sign)
 
 
 def framing_power(a, w):
@@ -114,21 +132,24 @@ def _delta_frame(a, b, c, alpha, beta, gamma):
 def delta6j(a, b, c, alpha, beta, gamma):
     """The 6j/theta quotient of the triangle move, as an alternating z-sum.
 
-    z runs over exactly the indices for which all four quantum binomials
-    have in-range arguments; an empty range gives the zero polynomial so
-    that state sums can skip vanishing summands uniformly.
+    The z-term is (-1)^(z+half) [z+1; half+1] times the product of the
+    [tops[i]; z - offsets[i]], with [m; k] = [m]! / ([k]! [m-k]!), and it
+    is built from its factorials.  z runs over exactly the indices for
+    which all four quantum binomials have in-range arguments; an empty
+    range gives the zero polynomial so that state sums can skip vanishing
+    summands uniformly.
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
     acc = ZERO
     for z in range(zlo, zhi + 1):
-        term = qbinom(z + 1, half + 1)
-        for t, o in zip(tops, offsets):
-            term = term * qbinom(t, z - o)
-        acc = acc + term if (z + half) % 2 == 0 else acc - term
+        bottoms = [k for t, o in zip(tops, offsets) for k in (z - o, t - z + o)]
+        exponent, binomials = factorial_binomials((z + 1, *tops),
+                                                  (half + 1, z - half, *bottoms))
+        acc = acc + exact_div(ONE, binomials).shift(exponent, -1 if (z + half) % 2 else 1)
     return acc
 
 
-def qbinom_max_deg(n, k):
+def binomial_max_deg(n, k):
     """Maximal degree of the symmetric quantum binomial [n; k]: 2k(n-k)."""
     return 2 * k * (n - k)
 
@@ -158,7 +179,7 @@ def dplus_delta6j(a, b, c, alpha, beta, gamma):
         raise ArithmeticError(
             f"top z-term is not the range end {zhi} for ({a},{b},{c},{alpha},{beta},{gamma})"
         )
-    return qbinom_max_deg(zhi + 1, half + 1) + sum(
-        qbinom_max_deg(t, zhi - o) for t, o in zip(tops, offsets)
+    return binomial_max_deg(zhi + 1, half + 1) + sum(
+        binomial_max_deg(t, zhi - o) for t, o in zip(tops, offsets)
     )
 

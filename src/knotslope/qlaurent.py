@@ -3,17 +3,18 @@
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
 v with arbitrary-precision integer coefficients.  This module supplies the
-ring operations, quantum integers with their binomials, and one exact
-division.  There is no field of fractions: state sums bring their
-quotients over a known common denominator and clear it with exact_div,
-whose failure signals a fault.
+ring operations, quantum integers, and one exact division.  There is no
+field of fractions: state sums bring their quotients over a known common
+denominator and clear it with exact_div, whose failure signals a fault.
 
 LaurentPoly has one product: the schoolbook loop over term pairs of the
-two dicts.  Every denominator of the state sum is a unit times a product
-of binomials q^j - 1 in q = v^4 (a quantum integer [j] is
-v^(-2(j-1)) (q^j - 1)/(q - 1)), so exact_div divides by such a product
-only, in one pass over a dense array per binomial, with the remainder
-checked each time.
+two dicts.  In q = v^4 a quotient of quantum factorials is a monomial
+times a product of powers of binomials q^j - 1, and factorial_binomials
+states it as that monomial and binomial vector.  Every building block of
+the state sum (each theta, each 6j z-term) is such a quotient, and every
+denominator a unit times such a product, so exact_div divides by a
+product of binomials only, in one pass over a dense array per binomial,
+with the remainder checked each time, and builds each block from 1.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
@@ -35,7 +36,6 @@ Conventions:
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from itertools import accumulate
 
 # A coefficient as to_json writes it: a decimal integer.
@@ -329,7 +329,6 @@ class Packed:
 # -- quantum integers ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def qint(k):
     """Quantum integer [k] = (v^2k - v^-2k)/(v^2 - v^-2), k >= 0."""
     if k < 0:
@@ -337,21 +336,24 @@ def qint(k):
     return LaurentPoly._raw({2 * k - 2 - 4 * i: 1 for i in range(k)})
 
 
-@lru_cache(maxsize=None)
-def qbinom(n, k):
-    """Symmetric quantum binomial [n]! / ([k]! [n-k]!), 0 <= k <= n.
+def factorial_binomials(numerator, denominator):
+    """The quotient prod [m]! over numerator / prod [m]! over denominator,
+    as (exponent, binomials): the quotient is v^exponent times
+    exact_div(ONE, binomials), when it is a Laurent polynomial.
 
-    Computed by the Pascal recurrence
-        [n;k] = v^(2k) [n-1;k] + v^(-2(n-k)) [n-1;k-1],
-    which needs no division.
+    The vector is the divisor's, the sign convention of exact_div: (j, e)
+    stands for (q^j - 1)^(-e) in the quotient, q = v^4.  It follows from
+    [m]! = v^(-m(m-1)) (q - 1)^(-m) prod_{j<=m} (q^j - 1), as
+    [j] = v^(-2(j-1)) (q^j - 1)/(q - 1).  Entries that cancel are left out.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
-    if k == 0 or k == n:
-        return ONE
-    if 2 * k > n:
-        return qbinom(n, n - k)
-    return qbinom(n - 1, k).shift(2 * k) + qbinom(n - 1, k - 1).shift(-2 * (n - k))
+    exponent, binomials = 0, {}
+    for factorials, sign in ((numerator, 1), (denominator, -1)):
+        for m in factorials:
+            exponent -= sign * m * (m - 1)
+            binomials[1] = binomials.get(1, 0) + sign * m
+            for j in range(1, m + 1):
+                binomials[j] = binomials.get(j, 0) - sign
+    return exponent, {j: e for j, e in binomials.items() if e}
 
 
 # -- exact division -----------------------------------------------------

@@ -15,7 +15,12 @@
               that L and every theta are the cyclotomic products the
               package's binomial vectors claim
   qfact       the quantum factorial, which the qbinom, theta and 6j
-              tests divide against
+              tests divide against, and the products that the tests of
+              qlaurent.factorial_binomials divide by schoolbook_div
+  qbinom      the symmetric quantum binomial by the Pascal recurrence,
+              with no division: the route by which theta and the 6j
+              z-terms were built as polynomial products, which ktg's
+              factorial quotients are checked against
   theta_exponents
               the cyclotomic exponent vector of theta(x,n,n) by floor
               counts, the reference for theta's factorization and for
@@ -128,6 +133,23 @@ def cyclotomic(d):
         if d % e == 0:
             p = schoolbook_div(p, cyclotomic(e))
     return p
+
+
+@lru_cache(maxsize=None)
+def qbinom(n, k):
+    """Symmetric quantum binomial [n]! / ([k]! [n-k]!), 0 <= k <= n.
+
+    Computed by the Pascal recurrence
+        [n;k] = v^(2k) [n-1;k] + v^(-2(n-k)) [n-1;k-1],
+    which needs no division.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"quantum binomial needs 0 <= k <= n, got ({n}, {k})")
+    if k == 0 or k == n:
+        return ONE
+    if 2 * k > n:
+        return qbinom(n, n - k)
+    return qbinom(n - 1, k).shift(2 * k) + qbinom(n - 1, k - 1).shift(-2 * (n - k))
 
 
 @lru_cache(maxsize=None)

@@ -29,10 +29,9 @@ from knotslope.jones import (
     colored_jones,
     domain_points,
     lcm_binomials,
-    theta_binomials,
     theta_lcm_exponents,
 )
-from knotslope.ktg import circle, delta6j, framing_power, theta
+from knotslope.ktg import circle, delta6j, framing_power, theta, theta_factors
 from knotslope.qlaurent import (
     ONE,
     ZERO,
@@ -253,9 +252,10 @@ def test_theta_binomials_have_the_cyclotomic_content():
     # q^j - 1 carries Phi_d(q) once for each divisor d of j, so theta's
     # binomial vector carries Phi_d to the sum of gamma_j over the
     # multiples j of d: the floor counts for d > 1, and 0 for d = 1.
+    # theta_factors gives the divisor's vector, -gamma.
     for n in range(13):
         for x in range(0, 2 * n + 1, 2):
-            gamma = theta_binomials(x, n)
+            gamma = {j: -e for j, e in theta_factors(x, n, n)[1].items()}
             content = {d: sum(e for j, e in gamma.items() if j % d == 0)
                        for d in range(1, x // 2 + n + 2)}
             assert content.pop(1) == 0, (x, n)
@@ -273,16 +273,6 @@ def test_state_tables_reject_an_lcm_missing_a_factor(monkeypatch):
         monkeypatch.setattr("knotslope.jones.theta_lcm_exponents", lambda n, short=short: short)
         with pytest.raises(NonExactDivision):
             _state_tables.__wrapped__(n)
-
-
-def test_state_tables_check_that_theta_is_a_unit_times_its_binomials(monkeypatch):
-    # A theta off by a factor its binomial vector does not carry leaves
-    # more than a signed monomial after the division by its binomials.
-    for factor in (qint(2), LaurentPoly({0: 2})):
-        monkeypatch.setattr("knotslope.jones.theta",
-                            lambda *colors, factor=factor: theta(*colors) * factor)
-        with pytest.raises(NonExactDivision, match="not a signed monomial"):
-            _state_tables.__wrapped__(3)
 
 
 def test_lcm_multiplicities_in_closed_form():
@@ -316,7 +306,9 @@ def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys
     # L = (q^4 - 1)(q^5 - 1)(q^6 - 1)(q^7 - 1)(q^3 - 1) / ((q^2 - 1)(q - 1)^4),
     # in all 10 binomial factors, of span 4 * 19 in v.
     assert line.startswith("colored_jones n=3: L has 10 binomial factors, span 76 ")
-    assert "product of thetas" in line and "before the peel" in line
+    # The spans of theta(x,3,3), read off their binomial vectors, sum to
+    # the span of their product as polynomials: 12 + 36 + 52 + 60.
+    assert "(product of thetas 160)" in line and "before the peel" in line
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
     assert 0 < coef <= bound
     # One product per b, n + 1 = 4 in all; the fold into q and r is done

@@ -3,7 +3,7 @@
 from itertools import permutations, product
 
 import pytest
-from oracles import qfact, schoolbook_div
+from oracles import qbinom, qfact, schoolbook_div
 
 from knotslope.ktg import (
     InadmissibleColoring,
@@ -16,7 +16,14 @@ from knotslope.ktg import (
     is_admissible,
     theta,
 )
-from knotslope.qlaurent import ONE, ZERO, LaurentPoly, qint
+from knotslope.qlaurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    NonExactDivision,
+    factorial_binomials,
+    qint,
+)
 
 
 def binom_by_factorials(n, k):
@@ -24,12 +31,13 @@ def binom_by_factorials(n, k):
     return schoolbook_div(qfact(n), qfact(k) * qfact(n - k))
 
 
-def delta_oracle(a, b, c, alpha, beta, gamma):
-    """The 6j quotient recomputed independently with factorial binomials.
+def delta_oracle(a, b, c, alpha, beta, gamma, binom=binom_by_factorials):
+    """The 6j quotient recomputed independently as binomial products.
 
-    Same alternating z-sum, but every binomial is an exact factorial
-    division instead of the Pascal-recurrence values, and the range is
-    found by scanning instead of interval arithmetic.
+    Same alternating z-sum, but every binomial is a polynomial, by default
+    an exact factorial division, multiplied out instead of a factorial
+    quotient divided by exact_div, and the range is found by scanning
+    instead of interval arithmetic.
     """
     half = (a + b + c) // 2
     tops = [(-a + b + c) // 2, (a - b + c) // 2, (a + b - c) // 2]
@@ -40,9 +48,9 @@ def delta_oracle(a, b, c, alpha, beta, gamma):
             continue
         if any(not 0 <= z - o <= t for t, o in zip(tops, offsets)):
             continue
-        term = binom_by_factorials(z + 1, half + 1)
+        term = binom(z + 1, half + 1)
         for t, o in zip(tops, offsets):
-            term = term * binom_by_factorials(t, z - o)
+            term = term * binom(t, z - o)
         acc = acc + term if (z + half) % 2 == 0 else acc - term
     return acc
 
@@ -85,6 +93,47 @@ def test_theta_is_factorial_quotient():
                 assert theta(a, b, c) == circle(h) * schoolbook_div(qfact(h), den), (a, b, c)
                 triples += 1
     assert triples == 381
+
+
+def test_leaves_match_the_qbinom_products_on_state_sum_shapes():
+    # Each leaf as a product of Pascal-recurrence binomials, multiplied
+    # out, against the one exact division of its factorial quotient, on
+    # every leaf shape of the state sum for n <= 7: theta and the 6j
+    # quotient of each sorted admissible triple, theta(x,n,n), and the
+    # (b, d) quotient.
+    for n in range(8):
+        evens = range(0, 2 * n + 1, 2)
+        for a in evens:
+            for b in evens[a // 2:]:
+                for c in evens[b // 2:]:
+                    if not is_admissible(a, b, c):
+                        continue
+                    h = (a + b + c) // 2
+                    assert theta(a, b, c) == \
+                        circle(h) * qbinom(h, h - a) * qbinom(a, h - b), (a, b, c)
+                    assert delta6j(a, b, c, n, n, n) == \
+                        delta_oracle(a, b, c, n, n, n, qbinom), (a, b, c, n)
+        for x in evens:
+            h = x // 2 + n
+            assert theta(x, n, n) == circle(h) * qbinom(h, n - x // 2) * qbinom(x, x // 2)
+            for d in evens:
+                assert delta6j(x, n, n, d, n, n) == \
+                    delta_oracle(x, n, n, d, n, n, qbinom), (x, d, n)
+
+
+def test_leaves_raise_on_a_wrong_binomial_vector(monkeypatch):
+    # Each theta and 6j z-term is an exact division of 1, so a vector with
+    # one binomial too many in the divisor is caught, not multiplied out.
+    def one_too_many(numerator, denominator):
+        exponent, binomials = factorial_binomials(numerator, denominator)
+        top = max(numerator)
+        return exponent, {**binomials, top: binomials.get(top, 0) + 1}
+
+    monkeypatch.setattr("knotslope.ktg.factorial_binomials", one_too_many)
+    with pytest.raises(NonExactDivision):
+        theta(2, 2, 2)
+    with pytest.raises(NonExactDivision):
+        delta6j(2, 2, 2, 2, 2, 2)
 
 
 def test_circle_examples():

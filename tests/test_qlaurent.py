@@ -1,11 +1,20 @@
 """Ring, exact division and quantum-integer behavior of the Laurent layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import binomial_product, common_stride, cyclotomic, peel, qfact, schoolbook_div
+from oracles import (
+    binomial_product,
+    common_stride,
+    cyclotomic,
+    peel,
+    qbinom,
+    qfact,
+    schoolbook_div,
+)
 
 from knotslope.ktg import SignedMonomial
 from knotslope.qlaurent import (
@@ -16,7 +25,7 @@ from knotslope.qlaurent import (
     PackedRing,
     ZeroPolynomial,
     exact_div,
-    qbinom,
+    factorial_binomials,
     qint,
 )
 
@@ -77,6 +86,9 @@ def test_qfact_and_multinom_small():
     # A multinomial is a chain of binomials: [2; 1, 1] and [2; 0, 2, 0].
     assert qbinom(2, 1) * qbinom(1, 1) == qint(2)
     assert qbinom(2, 0) * qbinom(2, 2) == ONE
+    # [3]! = v^-6 (q^2 - 1)(q^3 - 1)/(q - 1)^2, with the divisor's signs.
+    assert factorial_binomials((3,), ()) == (-6, {1: 2, 2: -1, 3: -1})
+    assert factorial_binomials((3, 0), (3, 1)) == (0, {})
 
 
 def test_qbinom_against_factorials():
@@ -449,6 +461,39 @@ def test_exact_div_matches_schoolbook(operands, where, delta):
     assert division_outcome(exact_div, other, binomials) == expected
     if division_outcome(schoolbook_div, denom, numer) is NonExactDivision:
         assert expected is NonExactDivision
+
+
+@st.composite
+def factorial_multisets(draw):
+    """(numerator, denominator): factorial arguments in [0, 9] and [0, 5],
+    with the denominator's sum added to the numerator half the time, so
+    that exact quotients (multinomials times factorials) are drawn often."""
+    denominator = draw(st.lists(st.integers(0, 5), max_size=4))
+    numerator = draw(st.lists(st.integers(0, 9), max_size=3))
+    if draw(st.booleans()):
+        numerator.append(sum(denominator))
+    return numerator, denominator
+
+
+@settings(max_examples=120, deadline=None)
+@given(factorial_multisets())
+@example(([5], [2, 3]))
+@example(([2], [3]))
+@example(([4, 1], [2, 2, 2]))
+def test_factorial_binomials_match_schoolbook(operands):
+    # v^exponent exact_div(ONE, binomials) against the products of qfact
+    # divided by the oracle: equal where the quotient is a Laurent
+    # polynomial, and both raise NonExactDivision where it is not.
+    numerator, denominator = operands
+    exponent, binomials = factorial_binomials(numerator, denominator)
+    num = math.prod(map(qfact, numerator), start=ONE)
+    den = math.prod(map(qfact, denominator), start=ONE)
+    expected = division_outcome(schoolbook_div, num, den)
+    built = division_outcome(exact_div, ONE, binomials)
+    if expected is NonExactDivision:
+        assert built is NonExactDivision
+    else:
+        assert built.shift(exponent) == expected
 
 
 # Phi_d(x) for d <= 12 as ascending coefficient lists in x.
