@@ -31,14 +31,15 @@ monomials.  Everything else folds, once per n (_state_tables), into two
 tables over L: q[b][a, c], the theta, the squared 6j quotient and the a-
 and c-cofactors, and r[b][d], the (b, d) 6j quotient and the b- and
 d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
-for each b, and one product per b.  The tables live in a PackedRing
-(qlaurent): each is evaluated once at v^4 = 2^w, the sum is big-integer
-arithmetic, a framing factor is a Packed.shift with no multiply, and
-only the total is read back into a Laurent polynomial.  One fold
-(_fold) builds the tables from their leaves, and a twist keeps every l1
-norm, so the same fold over the leaves' l1 norms, then the same sum over
-the norm tables, once per n, bounds every coefficient of the total and
-sets the slot width w.  The
+for each b, and one product per b.  The theta and 6j leaves come from
+ktg as dense coefficient lists in q = v^4, never as LaurentPoly.  The
+tables live in a PackedRing (qlaurent): each is evaluated once at
+v^4 = 2^w, the sum is big-integer arithmetic, a framing factor is a
+Packed.shift with no multiply, and only the total is read back into a
+Laurent polynomial.  One fold (_fold) builds the tables from their
+leaves, and a twist keeps every l1 norm, so the same fold over the
+leaves' l1 norms, then the same sum over the norm tables, once per n,
+bounds every coefficient of the total and sets the slot width w.  The
 final divisions and the classical limit J_N(1) = N check the result, so
 a slot too narrow for it raises ArithmeticError.
 """
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ktg import circle, delta6j, framing_power, theta, theta_factors
-from .qlaurent import ONE, LaurentPoly, PackedRing, exact_div
+from .qlaurent import ONE, PackedRing, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -148,8 +149,11 @@ def _state_tables(n):
     _fold's q and r packed in it.  The fold reads base, which maps each
     even color x to O^x L / theta(x,n,n), bd, which maps (b, d) to
     delta6j(b,n,n,d,n,n), and factors, which maps each admissible sorted
-    triple a <= b <= c to (theta(a,b,c), delta6j(a,b,c,n,n,n)).  Their
-    product theta delta6j^2 is symmetric in (a, b, c): permuting the
+    triple a <= b <= c to (theta(a,b,c), delta6j(a,b,c,n,n,n)).  Every
+    leaf is a dense form (coeffs, lo) in q = v^4, as ktg builds theta and
+    delta6j and as LaurentPoly.dense gives each product O^x times the
+    cofactor, so PackedRing.pack and _l1_norm read its list directly.
+    The product theta delta6j^2 is symmetric in (a, b, c): permuting the
     triple permutes the four quantum binomials of each z-term and leaves
     the z-range unchanged.  _fold runs twice over these leaves: first
     over their l1 norms, which a twist keeps, and the ring's bound is the
@@ -168,14 +172,19 @@ def _state_tables(n):
     for x in evens:
         unit, binomials = theta_factors(x, n, n)
         cofactor = exact_div(lcm, {j: -e for j, e in binomials.items()})
-        base[x] = circle(x) * cofactor.shift(-unit.exponent, unit.sign)
+        base[x] = (circle(x) * cofactor.shift(-unit.exponent, unit.sign)).dense(4)
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
-    norm_q, norm_r = _fold(n, LaurentPoly.l1_norm, base, bd, factors)
+    norm_q, norm_r = _fold(n, _l1_norm, base, bd, factors)
     ring = PackedRing(sum(sum(norm_q[b].values()) * sum(norm_r[b].values())
                           for b in evens), 4)
     return (lcm, ring, *_fold(n, ring.pack, base, bd, factors))
+
+
+def _l1_norm(dense):
+    """The l1 norm of a dense form (coeffs, lo): the sum of |coeffs|."""
+    return sum(map(abs, dense[0]))
 
 
 def _fold(n, f, base, bd, factors):

@@ -15,9 +15,13 @@ outside that set and we reject such input outright.
 
 theta and each z-term of delta6j are a signed monomial times a quotient
 of quantum factorials (Kauffman and Lins, Temperley-Lieb Recoupling
-Theory, 1994).  Each is built as that monomial times
-qlaurent.exact_div(ONE, binomials), with the binomial vector from
-qlaurent.factorial_binomials, so a wrong vector raises NonExactDivision.
+Theory, 1994).  Each is built by one qlaurent.divide_binomials of the
+list [+/-1], with the binomial vector from qlaurent.factorial_binomials,
+so a wrong vector raises NonExactDivision.  theta and delta6j are the
+leaves of the state sum's tables, and they return the dense form
+(coeffs, lo) in q = v^4 that PackedRing.pack reads: coeffs[i] is the
+coefficient of v^(lo + 4i), and zero is ([], 0).  A 6j quotient adds
+its z-terms into one list.  No leaf is ever a LaurentPoly.
 
 The framing scalar f(a) = (sqrt(-1))^(-a) v^(-a(a+2)/2) is only ever needed
 in real combinations here (even colors, or fourth powers), so it is kept as
@@ -27,9 +31,10 @@ coefficients.
 
 from __future__ import annotations
 
+from operator import add
 from typing import NamedTuple
 
-from .qlaurent import ONE, ZERO, exact_div, factorial_binomials, qint
+from .qlaurent import divide_binomials, factorial_binomials, qint
 
 
 class InadmissibleColoring(ValueError):
@@ -70,8 +75,8 @@ def circle(k):
 
 
 def theta_factors(a, b, c):
-    """theta(a,b,c) as (unit, binomials), with theta = unit times
-    exact_div(ONE, binomials).
+    """theta(a,b,c) as (unit, binomials), with theta = unit times the
+    quotient of 1 by divide_binomials(.., binomials).
 
     With h = (a+b+c)/2, theta = O^h [h]! / ([h-a]! [h-b]! [h-c]!)
     = (-1)^h [h+1]! / ([h-a]! [h-b]! [h-c]!), as O^h = (-1)^h [h+1].  The
@@ -84,13 +89,14 @@ def theta_factors(a, b, c):
 
 
 def theta(a, b, c):
-    """Theta net value, symmetric in a, b, c.
+    """Theta net value, symmetric in a, b, c, in dense form (coeffs, lo).
 
-    Nothing is cached here: the state sum builds its theta tables once
-    per n (jones._state_tables).
+    The quotient of [sign] by the binomials has the constant term +/-1,
+    so lo is the unit's exponent.  Nothing is cached here: the state sum
+    builds its theta tables once per n (jones._state_tables).
     """
     unit, binomials = theta_factors(a, b, c)
-    return exact_div(ONE, binomials).shift(unit.exponent, unit.sign)
+    return divide_binomials([unit.sign], binomials), unit.exponent
 
 
 def framing_power(a, w):
@@ -130,23 +136,36 @@ def _delta_frame(a, b, c, alpha, beta, gamma):
 
 
 def delta6j(a, b, c, alpha, beta, gamma):
-    """The 6j/theta quotient of the triangle move, as an alternating z-sum.
+    """The 6j/theta quotient of the triangle move, as an alternating z-sum,
+    in dense form (coeffs, lo).
 
     The z-term is (-1)^(z+half) [z+1; half+1] times the product of the
     [tops[i]; z - offsets[i]], with [m; k] = [m]! / ([k]! [m-k]!), and it
     is built from its factorials.  z runs over exactly the indices for
     which all four quantum binomials have in-range arguments; an empty
-    range gives the zero polynomial so that state sums can skip vanishing
+    range gives zero, ([], 0), so that state sums can skip vanishing
     summands uniformly.
+
+    The z-terms lie in one coset mod 4: from z to z + 1 the exponent of
+    factorial_binomials moves by 4 - 4 half + 12 z - 4 sum(offsets), as
+    the tops sum to half.  So each term adds into one list at the offset
+    (exponent - lo) / 4 from the lowest exponent lo.
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
-    acc = ZERO
+    terms = []
     for z in range(zlo, zhi + 1):
         bottoms = [k for t, o in zip(tops, offsets) for k in (z - o, t - z + o)]
         exponent, binomials = factorial_binomials((z + 1, *tops),
                                                   (half + 1, z - half, *bottoms))
-        acc = acc + exact_div(ONE, binomials).shift(exponent, -1 if (z + half) % 2 else 1)
-    return acc
+        sign = -1 if (z + half) % 2 else 1
+        terms.append((divide_binomials([sign], binomials), exponent))
+    lo = min((exponent for _, exponent in terms), default=0)
+    acc = [0] * max(((exponent - lo) // 4 + len(coeffs) for coeffs, exponent in terms),
+                    default=0)
+    for coeffs, exponent in terms:
+        start = (exponent - lo) // 4
+        acc[start:start + len(coeffs)] = map(add, acc[start:start + len(coeffs)], coeffs)
+    return acc, lo
 
 
 def binomial_max_deg(n, k):

@@ -22,19 +22,22 @@ per tuple and writes the JSON report array and the CSV summary, whose
 flag cells are read by their CSV_COLUMNS names.  The color
 limits of the command line live in the cli module.
 
+grid_run imports concurrent.futures only when it starts a process pool
+(more than one worker), and csv only when it writes the CSV, so that
+importing this module, and every command but verify --jobs > 1 or
+--csv, loads neither multiprocessing nor csv.
+
 All rationals are serialized as "p/q" strings and every JSON document is
 dumped with sorted keys, so identical runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -415,6 +418,8 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     workers = min(jobs, len(tuples), os.cpu_count() or 1)
     started = time.monotonic()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, worker_args))
     else:
@@ -429,6 +434,8 @@ def grid_run(spec, n_max, out_json=None, out_csv=None, jobs=1, cache_dir=None):
     if out_json is not None:
         outputs.append((out_json, json.dumps(docs, sort_keys=True, indent=2) + "\n"))
     if out_csv is not None:
+        import csv
+
         rows = io.StringIO()
         csv.writer(rows, lineterminator="\n").writerows(
             [CSV_COLUMNS] + [_csv_row(doc) for doc in docs])

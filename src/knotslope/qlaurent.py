@@ -12,21 +12,27 @@ two dicts.  In q = v^4 a quotient of quantum factorials is a monomial
 times a product of powers of binomials q^j - 1, and factorial_binomials
 states it as that monomial and binomial vector.  Every building block of
 the state sum (each theta, each 6j z-term) is such a quotient, and every
-denominator a unit times such a product, so exact_div divides by a
-product of binomials only, in one pass over a dense array per binomial,
-with the remainder checked each time, and builds each block from 1.
+denominator a unit times such a product, so the one division,
+divide_binomials, divides a dense coefficient list in q by a product of
+binomials only, in one pass per binomial, with the remainder checked
+each time.  It builds each block from the list [+/-1]; exact_div wraps
+it for LaurentPoly dividends.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
 v^k Z[v^stride], held as integers evaluated at v^stride = 2^w, so that a
 sum of products is big-integer arithmetic from the packed factors to the
 one result that is read back from fixed-width slots, sized from a
-bound on the coefficients when the ring is built.
+bound on the coefficients when the ring is built.  A ring packs dense
+coefficient lists, the form the building blocks are made in, and
+LaurentPoly.dense gives that form of any polynomial.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
     [1] = 1, [2] = v^2 + v^-2;
   - the zero polynomial is the empty term map; nonzero coefficients only;
+  - a dense form (coeffs, lo) lists the coefficients at exponents lo,
+    lo + stride, ..., ascending; zero is ([], 0);
   - canonical text form is "coeff*v^exp" terms joined by " + " in
     descending exponent order, e.g. "1*v^2 + 1*v^-2";
   - JSON form is a list of [exponent, "coefficient"] pairs, descending
@@ -107,10 +113,6 @@ class LaurentPoly:
 
     def __len__(self):
         return len(self._terms)
-
-    def l1_norm(self):
-        """Sum of the absolute values of the coefficients."""
-        return sum(map(abs, self._terms.values()))
 
     # -- ring operations ----------------------------------------------
 
@@ -198,16 +200,18 @@ class LaurentPoly:
     def __repr__(self):
         return f"<LaurentPoly {self.to_text()}>"
 
-    # -- dense helpers (internal) ----------------------------------------
+    # -- dense form -----------------------------------------------------
 
-    def _dense(self, stride):
-        """Ascending coefficients at exponents lo, lo + stride, ..., plus lo,
-        for a nonzero polynomial.
+    def dense(self, stride):
+        """The dense form (coeffs, lo): ascending coefficients at exponents
+        lo, lo + stride, ..., from the lowest exponent lo; ([], 0) for zero.
 
         Raises ArithmeticError unless every exponent lies in the coset of
         the lowest one mod stride.
         """
         terms = self._terms
+        if not terms:
+            return [], 0
         lo = min(terms)
         out = [0] * ((max(terms) - lo) // stride + 1)
         for e, c in terms.items():
@@ -250,10 +254,10 @@ class PackedRing:
         self.muls = 0
         self.adds = 0
 
-    def pack(self, poly):
-        if not poly:
-            return Packed(0, 0, self)
-        coeffs, lo = poly._dense(self.stride)
+    def pack(self, dense):
+        """The packed value of a dense form (coeffs, lo) at the ring's
+        stride, as LaurentPoly.dense gives it; ([], 0) packs to zero."""
+        coeffs, lo = dense
         width = self.width
         half = 1 << (8 * width - 1)
         biased = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
@@ -338,12 +342,12 @@ def qint(k):
 
 def factorial_binomials(numerator, denominator):
     """The quotient prod [m]! over numerator / prod [m]! over denominator,
-    as (exponent, binomials): the quotient is v^exponent times
-    exact_div(ONE, binomials), when it is a Laurent polynomial.
+    as (exponent, binomials): the quotient is v^exponent times the
+    quotient of 1 by divide_binomials, when it is a Laurent polynomial.
 
-    The vector is the divisor's, the sign convention of exact_div: (j, e)
-    stands for (q^j - 1)^(-e) in the quotient, q = v^4.  It follows from
-    [m]! = v^(-m(m-1)) (q - 1)^(-m) prod_{j<=m} (q^j - 1), as
+    The vector is the divisor's, the sign convention of divide_binomials:
+    (j, e) stands for (q^j - 1)^(-e) in the quotient, q = v^4.  It
+    follows from [m]! = v^(-m(m-1)) (q - 1)^(-m) prod_{j<=m} (q^j - 1), as
     [j] = v^(-2(j-1)) (q^j - 1)/(q - 1).  Entries that cancel are left out.
     """
     exponent, binomials = 0, {}
@@ -359,17 +363,18 @@ def factorial_binomials(numerator, denominator):
 # -- exact division -----------------------------------------------------
 
 
-def exact_div(p, binomials):
-    """Exact quotient of p by prod (v^(4j) - 1)^e over the (j, e) items of
-    binomials, j >= 1; a negative e multiplies.
+def divide_binomials(coeffs, binomials):
+    """The dense quotient of the dense coeffs, in q = v^4, by
+    prod (q^j - 1)^e over the (j, e) items of binomials, j >= 1; a
+    negative e multiplies.
 
-    p must lie in one coset v^k Z[v^4].  It is read once into its dense
-    coefficient array in q = v^4, every product is applied, and then every
-    division.  Over 1 - q^j instead of q^j - 1, a product is a subtraction
-    of the array shifted by j, and a quotient is a running sum along each
-    residue class mod j, whose top j entries are the remainder and must
-    be zero; each factor's sign flip is applied once at the end.  A
-    nonzero remainder raises NonExactDivision.
+    Every product is applied, and then every division.  Over 1 - q^j
+    instead of q^j - 1, a product is a subtraction of the list shifted by
+    j, and a quotient is a running sum along each residue class mod j,
+    whose top j entries are the remainder and must be zero; each factor's
+    sign flip is applied once at the end.  A nonzero remainder raises
+    NonExactDivision.  The division works in place on coeffs, which the
+    caller gives up.
 
     The division stays the integrality tripwire of the state sum.  Write
     the divisor as N'/D, with N' and D the products of the binomials of
@@ -378,9 +383,6 @@ def exact_div(p, binomials):
     division of the chain on T D is exact: each factor of N' divides what
     is left of T D exactly when the rest of N' divides the quotient.
     """
-    if p.is_zero():
-        return ZERO
-    coeffs, lo = p._dense(4)
     sign = 1
     for j, e in binomials.items():
         for _ in range(-e):
@@ -394,4 +396,19 @@ def exact_div(p, binomials):
                 raise NonExactDivision(f"nonzero remainder mod v^{4 * j} - 1")
             del coeffs[-j:]
             sign = -sign
-    return LaurentPoly._raw({lo + 4 * i: sign * c for i, c in enumerate(coeffs) if c})
+    return coeffs if sign > 0 else [-c for c in coeffs]
+
+
+def exact_div(p, binomials):
+    """Exact quotient of the LaurentPoly p by prod (v^(4j) - 1)^e over the
+    (j, e) items of binomials: divide_binomials on p's dense form in
+    q = v^4.
+
+    p must lie in one coset v^k Z[v^4]; a nonzero remainder raises
+    NonExactDivision.
+    """
+    if p.is_zero():
+        return ZERO
+    coeffs, lo = p.dense(4)
+    return LaurentPoly._raw({lo + 4 * i: c for i, c in
+                             enumerate(divide_binomials(coeffs, binomials)) if c})

@@ -28,6 +28,11 @@
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the packed
               two-level sum of colored_jones
+  leaf_poly, theta, delta6j
+              the polynomial view of ktg's leaves: ktg.theta and
+              ktg.delta6j return a dense coefficient list in q = v^4 and
+              its lowest exponent, and the tests read them as LaurentPoly
+              through leaf_poly
   habiro_coefficients
               Habiro's cyclotomic coefficients H_k of J_1..J_N, a
               cross-N check of every coefficient by a theorem the
@@ -44,9 +49,26 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from knotslope import ktg
 from knotslope.degopt import classify
-from knotslope.ktg import circle, delta6j, framing_power, is_admissible, theta
+from knotslope.ktg import circle, framing_power, is_admissible
 from knotslope.qlaurent import ONE, ZERO, LaurentPoly, NonExactDivision, qint
+
+
+def leaf_poly(dense):
+    """The LaurentPoly of a dense form (coeffs, lo) in q = v^4."""
+    coeffs, lo = dense
+    return LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
+
+
+def theta(a, b, c):
+    """ktg.theta as a LaurentPoly."""
+    return leaf_poly(ktg.theta(a, b, c))
+
+
+def delta6j(a, b, c, alpha, beta, gamma):
+    """ktg.delta6j as a LaurentPoly."""
+    return leaf_poly(ktg.delta6j(a, b, c, alpha, beta, gamma))
 
 
 def common_stride(*term_maps):
@@ -103,8 +125,8 @@ def schoolbook_div(p, q):
     if p.is_zero():
         return ZERO
     g = common_stride(p._terms, q._terms)
-    num, num_off = p._dense(g)
-    den, den_off = q._dense(g)
+    num, num_off = p.dense(g)
+    den, den_off = q.dense(g)
     shift = num_off - den_off
     return LaurentPoly({shift + i * g: c for i, c in enumerate(peel(num, den))})
 

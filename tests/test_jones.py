@@ -10,12 +10,15 @@ import pytest
 from oracles import (
     binomial_product,
     cyclotomic,
+    delta6j,
     habiro_coefficients,
     schoolbook_div,
     summand,
+    theta,
     theta_exponents,
 )
 
+import knotslope.jones as jones_mod
 from knotslope.degopt import (
     brute_max_objective,
     closed_form_dplus,
@@ -31,7 +34,7 @@ from knotslope.jones import (
     lcm_binomials,
     theta_lcm_exponents,
 )
-from knotslope.ktg import circle, delta6j, framing_power, theta, theta_factors
+from knotslope.ktg import circle, framing_power, theta_factors
 from knotslope.qlaurent import (
     ONE,
     ZERO,
@@ -397,9 +400,9 @@ def test_state_tables_are_reused_across_knots(fresh_state_tables):
 
 
 def test_colored_jones_rejects_too_narrow_slots(fresh_state_tables, monkeypatch):
-    # A unit norm for every factor makes the bound, and so the slots, far
+    # A unit norm for every leaf makes the bound, and so the slots, far
     # too narrow for the total; its misread digits fail the final peel.
-    monkeypatch.setattr(LaurentPoly, "l1_norm", lambda self: 1)
+    monkeypatch.setattr(jones_mod, "_l1_norm", lambda dense: 1)
     for N in (3, 4):
         with pytest.raises(ArithmeticError) as info:
             colored_jones(KnotParams(-3, 2, 3, -3), N)

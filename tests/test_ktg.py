@@ -3,24 +3,26 @@
 from itertools import permutations, product
 
 import pytest
-from oracles import qbinom, qfact, schoolbook_div
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import delta6j, leaf_poly, qbinom, qfact, schoolbook_div, theta
 
+from knotslope import ktg
 from knotslope.ktg import (
     InadmissibleColoring,
     NonRealPhase,
     circle,
-    delta6j,
     dplus_delta6j,
     dplus_theta,
     framing_power,
     is_admissible,
-    theta,
 )
 from knotslope.qlaurent import (
     ONE,
     ZERO,
     LaurentPoly,
     NonExactDivision,
+    PackedRing,
     factorial_binomials,
     qint,
 )
@@ -119,6 +121,27 @@ def test_leaves_match_the_qbinom_products_on_state_sum_shapes():
             for d in evens:
                 assert delta6j(x, n, n, d, n, n) == \
                     delta_oracle(x, n, n, d, n, n, qbinom), (x, d, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_packing_a_leaf_equals_packing_its_polynomial(data):
+    # The state sum packs each theta and 6j leaf straight from its dense
+    # list; the packed value is the one its LaurentPoly packs to, so the
+    # leaf's list has nonzero ends and its lo is the lowest exponent.
+    n = data.draw(st.integers(0, 7))
+    color = st.integers(0, n).map(lambda k: 2 * k)
+    a, b, c, d = (data.draw(color) for _ in range(4))
+    leaves = [ktg.delta6j(b, n, n, d, n, n)]
+    if is_admissible(a, b, c):
+        leaves += [ktg.theta(a, b, c), ktg.delta6j(a, b, c, n, n, n)]
+    for leaf in leaves:
+        poly = leaf_poly(leaf)
+        norm = sum(abs(x) for _, x in poly.terms())
+        ring = PackedRing(max(norm, 1) * data.draw(st.integers(1, 2 ** 70)), 4)
+        packed, reference = ring.pack(leaf), ring.pack(poly.dense(4))
+        assert (packed.value, packed.lo) == (reference.value, reference.lo)
+        assert ring.unpack(packed) == poly
 
 
 def test_leaves_raise_on_a_wrong_binomial_vector(monkeypatch):

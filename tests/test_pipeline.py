@@ -6,11 +6,16 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import knotslope
 from knotslope.cli import main
 from knotslope.degopt import degree_model
 from knotslope.edgepath import slope_report
@@ -218,9 +223,12 @@ class RecordingPool:
 
 def test_grid_run_caps_workers(tmp_path, monkeypatch):
     # No process is started: the pool records its size and runs serially.
+    # grid_run reads the pool class from concurrent.futures when it starts one.
+    import concurrent.futures
+
     import knotslope.pipeline as pipeline_mod
 
-    monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     two = "r=-3;s=2;t=3;u=-3..-1"
     eight = "r=-5..-3;s=2..4;t=3;u=-3..-1"
     cases = ((4, two, 1, None), (4, two, 5000, 2), (4, eight, 3, 3),
@@ -235,9 +243,9 @@ def test_grid_run_caps_workers(tmp_path, monkeypatch):
 
 
 def test_cli_verify_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
-    import knotslope.pipeline as pipeline_mod
+    import concurrent.futures
 
-    monkeypatch.setattr(pipeline_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     RecordingPool.started.clear()
     for jobs in ("0", "-3"):
         out = tmp_path / "x.json"
@@ -247,6 +255,36 @@ def test_cli_verify_rejects_jobs_below_one(tmp_path, capsys, monkeypatch):
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "x.csv").exists()
     assert RecordingPool.started == []
+
+
+# Runs in a fresh interpreter: the commands that start no pool and write
+# no CSV, then the list of the pool and CSV modules they loaded.
+STARTUP_SCRIPT = """
+import sys
+from knotslope.cli import main
+tup = ["-r", "-3", "-s", "2", "-t", "3", "-u", "-3"]
+for argv in (["slope", *tup], ["degree", *tup, "--method", "brute"],
+             ["jones", *tup, "-N", "3"],
+             ["verify", "--grid", "r=-3;s=2;t=3;u=-3", "--n-max", "4",
+              "--jobs", "1", "--out", sys.argv[1]]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+print("loaded:", [m for m in ("concurrent.futures", "multiprocessing", "csv")
+                  if m in sys.modules])
+"""
+
+
+def test_serial_commands_load_no_pool_or_csv(tmp_path):
+    # A cold process pays for what it imports: only verify --jobs > 1
+    # needs the process pool and only --csv needs csv.
+    src = str(Path(knotslope.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path / "r.json")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded: []"
+    assert json.loads((tmp_path / "r.json").read_text())[0]["params"]["r"] == -3
 
 
 def test_grid_run_empty(tmp_path):
