@@ -33,15 +33,20 @@ and c-cofactors, and r[b][d], the (b, d) 6j quotient and the b- and
 d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
 for each b, and one product per b.  The theta and 6j leaves come from
 ktg as dense coefficient lists in q = v^4, never as LaurentPoly.  The
-tables live in a PackedRing (qlaurent): each is evaluated once at
-v^4 = 2^w, the sum is big-integer arithmetic, a framing factor is a
-Packed.shift with no multiply, and only the total is read back into a
-Laurent polynomial.  One fold (_fold) builds the tables from their
-leaves, and a twist keeps every l1 norm, so the same fold over the
-leaves' l1 norms, then the same sum over the norm tables, once per n,
-bounds every coefficient of the total and sets the slot width w.  The
-final divisions and the classical limit J_N(1) = N check the result, so
-a slot too narrow for it raises ArithmeticError.
+sum is big-integer arithmetic in two PackedRings (qlaurent), each of
+whose values is a polynomial evaluated once at v^4 = 2^w: a framing
+factor is a Packed.shift with no multiply, and only the total is read
+back into a Laurent polynomial.  The tables and each b's two sums live
+in the table ring; PackedRing.widen repacks the two sums into the wider
+slots of the result ring, where their product and the total are formed.
+One fold (_fold) builds the tables from their leaves, and a twist keeps
+every l1 norm, so the same fold over the leaves' l1 norms, once per n,
+gives norm tables whose per-b sums bound the coefficients of each b's
+two sums, and whose two-level sum bounds those of the total: the two
+bounds set the two slot widths.  The final divisions and the classical
+limit J_N(1) = N check the result, so a result slot too narrow for it
+raises ArithmeticError; a table slot too narrow for a leaf raises
+OverflowError when the leaf is packed.
 """
 
 from __future__ import annotations
@@ -145,26 +150,29 @@ def lcm_binomials(n):
 def _state_tables(n):
     """The knot-independent tables of the state sum at ambient color n.
 
-    Returns (lcm, ring, q, r): L = lcm_x theta(x,n,n), the PackedRing, and
-    _fold's q and r packed in it.  The fold reads base, which maps each
-    even color x to O^x L / theta(x,n,n), bd, which maps (b, d) to
-    delta6j(b,n,n,d,n,n), and factors, which maps each admissible sorted
-    triple a <= b <= c to (theta(a,b,c), delta6j(a,b,c,n,n,n)).  Every
-    leaf is a dense form (coeffs, lo) in q = v^4, as ktg builds theta and
-    delta6j and as LaurentPoly.dense gives each product O^x times the
-    cofactor, so PackedRing.pack and _l1_norm read its list directly.
+    Returns (lcm, ring, q, r): L = lcm_x theta(x,n,n), the result
+    PackedRing, and _fold's q and r packed in the narrower table ring,
+    which every table entry carries as its ring.  The fold reads base,
+    which maps each even color x to O^x L / theta(x,n,n), bd, which maps
+    (b, d) to delta6j(b,n,n,d,n,n), and factors, which maps each
+    admissible sorted triple a <= b <= c to (theta(a,b,c),
+    delta6j(a,b,c,n,n,n)).  Every leaf is a dense form (coeffs, lo) in
+    q = v^4, as ktg builds theta and delta6j and as LaurentPoly.dense
+    gives each product O^x times the cofactor, so PackedRing.pack and
+    _l1_norm read its list directly.
     The product theta delta6j^2 is symmetric in (a, b, c): permuting the
     triple permutes the four quantum binomials of each z-term and leaves
     the z-range unchanged.  _fold runs twice over these leaves: first
-    over their l1 norms, which a twist keeps, and the ring's bound is the
-    two-level sum of the norm tables; then over the leaves packed in the
-    ring.  The bound covers the l1 norm of the total, and so every
-    coefficient, because ||PQ|| <= ||P|| ||Q|| and
-    ||P + Q|| <= ||P|| + ||Q||.  L and each cofactor L / theta(x,n,n)
+    over their l1 norms, which a twist keeps, and _ring_bounds reads the
+    two bounds off the norm tables; then over the leaves packed in the
+    table ring.  As ||PQ|| <= ||P|| ||Q||, ||P + Q|| <= ||P|| + ||Q||,
+    and no coefficient exceeds the l1 norm, the table bound covers every
+    leaf and each b's twisted sums over (a, c) and over d, and the
+    result bound covers the total.  L and each cofactor L / theta(x,n,n)
     are exact divisions by binomials, the cofactor's read from
     ktg.theta_factors(x, n, n), so an L that misses a factor of some
     theta raises NonExactDivision here.
-    Callers share the tables and only read them; the ring's counters move.
+    Callers share the tables and only read them; the rings' counters move.
     """
     lcm = exact_div(ONE, {j: -b for j, b in lcm_binomials(n).items()})
     evens = range(0, 2 * n + 1, 2)
@@ -176,15 +184,26 @@ def _state_tables(n):
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
-    norm_q, norm_r = _fold(n, _l1_norm, base, bd, factors)
-    ring = PackedRing(sum(sum(norm_q[b].values()) * sum(norm_r[b].values())
-                          for b in evens), 4)
-    return (lcm, ring, *_fold(n, ring.pack, base, bd, factors))
+    table_bound, bound = _ring_bounds(*_fold(n, _l1_norm, base, bd, factors))
+    table = PackedRing(table_bound, 4)
+    return (lcm, PackedRing(bound, 4), *_fold(n, table.pack, base, bd, factors))
 
 
 def _l1_norm(dense):
     """The l1 norm of a dense form (coeffs, lo): the sum of |coeffs|."""
     return sum(map(abs, dense[0]))
+
+
+def _ring_bounds(norm_q, norm_r):
+    """The bounds (table, result) of the two rings, from the norm tables.
+
+    With A_b and D_b the sums of norm_q[b] and of norm_r[b], they bound the
+    l1 norms of the per-b sums over (a, c) and over d, and A_b D_b that of
+    their product.  The table bound is the largest A_b or D_b, and the
+    result bound the sum over b of A_b D_b.
+    """
+    sums = [(sum(norm_q[b].values()), sum(norm_r[b].values())) for b in norm_q]
+    return max(map(max, sums)), sum(a * d for a, d in sums)
 
 
 def _fold(n, f, base, bd, factors):
@@ -224,8 +243,10 @@ def colored_jones(params, N):
                (sum over d of f_u(d) r[b][d])
 
     over _state_tables(n)'s q and r.  Each f is a signed monomial, applied
-    by Packed.shift, so a call makes n + 1 packed multiplies, one per b,
-    and shifted adds.  Only the total is unpacked.  It carries L^4, and
+    by Packed.shift, so a call makes shifted adds, in the table ring for
+    the two sums of each b, and n + 1 packed multiplies, one per b, in
+    the result ring, into whose slots each of the 2(n + 1) sums is first
+    widened.  Only the total is unpacked.  It carries L^4, and
     the final division by L^4's binomials and the classical limit
     J_N(1) = N double as tripwires for the integrality of the sum and for
     the slot width.
@@ -234,11 +255,13 @@ def colored_jones(params, N):
         raise ValueError(f"color N must be >= 1, got {N}")
     n = N - 1
     lcm, ring, q, r = _state_tables(n)
+    table = r[0][0].ring
     fr, fs, ft, fu = ({x: framing_power(x, w) for x in q} for w in params.astuple())
-    muls, adds = ring.muls, ring.adds
+    muls, adds = table.muls + ring.muls, table.adds + ring.adds
+    widen = ring.widen
     total = ring.unpack(sum(
-        (sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items())
-         * sum(v.shift(fu[d]) for d, v in r[b].items())).shift(fs[b]) for b in q))
+        (widen(sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items()))
+         * widen(sum(v.shift(fu[d]) for d, v in r[b].items()))).shift(fs[b]) for b in q))
 
     beta = lcm_binomials(n)
     if log.isEnabledFor(logging.DEBUG):
@@ -247,13 +270,13 @@ def colored_jones(params, N):
         log.debug(
             "colored_jones n=%d: L has %d binomial factors, span %d "
             "(product of thetas %d); total span %d before the peel; "
-            "%d-bit slots for an l1 bound of %d bits, total max |coef| "
-            "%d bits; %d packed multiplies, %d packed adds",
+            "%d-bit table slots, %d-bit slots for an l1 bound of %d bits, "
+            "total max |coef| %d bits; %d packed multiplies, %d packed adds",
             n, sum(map(abs, beta.values())), _span(lcm),
             sum(-4 * j * e for x in q for j, e in theta_factors(x, n, n)[1].items()),
-            _span(total), 8 * ring.width, ring.bound.bit_length(),
+            _span(total), 8 * table.width, 8 * ring.width, ring.bound.bit_length(),
             max((abs(c) for _, c in total.terms()), default=0).bit_length(),
-            ring.muls - muls, ring.adds - adds,
+            table.muls + ring.muls - muls, table.adds + ring.adds - adds,
         )
     # total == J_sum * L^4; divide L^4 out exactly.
     total = exact_div(total, {j: 4 * b for j, b in beta.items()})

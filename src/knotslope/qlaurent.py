@@ -25,7 +25,11 @@ sum of products is big-integer arithmetic from the packed factors to the
 one result that is read back from fixed-width slots, sized from a
 bound on the coefficients when the ring is built.  A ring packs dense
 coefficient lists, the form the building blocks are made in, and
-LaurentPoly.dense gives that form of any polynomial.
+LaurentPoly.dense gives that form of any polynomial.  Values with small
+coefficients can be summed in a ring of narrow slots and then widened
+into a ring of wider slots for the products whose coefficients are
+large, so that no big-integer product carries slot width it does not
+need.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
@@ -243,8 +247,10 @@ class PackedRing:
     magnitude at most bound, so a slot is one bit wider than the bound,
     for the sign, rounded up to whole bytes.  unpack reads a result back
     exactly when its coefficients lie within the bound; pack raises
-    OverflowError for a coefficient too wide for its slot.  The ring
-    counts the products and sums it forms.
+    OverflowError for a coefficient too wide for its slot.  widen moves a
+    value of a ring with narrower slots and the same stride into this
+    ring's slots, digit by digit, with no product.  The ring counts the
+    products and sums it forms.
     """
 
     def __init__(self, bound, stride):
@@ -265,8 +271,9 @@ class PackedRing:
         value = int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
         return Packed(value, lo, self)
 
-    def unpack(self, packed):
-        """The LaurentPoly of a packed value; zero gives the zero polynomial.
+    def _biased_slots(self, value):
+        """(raw, count, half): value plus the bias, as the bytes of count
+        slots of this ring, each holding one balanced digit plus half.
 
         The top nonzero slot of a value whose coefficients fit their slots
         lies at or below bit_length / w.  Reading one slot more than that
@@ -275,15 +282,39 @@ class PackedRing:
         as wrong digits, for the caller's exactness checks to catch.
         """
         width = self.width
-        count = abs(packed.value).bit_length() // (8 * width) + 2
+        count = abs(value).bit_length() // (8 * width) + 2
         half = 1 << (8 * width - 1)
         bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-        raw = (packed.value + bias).to_bytes(count * width, "little")
+        return (value + bias).to_bytes(count * width, "little"), count, half
+
+    def unpack(self, packed):
+        """The LaurentPoly of a packed value; zero gives the zero polynomial.
+        Any value reads back (_biased_slots)."""
+        width = self.width
+        raw, count, half = self._biased_slots(packed.value)
         from_bytes = int.from_bytes
         digits = [from_bytes(raw[i:i + width], "little") - half
                   for i in range(0, count * width, width)]
         lo, stride = packed.lo, self.stride
         return LaurentPoly._raw({lo + k * stride: c for k, c in enumerate(digits) if c})
+
+    def widen(self, packed):
+        """The value packed of a ring with this stride and slots no wider
+        than this ring's, repacked in this ring's slots.
+
+        The narrow ring reads the value into biased digits as unpack does,
+        so any value widens, one packed from coefficients too wide for the
+        narrow slots to wrong digits.  Each byte of the narrow slots is
+        copied into the same byte of the wide slots, across all slots at
+        once, and the narrow bias, now in wide slots, is taken off again.
+        """
+        narrow, wide = packed.ring.width, self.width
+        raw, count, half = packed.ring._biased_slots(packed.value)
+        out = bytearray(count * wide)
+        for j in range(narrow):
+            out[j::wide] = raw[j::narrow]
+        bias = int.from_bytes(half.to_bytes(wide, "little") * count, "little")
+        return Packed(int.from_bytes(out, "little") - bias, packed.lo, self)
 
 
 class Packed:

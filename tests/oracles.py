@@ -33,6 +33,13 @@
               ktg.delta6j return a dense coefficient list in q = v^4 and
               its lowest exponent, and the tests read them as LaurentPoly
               through leaf_poly
+  bd_tetrahedron
+              Tet(b,n,n,d,n,n) = delta6j(b,n,n,d,n,n) theta(b,n,n), ktg's
+              two leaves multiplied by the schoolbook convolution of their
+              dense lists: the tetrahedral-symmetry oracle, whose
+              identity Tet(b,n,n,d,n,n) = Tet(d,n,n,b,n,n) checks the
+              z-sum's faces and signs without the factorial or qbinom
+              products that the other 6j oracles share with it
   habiro_coefficients
               Habiro's cyclotomic coefficients H_k of J_1..J_N, a
               cross-N check of every coefficient by a theorem the
@@ -69,6 +76,18 @@ def theta(a, b, c):
 def delta6j(a, b, c, alpha, beta, gamma):
     """ktg.delta6j as a LaurentPoly."""
     return leaf_poly(ktg.delta6j(a, b, c, alpha, beta, gamma))
+
+
+def bd_tetrahedron(b, d, n):
+    """The dense form of delta6j(b,n,n,d,n,n) theta(b,n,n) in q = v^4,
+    the tetrahedron with faces (b,n,n), (b,n,n), (d,n,n) and (d,n,n).
+    Both leaves are nonzero for even b, d in [0, 2n]."""
+    (x, lx), (y, ly) = ktg.delta6j(b, n, n, d, n, n), ktg.theta(b, n, n)
+    out = [0] * (len(x) + len(y) - 1)
+    for i, c in enumerate(x):
+        for j, e in enumerate(y):
+            out[i + j] += c * e
+    return out, lx + ly
 
 
 def common_stride(*term_maps):

@@ -292,20 +292,23 @@ def test_lcm_multiplicities_in_closed_form():
 
 
 def debug_counts(params, N, caplog):
-    """The DEBUG line of one colored_jones call: (line, slot bits, bound
-    bits, total max |coef| bits, packed multiplies, packed adds)."""
+    """The DEBUG line of one colored_jones call: (line, table slot bits,
+    slot bits, bound bits, total max |coef| bits, packed multiplies,
+    packed adds)."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="knotslope.jones"):
         colored_jones(params, N)
     lines = [r.getMessage() for r in caplog.records if r.name == "knotslope.jones"]
     assert len(lines) == 1
     return (lines[0], *map(int, re.search(
-        r"(\d+)-bit slots for an l1 bound of (\d+) bits, total max \|coef\| "
+        r"(\d+)-bit table slots, (\d+)-bit slots for an l1 bound of (\d+) bits, "
+        r"total max \|coef\| "
         r"(\d+) bits; (\d+) packed multiplies, (\d+) packed adds", lines[0]).groups()))
 
 
 def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys):
-    line, slot, bound, coef, muls, adds = debug_counts(KnotParams(-3, 2, 3, -3), 4, caplog)
+    line, table_slot, slot, bound, coef, muls, adds = debug_counts(
+        KnotParams(-3, 2, 3, -3), 4, caplog)
     # L = (q^4 - 1)(q^5 - 1)(q^6 - 1)(q^7 - 1)(q^3 - 1) / ((q^2 - 1)(q - 1)^4),
     # in all 10 binomial factors, of span 4 * 19 in v.
     assert line.startswith("colored_jones n=3: L has 10 binomial factors, span 76 ")
@@ -313,16 +316,19 @@ def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys
     # the span of their product as polynomials: 12 + 36 + 52 + 60.
     assert "(product of thetas 160)" in line and "before the peel" in line
     assert slot % 8 == 0 and slot - 8 < bound + 1 <= slot
+    assert table_slot % 8 == 0 and table_slot <= slot
     assert 0 < coef <= bound
     # One product per b, n + 1 = 4 in all; the fold into q and r is done
     # with the cached tables, not in the call.  Each sum adds all but the
     # first term of its group: for each b, the (a, c) with (a, b, c)
-    # admissible and the n + 1 values of d, then the n + 1 products.
+    # admissible and the n + 1 values of d, then the n + 1 products.  The
+    # counts are over both rings: the per-b sums add in the table ring,
+    # the products and their sum form in the result ring.
     triples = len({p[:3] for p in domain_points(3)})
     assert (muls, adds) == (4, (triples - 4) + 4 * 3 + 3)
     # A second knot at the same n reads the cached tables and logs this
     # call's counts, not the ring's running totals.
-    assert debug_counts(KnotParams(-5, 6, 5, -1), 4, caplog)[4:] == (muls, adds)
+    assert debug_counts(KnotParams(-5, 6, 5, -1), 4, caplog)[5:] == (muls, adds)
     assert capsys.readouterr().out == ""
 
 
@@ -331,7 +337,9 @@ def test_l1_bound_covers_the_total(monkeypatch):
     # each term twisted by its framing as a LaurentPoly shift, is the
     # reference for the packed total
     # that colored_jones unpacks, and its coefficients stay within the
-    # ring's l1 bound.
+    # ring's l1 bound.  Every per-b sum over (a, c) and over d, which
+    # colored_jones widens from the table ring, stays within the table
+    # ring's bound.
     totals = []
     unpack = PackedRing.unpack
     monkeypatch.setattr(PackedRing, "unpack",
@@ -349,16 +357,19 @@ def test_l1_bound_covers_the_total(monkeypatch):
             q, r = _fold(n, lambda p: p, base, bd, factors)
             fr, fs, ft, fu = ({x: framing_power(x, w) for x in evens}
                               for w in params.astuple())
+            colored_jones(params, N)
+            cached_lcm, ring, _, cached_r = _state_tables(n)
+            table = cached_r[0][0].ring
+            assert cached_lcm == lcm
             total = ZERO
             for b in evens:
                 qb = sum((v.shift(fr[a].exponent + ft[c].exponent, fr[a].sign * ft[c].sign)
                           for (a, c), v in q[b].items()), ZERO)
                 rb = sum((v.shift(fu[d].exponent, fu[d].sign) for d, v in r[b].items()), ZERO)
+                for partial in (qb, rb):
+                    assert max(abs(c) for _, c in partial.terms()) <= table.bound, (n, b)
                 total = total + (qb * rb).shift(fs[b].exponent, fs[b].sign)
 
-            colored_jones(params, N)
-            cached_lcm, ring, _, _ = _state_tables(n)
-            assert cached_lcm == lcm
             assert totals.pop() == total
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
@@ -387,6 +398,29 @@ def test_ring_bound_pin():
         assert _state_tables(n)[1].bound == bound, n
 
 
+# The table ring's l1 bound for n = 0..9, the largest per-b sum of the
+# norm tables, recorded when the tables moved to their own ring (bit
+# lengths 1, 9, 21, 31, 43, 52, 67, 72, 87 and 98): slots of 8, 16, 24,
+# 32, 48, 56, 72, 80, 88 and 104 bits against the result ring's 8 to 160.
+TABLE_BOUNDS = (
+    1,
+    432,
+    1296000,
+    1192464000,
+    5422733568000,
+    3105413197286400,
+    120308923100663256960,
+    2649272259327943721472,
+    144732804949313190642032000,
+    260602648849224554208262318080,
+)
+
+
+def test_table_bound_pin():
+    for n, bound in enumerate(TABLE_BOUNDS):
+        assert _state_tables(n)[3][0][0].ring.bound == bound, n
+
+
 def test_state_tables_are_reused_across_knots(fresh_state_tables):
     # A second knot at the same n reads the tables the first one built,
     # and its result equals the one from tables built afresh.
@@ -400,13 +434,30 @@ def test_state_tables_are_reused_across_knots(fresh_state_tables):
 
 
 def test_colored_jones_rejects_too_narrow_slots(fresh_state_tables, monkeypatch):
-    # A unit norm for every leaf makes the bound, and so the slots, far
-    # too narrow for the total; its misread digits fail the final peel.
-    monkeypatch.setattr(jones_mod, "_l1_norm", lambda dense: 1)
+    # A result ring no wider than the table ring makes the slots far too
+    # narrow for the total, while every table entry and per-b sum still
+    # fits its slots; the total's misread digits fail the final peel.
+    ring_bounds = jones_mod._ring_bounds
+    monkeypatch.setattr(jones_mod, "_ring_bounds",
+                        lambda norm_q, norm_r: (ring_bounds(norm_q, norm_r)[0],) * 2)
     for N in (3, 4):
         with pytest.raises(ArithmeticError) as info:
             colored_jones(KnotParams(-3, 2, 3, -3), N)
         assert not isinstance(info.value, OverflowError)
+
+
+def test_colored_jones_rejects_too_narrow_table_slots(fresh_state_tables, monkeypatch):
+    # Table slots of 8 bits, under a result ring of the right width.  At
+    # N = 3 every leaf packs, but table entries and per-b sums overflow
+    # their slots and widen to wrong digits that fail the final peel; at
+    # N = 4 and 5 a leaf too wide to pack raises OverflowError.  Either
+    # way the call raises and returns no polynomial.
+    ring_bounds = jones_mod._ring_bounds
+    monkeypatch.setattr(jones_mod, "_ring_bounds",
+                        lambda norm_q, norm_r: (1, ring_bounds(norm_q, norm_r)[1]))
+    for N in (3, 4, 5):
+        with pytest.raises(ArithmeticError):
+            colored_jones(KnotParams(-3, 2, 3, -3), N)
 
 
 def test_colored_jones_checks_the_classical_limit(fresh_state_tables, monkeypatch):

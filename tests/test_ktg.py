@@ -5,7 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import delta6j, leaf_poly, qbinom, qfact, schoolbook_div, theta
+from oracles import bd_tetrahedron, delta6j, leaf_poly, qbinom, qfact, schoolbook_div, theta
 
 from knotslope import ktg
 from knotslope.ktg import (
@@ -121,6 +121,18 @@ def test_leaves_match_the_qbinom_products_on_state_sum_shapes():
             for d in evens:
                 assert delta6j(x, n, n, d, n, n) == \
                     delta_oracle(x, n, n, d, n, n, qbinom), (x, d, n)
+
+
+def test_bd_leaves_have_tetrahedral_symmetry():
+    # The tetrahedral-symmetry oracle: Tet = delta6j theta(b,n,n) with
+    # faces (b,n,n) twice and (d,n,n) twice is the same tetrahedron with b
+    # and d exchanged, so the (b, d) leaf times theta(b,n,n) equals the
+    # (d, b) leaf times theta(d,n,n), on every bd shape for n <= 8.
+    for n in range(9):
+        evens = range(0, 2 * n + 1, 2)
+        for b in evens:
+            for d in evens[b // 2 + 1:]:
+                assert bd_tetrahedron(b, d, n) == bd_tetrahedron(d, b, n), (b, d, n)
 
 
 @settings(max_examples=80, deadline=None)

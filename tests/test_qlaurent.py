@@ -22,6 +22,7 @@ from knotslope.qlaurent import (
     ZERO,
     LaurentPoly,
     NonExactDivision,
+    Packed,
     PackedRing,
     ZeroPolynomial,
     exact_div,
@@ -382,6 +383,59 @@ def test_packed_sum_across_cosets_raises():
     assert ZERO.dense(4) == ([], 0)
     assert ring.unpack(two + pack(ring, ZERO)) == qint(2)
     assert ring.unpack(one + pack(ring, LaurentPoly({4: -3}))) == LaurentPoly({0: 1, 4: -3})
+
+
+@st.composite
+def widen_operands(draw):
+    """(stride, narrow bound, wide bound, forms): one to three dense forms
+    with lowest exponents in one coset mod stride, whose sum fits the
+    slots of PackedRing(narrow bound, stride); the wide bound is at least
+    the narrow one, and often of the same slot width."""
+    stride = draw(st.sampled_from([1, 4]))
+    narrow = draw(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 130)))
+    wide = narrow + draw(st.one_of(st.integers(0, 2), st.integers(0, 2 ** 200)))
+    count = draw(st.integers(1, 3))
+    top = ((1 << (8 * PackedRing(narrow, stride).width - 1)) - 1) // count
+    coefficient = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
+    coset = draw(st.integers(0, stride - 1))
+    forms = [(draw(st.lists(coefficient, max_size=12)),
+              coset + stride * draw(st.integers(-6, 6))) for _ in range(count)]
+    return stride, narrow, wide, forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(widen_operands())
+@example((4, 300, 2 ** 70, [([], 0)]))
+@example((4, 1, 1, [([127, -127, 0, 5], -3)]))
+@example((1, 2 ** 64, 2 ** 100, [([2 ** 71 - 1, -(2 ** 71 - 1), 0, 1], 7)]))
+@example((4, 1000, 2 ** 90, [([1, -2, 3], 0), ([-4, 5], 8), ([6], -4)]))
+def test_widen_matches_packing_in_the_wide_ring(operands):
+    # Widening a packed sum from the narrow ring gives the value and lo
+    # that the sum of the same forms packed in the wide ring has: at the
+    # slot edges +/-(2^(w-1) - 1), for zero, and at equal slot widths.
+    stride, narrow_bound, wide_bound, forms = operands
+    narrow, wide = PackedRing(narrow_bound, stride), PackedRing(wide_bound, stride)
+    packed = sum(narrow.pack(d) for d in forms[1:]) + narrow.pack(forms[0])
+    expected = sum(wide.pack(d) for d in forms[1:]) + wide.pack(forms[0])
+    widened = wide.widen(packed)
+    assert (widened.value, widened.lo, widened.ring) == (expected.value, expected.lo, wide)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(-2 ** 400, 2 ** 400),
+       st.integers(-9, 9))
+@example(0, 3, 2 ** 15 - 1, 0)
+@example(9, 0, 2 ** 31 - 1, -2)
+@example(9, 20, -(2 ** 47), 5)
+def test_widen_reads_any_value(narrow_bits, extra_bits, value, lo):
+    # Any integer, also one packed from coefficients too wide for the
+    # narrow slots, widens without raising, to the digits unpack reads.
+    # A value just below a slot boundary, 2^(w k - 1) - 1, needs the one
+    # slot read above its top one.
+    narrow = PackedRing(2 ** narrow_bits, 1)
+    wide = PackedRing(2 ** (narrow_bits + extra_bits), 1)
+    packed = Packed(value, lo, narrow)
+    assert wide.unpack(wide.widen(packed)) == narrow.unpack(packed)
 
 
 def stride1_div(p, q):
