@@ -32,11 +32,13 @@ tables over L: q[b][a, c], the theta, the squared 6j quotient and the a-
 and c-cofactors, and r[b][d], the (b, d) 6j quotient and the b- and
 d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
 for each b, and one product per b.  The theta and 6j leaves come from
-ktg as dense coefficient lists in q = v^4, never as LaurentPoly.  The
-sum is big-integer arithmetic in two PackedRings (qlaurent), each of
-whose values is a polynomial evaluated once at v^4 = 2^w: a framing
-factor is a Packed.shift with no multiply, and only the total is read
-back into a Laurent polynomial.  The tables and each b's two sums live
+ktg as dense coefficient lists in q = v^4, never as LaurentPoly: ktg
+builds each from packed Gaussian binomials and checks it against its
+value at q = 1 (ArithmeticError), while L, the cofactors and the final
+division stay exact divisions.  The sum is big-integer arithmetic in
+two PackedRings (qlaurent), each of whose values is a polynomial
+evaluated once at v^4 = 2^w: a framing factor is a Packed.shift with no
+multiply, and only the total is read back into a Laurent polynomial.  The tables and each b's two sums live
 in the table ring; PackedRing.widen repacks the two sums into the wider
 slots of the result ring, where their product and the total are formed.
 One fold (_fold) builds the tables from their leaves, and a twist keeps

@@ -13,15 +13,22 @@ Colors are non-negative integers.  A triple is admissible when its sum is
 even and it satisfies the triangle inequality; theta vanishes conceptually
 outside that set and we reject such input outright.
 
-theta and each z-term of delta6j are a signed monomial times a quotient
-of quantum factorials (Kauffman and Lins, Temperley-Lieb Recoupling
-Theory, 1994).  Each is built by one qlaurent.divide_binomials of the
-list [+/-1], with the binomial vector from qlaurent.factorial_binomials,
-so a wrong vector raises NonExactDivision.  theta and delta6j are the
-leaves of the state sum's tables, and they return the dense form
-(coeffs, lo) in q = v^4 that PackedRing.pack reads: coeffs[i] is the
-coefficient of v^(lo + 4i), and zero is ([], 0).  A 6j quotient adds
-its z-terms into one list.  No leaf is ever a LaurentPoly.
+theta and each z-term of delta6j are a sign times a product of quantum
+binomials [m; k] (Kauffman and Lins, Temperley-Lieb Recoupling Theory,
+1994), and [m; k] is a monomial times the Gaussian binomial G(m, k), a
+polynomial in q = v^4 with nonnegative coefficients.  _gaussian_row
+keeps the rows of the q-Pascal triangle as Packed values of a
+PackedRing, in a module-level cache per slot width, and _gaussian_sum
+multiplies each term's binomials, adds the terms and reads the sum back
+once.  The width is proven from the binomials' values at q = 1, which
+bound every coefficient, and the coefficients read back must sum to the
+leaf's signed value at q = 1, or ArithmeticError is raised.  theta and
+delta6j are the leaves of the state sum's tables, and they return the
+dense form (coeffs, lo) in q = v^4 that PackedRing.pack reads:
+coeffs[i] is the coefficient of v^(lo + 4i), and zero is ([], 0).  No
+leaf is ever a LaurentPoly.  theta_factors states theta as a quotient of
+quantum factorials, the binomial vector by which jones divides L into
+its cofactors.
 
 The framing scalar f(a) = (sqrt(-1))^(-a) v^(-a(a+2)/2) is only ever needed
 in real combinations here (even colors, or fourth powers), so it is kept as
@@ -31,10 +38,11 @@ coefficients.
 
 from __future__ import annotations
 
-from operator import add
+from functools import lru_cache
+from math import comb, prod
 from typing import NamedTuple
 
-from .qlaurent import divide_binomials, factorial_binomials, qint
+from .qlaurent import Packed, PackedRing, factorial_binomials, qint
 
 
 class InadmissibleColoring(ValueError):
@@ -71,7 +79,7 @@ def circle(k):
     if k < 0:
         raise ValueError(f"negative unknot color {k}")
     p = qint(k + 1)
-    return p if k % 2 == 0 else -p
+    return p if k % 2 == 0 else p.shift(0, -1)
 
 
 def theta_factors(a, b, c):
@@ -91,12 +99,70 @@ def theta_factors(a, b, c):
 def theta(a, b, c):
     """Theta net value, symmetric in a, b, c, in dense form (coeffs, lo).
 
-    The quotient of [sign] by the binomials has the constant term +/-1,
-    so lo is the unit's exponent.  Nothing is cached here: the state sum
-    builds its theta tables once per n (jones._state_tables).
+    With h = (a+b+c)/2, theta = (-1)^h [h+1] [h; h-a] [a; h-b], the
+    factorial quotient of theta_factors regrouped into three quantum
+    binomials, built by _gaussian_sum.  Nothing is cached here but the
+    Gaussian rows: the state sum builds its theta tables once per n
+    (jones._state_tables).
     """
-    unit, binomials = theta_factors(a, b, c)
-    return divide_binomials([unit.sign], binomials), unit.exponent
+    require_admissible(a, b, c)
+    h = (a + b + c) // 2
+    return _gaussian_sum([(h % 2, ((h + 1, 1), (h, h - a), (a, h - b)))])
+
+
+@lru_cache(maxsize=None)
+def _gaussian_row(m, width):
+    """The Gaussian binomials G(m, k), k = 0..m, as Packed values of one
+    PackedRing of stride 4 and width-byte slots, shared by every row of
+    that width.
+
+    G(m, k) = v^(2k(m-k)) [m; k] is a polynomial in q = v^4 with
+    nonnegative coefficients, built by the q-Pascal rule
+    G(m, k) = G(m-1, k-1) + q^k G(m-1, k) from G(0, 0) = 1 for
+    k <= m/2, and mirrored by G(m, k) = G(m, m-k).  A packed row holds
+    the exact values G(m, k)(2^w) whatever the width; the width only
+    decides which products read back.
+    """
+    if m == 0:
+        return (PackedRing((1 << (8 * width - 1)) - 1, 4).pack(([1], 0)),)
+    prev = _gaussian_row(m - 1, width)
+    ring = prev[0].ring
+    half = [prev[0], *(prev[k - 1] + Packed(prev[k].value, 4 * k, ring)
+                       for k in range(1, m // 2 + 1))]
+    return (*half, *reversed(half[:(m + 1) // 2]))
+
+
+def _gaussian_sum(terms):
+    """The dense form (coeffs, lo) of the sum over terms (parity, pairs)
+    of (-1)^parity times the product of the quantum binomials [m; k] over
+    pairs; no terms give zero, ([], 0).
+
+    Each [m; k] is v^(-2k(m-k)) G(m, k), with G from _gaussian_row, so a
+    term is a product of Packed rows shifted by a signed monomial, and
+    the terms are summed packed and read back once.  The slot width is
+    proven before any product: the coefficients of each G(m, k) are
+    nonnegative and sum to the binomial C(m, k), so a term's l1 norm is
+    its product of C(m, k), and the sum of those over the terms bounds
+    every coefficient of the sum.  The signed sum of the same products is
+    the value at q = 1, which the coefficients read back must sum to, or
+    ArithmeticError is raised.
+    """
+    if not terms:
+        return [], 0
+    sizes = [prod(comb(m, k) for m, k in pairs) for _, pairs in terms]
+    width = PackedRing(sum(sizes), 4).width
+    total = 0
+    for parity, pairs in terms:
+        factors = [_gaussian_row(m, width)[k] for m, k in pairs]
+        monomial = SignedMonomial(-1 if parity else 1,
+                                  -2 * sum(k * (m - k) for m, k in pairs))
+        total = prod(factors[1:], start=factors[0]).shift(monomial) + total
+    coeffs, lo = total.ring.dense(total)
+    at_one = sum(-size if parity else size for (parity, _), size in zip(terms, sizes))
+    if sum(coeffs) != at_one:
+        raise ArithmeticError(
+            f"coefficient sum {sum(coeffs)} is not the value {at_one} at q = 1")
+    return coeffs, lo
 
 
 def framing_power(a, w):
@@ -140,32 +206,20 @@ def delta6j(a, b, c, alpha, beta, gamma):
     in dense form (coeffs, lo).
 
     The z-term is (-1)^(z+half) [z+1; half+1] times the product of the
-    [tops[i]; z - offsets[i]], with [m; k] = [m]! / ([k]! [m-k]!), and it
-    is built from its factorials.  z runs over exactly the indices for
-    which all four quantum binomials have in-range arguments; an empty
-    range gives zero, ([], 0), so that state sums can skip vanishing
-    summands uniformly.
+    [tops[i]; z - offsets[i]], with [m; k] = [m]! / ([k]! [m-k]!), and
+    _gaussian_sum builds and adds the terms.  z runs over exactly the
+    indices for which all four quantum binomials have in-range arguments;
+    an empty range gives zero, ([], 0), so that state sums can skip
+    vanishing summands uniformly.
 
-    The z-terms lie in one coset mod 4: from z to z + 1 the exponent of
-    factorial_binomials moves by 4 - 4 half + 12 z - 4 sum(offsets), as
-    the tops sum to half.  So each term adds into one list at the offset
-    (exponent - lo) / 4 from the lowest exponent lo.
+    The z-terms lie in one coset mod 4, as their packed sum requires: from
+    z to z + 1 the lowest exponent of the term moves by
+    4 - 4 half + 12 z - 4 sum(offsets), as the tops sum to half.
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
-    terms = []
-    for z in range(zlo, zhi + 1):
-        bottoms = [k for t, o in zip(tops, offsets) for k in (z - o, t - z + o)]
-        exponent, binomials = factorial_binomials((z + 1, *tops),
-                                                  (half + 1, z - half, *bottoms))
-        sign = -1 if (z + half) % 2 else 1
-        terms.append((divide_binomials([sign], binomials), exponent))
-    lo = min((exponent for _, exponent in terms), default=0)
-    acc = [0] * max(((exponent - lo) // 4 + len(coeffs) for coeffs, exponent in terms),
-                    default=0)
-    for coeffs, exponent in terms:
-        start = (exponent - lo) // 4
-        acc[start:start + len(coeffs)] = map(add, acc[start:start + len(coeffs)], coeffs)
-    return acc, lo
+    return _gaussian_sum([
+        ((z + half) % 2, ((z + 1, half + 1), *((t, z - o) for t, o in zip(tops, offsets))))
+        for z in range(zlo, zhi + 1)])
 
 
 def binomial_max_deg(n, k):

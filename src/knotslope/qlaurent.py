@@ -2,21 +2,23 @@
 
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
 is built on a single value type: a sparse Laurent polynomial in one variable
-v with arbitrary-precision integer coefficients.  This module supplies the
-ring operations, quantum integers, and one exact division.  There is no
-field of fractions: state sums bring their quotients over a known common
-denominator and clear it with exact_div, whose failure signals a fault.
+v with arbitrary-precision integer coefficients.  This module supplies its
+product, quantum integers, one exact division and the packed ring in
+which sums are formed.  There is no field of fractions: state sums bring
+their quotients over a known common denominator and clear it with
+exact_div, whose failure signals a fault.
 
-LaurentPoly has one product: the schoolbook loop over term pairs of the
-two dicts.  In q = v^4 a quotient of quantum factorials is a monomial
-times a product of powers of binomials q^j - 1, and factorial_binomials
-states it as that monomial and binomial vector.  Every building block of
-the state sum (each theta, each 6j z-term) is such a quotient, and every
-denominator a unit times such a product, so the one division,
-divide_binomials, divides a dense coefficient list in q by a product of
-binomials only, in one pass per binomial, with the remainder checked
-each time.  It builds each block from the list [+/-1]; exact_div wraps
-it for LaurentPoly dividends.
+LaurentPoly has one ring operation, its product: the schoolbook loop
+over term pairs of the two dicts.  It has no sum; sums are packed.  In
+q = v^4 a quotient of quantum factorials is a monomial times a product
+of powers of binomials q^j - 1, and factorial_binomials states it as
+that monomial and binomial vector.  Every denominator of the state sum
+is a unit times such a product, so the one division, divide_binomials,
+divides a dense coefficient list in q by a product of binomials only,
+in one pass per binomial, with the remainder checked each time.  It
+builds L, the cofactors L / theta(x,n,n) and the final division by L^4
+(ktg builds the theta and 6j leaves from Gaussian binomials), and
+exact_div wraps it for LaurentPoly dividends.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
@@ -24,12 +26,13 @@ v^k Z[v^stride], held as integers evaluated at v^stride = 2^w, so that a
 sum of products is big-integer arithmetic from the packed factors to the
 one result that is read back from fixed-width slots, sized from a
 bound on the coefficients when the ring is built.  A ring packs dense
-coefficient lists, the form the building blocks are made in, and
-LaurentPoly.dense gives that form of any polynomial.  Values with small
-coefficients can be summed in a ring of narrow slots and then widened
-into a ring of wider slots for the products whose coefficients are
-large, so that no big-integer product carries slot width it does not
-need.
+coefficient lists, the form the building blocks are made in, and reads
+a packed value back into that form (PackedRing.dense) or into a
+LaurentPoly; LaurentPoly.dense gives the form of any polynomial.
+Values with small coefficients can be summed in a ring of narrow slots
+and then widened into a ring of wider slots for the products whose
+coefficients are large, so that no big-integer product carries slot
+width it does not need.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
@@ -65,9 +68,9 @@ class LaurentPoly:
 
     Immutable after construction.  The term map never stores a zero
     coefficient, so equal values always have identical term maps and
-    results of the ring operations are canonical.  The operands of +, -
-    and * are polynomials, and + also takes the int 0, so that sum()
-    works; there are no int scalars and no power.
+    results of the ring operations are canonical.  The one ring
+    operation is *, on two polynomials; there is no sum, difference,
+    negation, int scalar or power (shift negates).
     """
 
     __slots__ = ("_terms",)
@@ -119,28 +122,6 @@ class LaurentPoly:
         return len(self._terms)
 
     # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if other == 0 or not other._terms:
-            return self
-        if not self._terms:
-            return other
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return LaurentPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Product of two polynomials, by the schoolbook loop over their
@@ -245,12 +226,12 @@ class PackedRing:
     minus half.  A slot therefore holds exactly the coefficients of
     magnitude below 2^(w-1).  The ring is built for coefficients of
     magnitude at most bound, so a slot is one bit wider than the bound,
-    for the sign, rounded up to whole bytes.  unpack reads a result back
-    exactly when its coefficients lie within the bound; pack raises
-    OverflowError for a coefficient too wide for its slot.  widen moves a
-    value of a ring with narrower slots and the same stride into this
-    ring's slots, digit by digit, with no product.  The ring counts the
-    products and sums it forms.
+    for the sign, rounded up to whole bytes.  dense and unpack read a
+    result back exactly when its coefficients lie within the bound; pack
+    raises OverflowError for a coefficient too wide for its slot.  widen
+    moves a value of a ring with narrower slots and the same stride into
+    this ring's slots, digit by digit, with no product.  The ring counts
+    the products and sums it forms.
     """
 
     def __init__(self, bound, stride):
@@ -287,16 +268,28 @@ class PackedRing:
         bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
         return (value + bias).to_bytes(count * width, "little"), count, half
 
-    def unpack(self, packed):
-        """The LaurentPoly of a packed value; zero gives the zero polynomial.
-        Any value reads back (_biased_slots)."""
+    def dense(self, packed):
+        """The dense form (coeffs, lo) of a packed value at the ring's
+        stride, the form pack takes, from its lowest to its highest nonzero
+        slot; zero gives ([], 0).  Any value reads back (_biased_slots)."""
         width = self.width
         raw, count, half = self._biased_slots(packed.value)
         from_bytes = int.from_bytes
-        digits = [from_bytes(raw[i:i + width], "little") - half
+        coeffs = [from_bytes(raw[i:i + width], "little") - half
                   for i in range(0, count * width, width)]
-        lo, stride = packed.lo, self.stride
-        return LaurentPoly._raw({lo + k * stride: c for k, c in enumerate(digits) if c})
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if not coeffs:
+            return [], 0
+        start = next(k for k, c in enumerate(coeffs) if c)
+        return coeffs[start:], packed.lo + start * self.stride
+
+    def unpack(self, packed):
+        """The LaurentPoly of a packed value; zero gives the zero polynomial.
+        Any value reads back (dense)."""
+        coeffs, lo = self.dense(packed)
+        stride = self.stride
+        return LaurentPoly._raw({lo + k * stride: c for k, c in enumerate(coeffs) if c})
 
     def widen(self, packed):
         """The value packed of a ring with this stride and slots no wider

@@ -1,5 +1,8 @@
 """Test-only oracles: independent computations that the package is checked against.
 
+  add, sub    the sum and difference of LaurentPolys, term by term: the
+              polynomial arithmetic of the tests, as the package adds
+              only packed values
   schoolbook_div
               exact division by any polynomial: the schoolbook peel
               (peel) on coefficient arrays compressed by the operands'
@@ -20,7 +23,7 @@
   qbinom      the symmetric quantum binomial by the Pascal recurrence,
               with no division: the route by which theta and the 6j
               z-terms were built as polynomial products, which ktg's
-              factorial quotients are checked against
+              leaves are checked against
   theta_exponents
               the cyclotomic exponent vector of theta(x,n,n) by floor
               counts, the reference for theta's factorization and for
@@ -33,6 +36,12 @@
               ktg.delta6j return a dense coefficient list in q = v^4 and
               its lowest exponent, and the tests read them as LaurentPoly
               through leaf_poly
+  factorial_theta, factorial_delta6j
+              the factorial route to ktg's leaves, which ktg's packed
+              Gaussian rows replaced: each theta and 6j z-term one
+              exact divide_binomials of [+/-1] by the binomial vector of
+              its quotient of quantum factorials, so a wrong vector
+              raises NonExactDivision
   bd_tetrahedron
               Tet(b,n,n,d,n,n) = delta6j(b,n,n,d,n,n) theta(b,n,n), ktg's
               two leaves multiplied by the schoolbook convolution of their
@@ -40,6 +49,12 @@
               identity Tet(b,n,n,d,n,n) = Tet(d,n,n,b,n,n) checks the
               z-sum's faces and signs without the factorial or qbinom
               products that the other 6j oracles share with it
+  orthogonality
+              both sides of the orthogonality of the 6j quotients,
+              sum_j Delta_j Tet Tet / (theta theta) = delta_ik theta
+              theta / Delta_i, over a binomial common denominator and
+              multiplied out in one PackedRing: a check of the z-sum's
+              faces and normalization that evaluates no z-sum
   habiro_coefficients
               Habiro's cyclotomic coefficients H_k of J_1..J_N, a
               cross-N check of every coefficient by a theorem the
@@ -58,8 +73,32 @@ from functools import lru_cache
 
 from knotslope import ktg
 from knotslope.degopt import classify
-from knotslope.ktg import circle, framing_power, is_admissible
-from knotslope.qlaurent import ONE, ZERO, LaurentPoly, NonExactDivision, qint
+from knotslope.ktg import SignedMonomial, circle, framing_power, is_admissible
+from knotslope.qlaurent import (
+    ONE,
+    ZERO,
+    LaurentPoly,
+    NonExactDivision,
+    PackedRing,
+    divide_binomials,
+    factorial_binomials,
+    qint,
+)
+
+
+def add(*polys):
+    """The sum of LaurentPolys, term by term; add() is zero.  The package
+    has no polynomial sum: the state sum adds packed values."""
+    terms = {}
+    for p in polys:
+        for e, c in p.terms():
+            terms[e] = terms.get(e, 0) + c
+    return LaurentPoly(terms)
+
+
+def sub(p, q):
+    """The difference p - q of LaurentPolys."""
+    return add(p, q.shift(0, -1))
 
 
 def leaf_poly(dense):
@@ -78,6 +117,37 @@ def delta6j(a, b, c, alpha, beta, gamma):
     return leaf_poly(ktg.delta6j(a, b, c, alpha, beta, gamma))
 
 
+def factorial_theta(a, b, c):
+    """theta(a,b,c) in dense form by the factorial route: theta_factors'
+    quotient of quantum factorials as one divide_binomials of [+/-1], so
+    a wrong binomial vector raises NonExactDivision."""
+    unit, binomials = ktg.theta_factors(a, b, c)
+    return divide_binomials([unit.sign], binomials), unit.exponent
+
+
+def factorial_delta6j(a, b, c, alpha, beta, gamma):
+    """delta6j in dense form by the factorial route: each z-term is one
+    divide_binomials of [+/-1] by its factorial quotient's binomial
+    vector, added into one list at the offset (exponent - lo) / 4 from
+    the lowest exponent lo."""
+    half, tops, offsets, zlo, zhi = ktg._delta_frame(a, b, c, alpha, beta, gamma)
+    terms = []
+    for z in range(zlo, zhi + 1):
+        bottoms = [k for t, o in zip(tops, offsets) for k in (z - o, t - z + o)]
+        exponent, binomials = factorial_binomials((z + 1, *tops),
+                                                  (half + 1, z - half, *bottoms))
+        sign = -1 if (z + half) % 2 else 1
+        terms.append((divide_binomials([sign], binomials), exponent))
+    lo = min((exponent for _, exponent in terms), default=0)
+    acc = [0] * max(((exponent - lo) // 4 + len(coeffs) for coeffs, exponent in terms),
+                    default=0)
+    for coeffs, exponent in terms:
+        start = (exponent - lo) // 4
+        for i, x in enumerate(coeffs):
+            acc[start + i] += x
+    return acc, lo
+
+
 def bd_tetrahedron(b, d, n):
     """The dense form of delta6j(b,n,n,d,n,n) theta(b,n,n) in q = v^4,
     the tetrahedron with faces (b,n,n), (b,n,n), (d,n,n) and (d,n,n).
@@ -88,6 +158,70 @@ def bd_tetrahedron(b, d, n):
         for j, e in enumerate(y):
             out[i + j] += c * e
     return out, lx + ly
+
+
+def orthogonality(a, b, c, d):
+    """Both sides of the orthogonality of ktg's 6j quotients, as
+    {(i, k): (lhs, rhs)} over the pairs of colors i, k with (i,a,b) and
+    (i,c,d) admissible; the two LaurentPolys are equal where it holds.
+
+    With Tet(i,a,b,j,c,d) = delta6j(i,a,b,j,c,d) theta(i,a,b), the
+    tetrahedron with faces (i,a,b), (i,c,d), (j,a,d) and (j,b,c), and
+    Delta_x = circle(x), the identity is
+
+        sum over j of Delta_j Tet(i,a,b,j,c,d) Tet(k,a,b,j,c,d)
+                      / (theta(j,a,d) theta(j,b,c))
+            = delta_ik theta(i,a,b) theta(i,c,d) / Delta_i,
+
+    j over the colors with (j,a,d) and (j,b,c) admissible (Kauffman and
+    Lins 1994; Masbaum and Vogel 1994).  By ktg.theta_factors each
+    1/(theta(j,a,d) theta(j,b,c)) is a signed monomial times a product of
+    binomials (q^m - 1)^e, q = v^4, with e of either sign.  D is the
+    product of (q^m - 1)^M_m with M_m the largest -e over j, so that
+    Delta_j D / (theta(j,a,d) theta(j,b,c)) is Delta_j times binomials
+    only, which divide_binomials multiplies out.  Both sides times
+    Delta_i D are then products of ktg's leaves and these lists, formed in
+    one PackedRing whose bound is an l1 bound of either side, so each
+    side reads back exactly.  Nothing here evaluates a z-sum.
+    """
+    def l1(dense):
+        return sum(map(abs, dense[0]))
+
+    colors = [i for i in range(abs(a - b), a + b + 1, 2) if is_admissible(i, c, d)]
+    js = [j for j in range(abs(a - d), a + d + 1, 2) if is_admissible(j, b, c)]
+    inverse = {}
+    for j in js:
+        (u, e), (w, f) = ktg.theta_factors(j, a, d), ktg.theta_factors(j, b, c)
+        inverse[j] = (SignedMonomial(u.sign * w.sign, -u.exponent - w.exponent),
+                      {m: e.get(m, 0) + f.get(m, 0) for m in e.keys() | f.keys()})
+    clear = {}
+    for _, vector in inverse.values():
+        for m, x in vector.items():
+            clear[m] = max(clear.get(m, 0), -x)
+    factor = {}
+    for j, (unit, vector) in inverse.items():
+        coeffs, lo = circle(j).dense(4)
+        factor[j] = divide_binomials(coeffs, {m: -(vector.get(m, 0) + x)
+                                              for m, x in clear.items()}), lo
+    common = divide_binomials([1], {m: -x for m, x in clear.items()}), 0
+    deltas = {i: circle(i).dense(4) for i in colors}
+    thetas = {i: (ktg.theta(i, a, b), ktg.theta(i, c, d)) for i in colors}
+    leaves = {(i, j): ktg.delta6j(i, a, b, j, c, d) for i in colors for j in js}
+    bound = max((max(l1(deltas[i]) * sum(l1(leaves[i, j]) * l1(leaves[k, j]) * l1(factor[j])
+                                         for j in js) * l1(thetas[i][0]) * l1(thetas[k][0]),
+                     l1(thetas[i][0]) * l1(thetas[i][1]) * l1(common))
+                 for i in colors for k in colors), default=0)
+    ring = PackedRing(bound, 4)
+    pack = ring.pack
+    tet = {(i, j): pack(leaf) * pack(thetas[i][0]) for (i, j), leaf in leaves.items()}
+    weight = {j: pack(factor[j]).shift(inverse[j][0]) for j in js}
+    sides = {}
+    for i in colors:
+        rhs = ring.unpack(pack(thetas[i][0]) * pack(thetas[i][1]) * pack(common))
+        for k in colors:
+            lhs = pack(deltas[i]) * sum(tet[i, j] * tet[k, j] * weight[j] for j in js)
+            sides[i, k] = ring.unpack(lhs), rhs if i == k else ZERO
+    return sides
 
 
 def common_stride(*term_maps):
@@ -190,7 +324,7 @@ def qbinom(n, k):
         return ONE
     if 2 * k > n:
         return qbinom(n, n - k)
-    return qbinom(n - 1, k).shift(2 * k) + qbinom(n - 1, k - 1).shift(-2 * (n - k))
+    return add(qbinom(n - 1, k).shift(2 * k), qbinom(n - 1, k - 1).shift(-2 * (n - k)))
 
 
 @lru_cache(maxsize=None)
@@ -275,8 +409,8 @@ def habiro_coefficients(polys):
         products = [ONE]
         for j in range(1, N):
             products.append(products[-1] * braces(N + j) * braces(N - j))
-        rest = schoolbook_div(poly, qint(N)) - sum(
-            (h * p for h, p in zip(coeffs, products)), ZERO)
+        rest = sub(schoolbook_div(poly, qint(N)),
+                   add(*(h * p for h, p in zip(coeffs, products))))
         coeffs.append(schoolbook_div(rest, products[N - 1]))
     return coeffs
 

@@ -5,9 +5,23 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bd_tetrahedron, delta6j, leaf_poly, qbinom, qfact, schoolbook_div, theta
+from oracles import (
+    add,
+    bd_tetrahedron,
+    delta6j,
+    factorial_delta6j,
+    factorial_theta,
+    leaf_poly,
+    orthogonality,
+    qbinom,
+    qfact,
+    schoolbook_div,
+    sub,
+    theta,
+)
 
 from knotslope import ktg
+from knotslope.jones import _triples
 from knotslope.ktg import (
     InadmissibleColoring,
     NonRealPhase,
@@ -53,7 +67,7 @@ def delta_oracle(a, b, c, alpha, beta, gamma, binom=binom_by_factorials):
         term = binom(z + 1, half + 1)
         for t, o in zip(tops, offsets):
             term = term * binom(t, z - o)
-        acc = acc + term if (z + half) % 2 == 0 else acc - term
+        acc = add(acc, term.shift(0, (-1) ** (z + half)))
     return acc
 
 
@@ -68,7 +82,7 @@ def test_admissibility():
 def test_theta_examples():
     assert theta(0, 0, 0) == ONE
     assert theta(2, 0, 2) == qint(3)
-    assert theta(2, 2, 2) == -(qint(4) * qint(3) * qint(2))
+    assert theta(2, 2, 2) == (qint(4) * qint(3) * qint(2)).shift(0, -1)
     with pytest.raises(InadmissibleColoring):
         theta(2, 0, 0)
     with pytest.raises(InadmissibleColoring):
@@ -156,27 +170,91 @@ def test_packing_a_leaf_equals_packing_its_polynomial(data):
         assert ring.unpack(packed) == poly
 
 
+def test_leaves_match_the_factorial_route_on_state_sum_shapes():
+    # The Gaussian-row leaves against the factorial route they replaced,
+    # one exact division of [+/-1] per theta and per 6j z-term, as dense
+    # forms, on every leaf shape of the state sum for n <= 9.
+    shapes = 0
+    for n in range(10):
+        evens = range(0, 2 * n + 1, 2)
+        for a, b, c in _triples(n):
+            if a <= b <= c:
+                assert ktg.theta(a, b, c) == factorial_theta(a, b, c), (a, b, c)
+                assert ktg.delta6j(a, b, c, n, n, n) == \
+                    factorial_delta6j(a, b, c, n, n, n), (a, b, c, n)
+                shapes += 2
+        for x in evens:
+            assert ktg.theta(x, n, n) == factorial_theta(x, n, n), (x, n)
+            for d in evens:
+                assert ktg.delta6j(x, n, n, d, n, n) == \
+                    factorial_delta6j(x, n, n, d, n, n), (x, d, n)
+            shapes += 1 + len(evens)
+    assert shapes == 1280
+
+
 def test_leaves_raise_on_a_wrong_binomial_vector(monkeypatch):
-    # Each theta and 6j z-term is an exact division of 1, so a vector with
-    # one binomial too many in the divisor is caught, not multiplied out.
+    # Each theta and 6j z-term of the factorial route is an exact division
+    # of 1, so a vector with one binomial too many in the divisor is
+    # caught, not multiplied out.
     def one_too_many(numerator, denominator):
         exponent, binomials = factorial_binomials(numerator, denominator)
         top = max(numerator)
         return exponent, {**binomials, top: binomials.get(top, 0) + 1}
 
     monkeypatch.setattr("knotslope.ktg.factorial_binomials", one_too_many)
+    monkeypatch.setattr("oracles.factorial_binomials", one_too_many)
     with pytest.raises(NonExactDivision):
-        theta(2, 2, 2)
+        factorial_theta(2, 2, 2)
     with pytest.raises(NonExactDivision):
-        delta6j(2, 2, 2, 2, 2, 2)
+        factorial_delta6j(2, 2, 2, 2, 2, 2)
+
+
+def test_leaves_raise_on_a_wrong_gaussian_row(monkeypatch):
+    # The Gaussian route's tripwire: a row whose inner entries G(m, k),
+    # 0 < k < m, each carry 1 too many in the constant term has the wrong
+    # coefficient sum, so theta, which reads G(h+1, 1), and the 6j
+    # quotient, whose z = 4 term reads G(5, 4), no longer sum to their
+    # value at q = 1.  The rows built while patched are dropped.
+    row = ktg._gaussian_row
+
+    def one_too_many(m, width):
+        entries = row(m, width)
+        return tuple(g if k in (0, m) else g + g.ring.pack(([1], 0))
+                     for k, g in enumerate(entries))
+
+    row.cache_clear()
+    monkeypatch.setattr(ktg, "_gaussian_row", one_too_many)
+    try:
+        with pytest.raises(ArithmeticError, match="is not the value"):
+            ktg.theta(2, 2, 2)
+        with pytest.raises(ArithmeticError, match="is not the value"):
+            ktg.delta6j(2, 2, 2, 2, 2, 2)
+    finally:
+        row.cache_clear()
+
+
+def test_six_j_orthogonality():
+    # The orthogonality oracle: every state-sum shape a = b = c = d = n for
+    # n <= 6, and every a, b, c, d <= 4, over every pair (i, k).  It reads
+    # the leaves and no z-sum, so it checks the z-sum's faces, relative
+    # signs and normalization from outside both leaf routes; an overall
+    # sign of the 6j quotient cancels, as Tet appears squared.
+    shapes = [(n,) * 4 for n in range(7)] + list(product(range(5), repeat=4))
+    pairs = 0
+    for shape in shapes:
+        for (i, k), (lhs, rhs) in orthogonality(*shape).items():
+            assert lhs == rhs, (shape, i, k)
+            assert rhs.is_zero() == (i != k), (shape, i, k)
+            pairs += 1
+    assert pairs == 140 + 855
 
 
 def test_circle_examples():
     assert circle(0) == ONE
-    assert circle(1) == -qint(2)
+    assert circle(1) == qint(2).shift(0, -1)
     assert circle(2) == qint(3)
     for k in range(21):
-        assert circle(k) == (qint(k + 1) if k % 2 == 0 else -qint(k + 1))
+        assert circle(k) == qint(k + 1).shift(0, (-1) ** k)
         assert circle(k).max_deg == 2 * k
     with pytest.raises(ValueError):
         circle(-1)
@@ -198,7 +276,7 @@ def test_delta6j_examples():
     assert delta6j(0, 0, 0, 0, 0, 0) == ONE
     d = delta6j(2, 2, 2, 2, 2, 2)
     # Hand expansion: z=3 gives +1, z=4 gives -[5].
-    assert d == ONE - qint(5)
+    assert d == sub(ONE, qint(5))
     assert d == LaurentPoly({8: -1, 4: -1, -4: -1, -8: -1})
     assert d.max_deg == 8
     assert delta6j(2, 1, 1, 2, 1, 1) == ONE
