@@ -38,7 +38,10 @@ value at q = 1 (ArithmeticError), while L, the cofactors and the final
 division stay exact divisions.  The sum is big-integer arithmetic in
 two PackedRings (qlaurent), each of whose values is a polynomial
 evaluated once at v^4 = 2^w: a framing factor is a Packed.shift with no
-multiply, and only the total is read back into a Laurent polynomial.  The tables and each b's two sums live
+multiply, and only the total is read back, once, as a dense list in q
+(PackedRing.dense).  That list is divided by L^4 (divide_binomials), its
+quotient's sum is checked against J_N(1) = N, and only then is the one
+LaurentPoly built, the result.  The tables and each b's two sums live
 in the table ring; PackedRing.widen repacks the two sums into the wider
 slots of the result ring, where their product and the total are formed.
 One fold (_fold) builds the tables from their leaves, and a twist keeps
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ktg import circle, delta6j, framing_power, theta, theta_factors
-from .qlaurent import ONE, PackedRing, exact_div
+from .qlaurent import ONE, LaurentPoly, PackedRing, divide_binomials, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -152,9 +155,9 @@ def lcm_binomials(n):
 def _state_tables(n):
     """The knot-independent tables of the state sum at ambient color n.
 
-    Returns (lcm, ring, q, r): L = lcm_x theta(x,n,n), the result
-    PackedRing, and _fold's q and r packed in the narrower table ring,
-    which every table entry carries as its ring.  The fold reads base,
+    Returns (table, ring, q, r): the table PackedRing, the result
+    PackedRing, and _fold's q and r packed in the narrower table ring.
+    L = lcm_x theta(x,n,n) is built here and not kept.  The fold reads base,
     which maps each even color x to O^x L / theta(x,n,n), bd, which maps
     (b, d) to delta6j(b,n,n,d,n,n), and factors, which maps each
     admissible sorted triple a <= b <= c to (theta(a,b,c),
@@ -188,7 +191,7 @@ def _state_tables(n):
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
     table_bound, bound = _ring_bounds(*_fold(n, _l1_norm, base, bd, factors))
     table = PackedRing(table_bound, 4)
-    return (lcm, PackedRing(bound, 4), *_fold(n, table.pack, base, bd, factors))
+    return (table, PackedRing(bound, 4), *_fold(n, table.pack, base, bd, factors))
 
 
 def _l1_norm(dense):
@@ -248,50 +251,47 @@ def colored_jones(params, N):
     by Packed.shift, so a call makes shifted adds, in the table ring for
     the two sums of each b, and n + 1 packed multiplies, one per b, in
     the result ring, into whose slots each of the 2(n + 1) sums is first
-    widened.  Only the total is unpacked.  It carries L^4, and
-    the final division by L^4's binomials and the classical limit
-    J_N(1) = N double as tripwires for the integrality of the sum and for
-    the slot width.
+    widened.  Only the total is read back, as a dense list in q.  It
+    carries L^4, and the final division of that list by L^4's binomials
+    and the classical limit J_N(1) = N, the quotient's coefficient sum
+    times the prefactor's sign, double as tripwires for the integrality
+    of the sum and for the slot width.  Both run before the one
+    LaurentPoly, the result, is built.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
     n = N - 1
-    lcm, ring, q, r = _state_tables(n)
-    table = r[0][0].ring
+    table, ring, q, r = _state_tables(n)
     fr, fs, ft, fu = ({x: framing_power(x, w) for x in q} for w in params.astuple())
     muls, adds = table.muls + ring.muls, table.adds + ring.adds
     widen = ring.widen
-    total = ring.unpack(sum(
+    coeffs, lo = ring.dense(sum(
         (widen(sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items()))
          * widen(sum(v.shift(fu[d]) for d, v in r[b].items()))).shift(fs[b]) for b in q))
 
     beta = lcm_binomials(n)
     if log.isEnabledFor(logging.DEBUG):
-        # theta(x,n,n) is a unit over prod (v^(4j) - 1)^e: its span is
-        # -4 sum j e over its binomial vector.
+        # L = prod (v^(4j) - 1)^beta_j spans 4 sum j beta_j, and theta(x,n,n),
+        # a unit over prod (v^(4j) - 1)^e, spans -4 sum j e over its
+        # binomial vector.  The total's dense list spans 4 per step.
         log.debug(
             "colored_jones n=%d: L has %d binomial factors, span %d "
             "(product of thetas %d); total span %d before the peel; "
             "%d-bit table slots, %d-bit slots for an l1 bound of %d bits, "
             "total max |coef| %d bits; %d packed multiplies, %d packed adds",
-            n, sum(map(abs, beta.values())), _span(lcm),
+            n, sum(map(abs, beta.values())), 4 * sum(j * b for j, b in beta.items()),
             sum(-4 * j * e for x in q for j, e in theta_factors(x, n, n)[1].items()),
-            _span(total), 8 * table.width, 8 * ring.width, ring.bound.bit_length(),
-            max((abs(c) for _, c in total.terms()), default=0).bit_length(),
+            4 * max(len(coeffs) - 1, 0), 8 * table.width, 8 * ring.width,
+            ring.bound.bit_length(), max(map(abs, coeffs), default=0).bit_length(),
             table.muls + ring.muls - muls, table.adds + ring.adds - adds,
         )
-    # total == J_sum * L^4; divide L^4 out exactly.
-    total = exact_div(total, {j: 4 * b for j, b in beta.items()})
+    # coeffs, at v^lo, v^(lo+4), ..., is J_sum L^4; divide L^4 out exactly.
+    coeffs = divide_binomials(coeffs, {j: 4 * b for j, b in beta.items()})
 
     prefactor = framing_power(n, -4 * params.u)
     sign = prefactor.sign * (-1 if n % 2 else 1)
-    result = total.shift(prefactor.exponent, sign)
-    at_one = sum(c for _, c in result.terms())
+    at_one = sign * sum(coeffs)
     if at_one != N:
         raise ArithmeticError(f"J_{N}(1) = {at_one}, not {N}")
-    return result
-
-
-def _span(poly):
-    """Degree span max_deg - min_deg, 0 for the zero polynomial."""
-    return poly.max_deg - poly.min_deg if poly else 0
+    lo += prefactor.exponent
+    return LaurentPoly({lo + 4 * k: sign * c for k, c in enumerate(coeffs)})

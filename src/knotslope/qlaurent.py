@@ -18,7 +18,8 @@ divides a dense coefficient list in q by a product of binomials only,
 in one pass per binomial, with the remainder checked each time.  It
 builds L, the cofactors L / theta(x,n,n) and the final division by L^4
 (ktg builds the theta and 6j leaves from Gaussian binomials), and
-exact_div wraps it for LaurentPoly dividends.
+exact_div wraps it for the LaurentPoly dividends, L and the cofactors;
+the final division takes the packed total's dense list directly.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
@@ -27,8 +28,8 @@ sum of products is big-integer arithmetic from the packed factors to the
 one result that is read back from fixed-width slots, sized from a
 bound on the coefficients when the ring is built.  A ring packs dense
 coefficient lists, the form the building blocks are made in, and reads
-a packed value back into that form (PackedRing.dense) or into a
-LaurentPoly; LaurentPoly.dense gives the form of any polynomial.
+a packed value back into that form (PackedRing.dense); LaurentPoly.dense
+gives the form of any polynomial.
 Values with small coefficients can be summed in a ring of narrow slots
 and then widened into a ring of wider slots for the products whose
 coefficients are large, so that no big-integer product carries slot
@@ -94,9 +95,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
 
     @property
     def max_deg(self):
@@ -226,9 +224,9 @@ class PackedRing:
     minus half.  A slot therefore holds exactly the coefficients of
     magnitude below 2^(w-1).  The ring is built for coefficients of
     magnitude at most bound, so a slot is one bit wider than the bound,
-    for the sign, rounded up to whole bytes.  dense and unpack read a
-    result back exactly when its coefficients lie within the bound; pack
-    raises OverflowError for a coefficient too wide for its slot.  widen
+    for the sign, rounded up to whole bytes.  dense reads a result back
+    exactly when its coefficients lie within the bound; pack raises
+    OverflowError for a coefficient too wide for its slot.  widen
     moves a value of a ring with narrower slots and the same stride into
     this ring's slots, digit by digit, with no product.  The ring counts
     the products and sums it forms.
@@ -284,18 +282,11 @@ class PackedRing:
         start = next(k for k, c in enumerate(coeffs) if c)
         return coeffs[start:], packed.lo + start * self.stride
 
-    def unpack(self, packed):
-        """The LaurentPoly of a packed value; zero gives the zero polynomial.
-        Any value reads back (dense)."""
-        coeffs, lo = self.dense(packed)
-        stride = self.stride
-        return LaurentPoly._raw({lo + k * stride: c for k, c in enumerate(coeffs) if c})
-
     def widen(self, packed):
         """The value packed of a ring with this stride and slots no wider
         than this ring's, repacked in this ring's slots.
 
-        The narrow ring reads the value into biased digits as unpack does,
+        The narrow ring reads the value into biased digits as dense does,
         so any value widens, one packed from coefficients too wide for the
         narrow slots to wrong digits.  Each byte of the narrow slots is
         copied into the same byte of the wide slots, across all slots at

@@ -31,6 +31,8 @@
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the packed
               two-level sum of colored_jones
+  unpack      a packed value read back as a LaurentPoly, through
+              PackedRing.dense: the tests' view of a packed result
   leaf_poly, theta, delta6j
               the polynomial view of ktg's leaves: ktg.theta and
               ktg.delta6j return a dense coefficient list in q = v^4 and
@@ -99,6 +101,14 @@ def add(*polys):
 def sub(p, q):
     """The difference p - q of LaurentPolys."""
     return add(p, q.shift(0, -1))
+
+
+def unpack(ring, packed):
+    """The LaurentPoly of a value packed in ring, from ring.dense; zero
+    gives the zero polynomial.  The package reads packed values back as
+    dense lists only."""
+    coeffs, lo = ring.dense(packed)
+    return LaurentPoly({lo + k * ring.stride: c for k, c in enumerate(coeffs)})
 
 
 def leaf_poly(dense):
@@ -217,10 +227,10 @@ def orthogonality(a, b, c, d):
     weight = {j: pack(factor[j]).shift(inverse[j][0]) for j in js}
     sides = {}
     for i in colors:
-        rhs = ring.unpack(pack(thetas[i][0]) * pack(thetas[i][1]) * pack(common))
+        rhs = unpack(ring, pack(thetas[i][0]) * pack(thetas[i][1]) * pack(common))
         for k in colors:
             lhs = pack(deltas[i]) * sum(tet[i, j] * tet[k, j] * weight[j] for j in js)
-            sides[i, k] = ring.unpack(lhs), rhs if i == k else ZERO
+            sides[i, k] = unpack(ring, lhs), rhs if i == k else ZERO
     return sides
 
 

@@ -13,6 +13,7 @@ from oracles import (
     cyclotomic,
     delta6j,
     habiro_coefficients,
+    leaf_poly,
     schoolbook_div,
     summand,
     theta,
@@ -339,18 +340,39 @@ def test_colored_jones_logs_denominator_spans(fresh_state_tables, caplog, capsys
     assert capsys.readouterr().out == ""
 
 
+# The DEBUG lines at N = 8 on the benchmark's two tuples, recorded when
+# the line read L's and the total's spans and the total's largest
+# coefficient off LaurentPolys; it reads them off L's binomial vector and
+# the total's dense list.
+DEBUG_LINES = {
+    (-3, 2, 3, -3): "colored_jones n=7: L has 20 binomial factors, span 340 (product of "
+                    "thetas 1344); total span 2380 before the peel; 80-bit table slots, "
+                    "112-bit slots for an l1 bound of 111 bits, total max |coef| 98 bits; "
+                    "8 packed multiplies, 315 packed adds",
+    (-3, 6, 5, -3): "colored_jones n=7: L has 20 binomial factors, span 340 (product of "
+                    "thetas 1344); total span 2928 before the peel; 80-bit table slots, "
+                    "112-bit slots for an l1 bound of 111 bits, total max |coef| 99 bits; "
+                    "8 packed multiplies, 315 packed adds",
+}
+
+
+def test_colored_jones_debug_line_pins(caplog):
+    for tup, line in DEBUG_LINES.items():
+        assert debug_counts(KnotParams(*tup), 8, caplog)[0] == line, tup
+
+
 def test_l1_bound_covers_the_total(monkeypatch):
     # The same fold over dict-arithmetic factors (the identity leaf map),
     # each term twisted by its framing as a LaurentPoly shift, is the
-    # reference for the packed total
-    # that colored_jones unpacks, and its coefficients stay within the
-    # ring's l1 bound.  Every per-b sum over (a, c) and over d, which
+    # reference for the packed total that colored_jones reads back, once,
+    # from the result ring, and its coefficients stay within the ring's
+    # l1 bound.  Every per-b sum over (a, c) and over d, which
     # colored_jones widens from the table ring, stays within the table
     # ring's bound.
-    totals = []
-    unpack = PackedRing.unpack
-    monkeypatch.setattr(PackedRing, "unpack",
-                        lambda ring, p: totals.append(unpack(ring, p)) or totals[-1])
+    reads = []
+    dense = PackedRing.dense
+    monkeypatch.setattr(PackedRing, "dense",
+                        lambda ring, p: reads.append((ring, dense(ring, p))) or reads[-1][1])
     for tup in FLAT_ORACLE_TUPLES:
         params = KnotParams(*tup)
         for N in range(1, 8):
@@ -365,9 +387,7 @@ def test_l1_bound_covers_the_total(monkeypatch):
             fr, fs, ft, fu = ({x: framing_power(x, w) for x in evens}
                               for w in params.astuple())
             colored_jones(params, N)
-            cached_lcm, ring, _, cached_r = _state_tables(n)
-            table = cached_r[0][0].ring
-            assert cached_lcm == lcm
+            table, ring, _, _ = _state_tables(n)
             total = ZERO
             for b in evens:
                 qb = add(*(v.shift(fr[a].exponent + ft[c].exponent, fr[a].sign * ft[c].sign)
@@ -377,7 +397,8 @@ def test_l1_bound_covers_the_total(monkeypatch):
                     assert max(abs(c) for _, c in partial.terms()) <= table.bound, (n, b)
                 total = add(total, (qb * rb).shift(fs[b].exponent, fs[b].sign))
 
-            assert totals.pop() == total
+            assert [d for rg, d in reads if rg is ring] == [total.dense(4)]
+            reads.clear()
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
 
@@ -425,7 +446,7 @@ TABLE_BOUNDS = (
 
 def test_table_bound_pin():
     for n, bound in enumerate(TABLE_BOUNDS):
-        assert _state_tables(n)[3][0][0].ring.bound == bound, n
+        assert _state_tables(n)[0].bound == bound, n
 
 
 def test_state_tables_are_reused_across_knots(fresh_state_tables):
@@ -467,12 +488,29 @@ def test_colored_jones_rejects_too_narrow_table_slots(fresh_state_tables, monkey
             colored_jones(KnotParams(-3, 2, 3, -3), N)
 
 
+def seed_total(monkeypatch, fault):
+    """Make colored_jones at N = 4 read back fault(T) for its total T, as
+    LaurentPolys.  The tables are built first, so the one PackedRing.dense
+    call left in colored_jones is the total's read-back."""
+    _state_tables(3)
+    dense = PackedRing.dense
+    monkeypatch.setattr(PackedRing, "dense",
+                        lambda ring, p: fault(leaf_poly(dense(ring, p))).dense(4))
+
+
+def test_colored_jones_checks_the_final_division(fresh_state_tables, monkeypatch):
+    # A total off by 1 in its lowest slot is not divisible by L^4: the
+    # final division's remainder check catches it, before J_N(1) = N.
+    seed_total(monkeypatch, lambda total: add(total, LaurentPoly({total.min_deg: 1})))
+    with pytest.raises(NonExactDivision):
+        colored_jones(KnotParams(-3, 2, 3, -3), 4)
+
+
 def test_colored_jones_checks_the_classical_limit(fresh_state_tables, monkeypatch):
     # A total off by L^4 passes the division by L^4; only J_N(1) = N
     # catches it.
     lcm4 = math.prod([cyclotomic_power_product(theta_lcm_exponents(3))] * 4, start=ONE)
-    unpack = PackedRing.unpack
-    monkeypatch.setattr(PackedRing, "unpack", lambda ring, p: add(unpack(ring, p), lcm4))
+    seed_total(monkeypatch, lambda total: add(total, lcm4))
     with pytest.raises(ArithmeticError, match=r"J_4\(1\)"):
         colored_jones(KnotParams(-3, 2, 3, -3), 4)
 

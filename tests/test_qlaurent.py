@@ -16,6 +16,7 @@ from oracles import (
     qfact,
     schoolbook_div,
     sub,
+    unpack,
 )
 
 from knotslope.ktg import SignedMonomial
@@ -281,7 +282,7 @@ def l1_norm(p):
 def packed_product(a, b, bound, stride):
     """a * b for term maps a, b, through a PackedRing(bound, stride)."""
     ring = PackedRing(bound, stride)
-    return ring.unpack(pack(ring, LaurentPoly(a)) * pack(ring, LaurentPoly(b)))
+    return unpack(ring, pack(ring, LaurentPoly(a)) * pack(ring, LaurentPoly(b)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,13 +353,13 @@ def test_packed_ring_matches_dict_arithmetic(operands):
         ring = PackedRing(bound, ring_stride)
         pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
         packed = pp * pq
-        assert ring.unpack(packed) == product
+        assert unpack(ring, packed) == product
         assert ring.dense(packed) == product.dense(ring_stride)
-        assert ring.unpack(pp * pq + pr) == add(product, r)
-        assert ring.unpack(sum([pr, pp * pq])) == add(product, r)
+        assert unpack(ring, pp * pq + pr) == add(product, r)
+        assert unpack(ring, sum([pr, pp * pq])) == add(product, r)
         # Cancellation to zero, in the same coset and at another lowest exponent.
-        assert ring.unpack(pp * pq + pack(ring, product.shift(0, -1))) == ZERO
-        assert ring.unpack(pr + pack(ring, r.shift(0, -1))) == ZERO
+        assert unpack(ring, pp * pq + pack(ring, product.shift(0, -1))) == ZERO
+        assert unpack(ring, pr + pack(ring, r.shift(0, -1))) == ZERO
         assert ring.muls == 4
 
 
@@ -374,11 +375,11 @@ def test_packed_shift_matches_laurent_shift(operands, sign, exponent):
     ring = PackedRing(max(*norms, norms[0] * norms[1] + norms[2]), stride)
     pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
     for x, packed in ((p, pp), (q, pq), (r, pr)):
-        assert ring.unpack(packed.shift(m)) == x.shift(exponent, sign)
+        assert unpack(ring, packed.shift(m)) == x.shift(exponent, sign)
     total = add(p * q, r).shift(exponent, sign)
-    assert ring.unpack((pp * pq + pr).shift(m)) == total
-    assert ring.unpack(pp.shift(m) * pq + pr.shift(m)) == total
-    assert ring.unpack(pp * pq.shift(m) + pr.shift(m)) == total
+    assert unpack(ring, (pp * pq + pr).shift(m)) == total
+    assert unpack(ring, pp.shift(m) * pq + pr.shift(m)) == total
+    assert unpack(ring, pp * pq.shift(m) + pr.shift(m)) == total
     assert ring.muls == 3
 
 
@@ -391,8 +392,8 @@ def test_packed_sum_across_cosets_raises():
         LaurentPoly({0: 1, 2: 1}).dense(4)
     # Zero lies in every coset; v^4 * 1 lies in the coset of 1.
     assert ZERO.dense(4) == ([], 0)
-    assert ring.unpack(two + pack(ring, ZERO)) == qint(2)
-    assert ring.unpack(one + pack(ring, LaurentPoly({4: -3}))) == LaurentPoly({0: 1, 4: -3})
+    assert unpack(ring, two + pack(ring, ZERO)) == qint(2)
+    assert unpack(ring, one + pack(ring, LaurentPoly({4: -3}))) == LaurentPoly({0: 1, 4: -3})
 
 
 @st.composite
@@ -439,13 +440,13 @@ def test_widen_matches_packing_in_the_wide_ring(operands):
 @example(9, 20, -(2 ** 47), 5)
 def test_widen_reads_any_value(narrow_bits, extra_bits, value, lo):
     # Any integer, also one packed from coefficients too wide for the
-    # narrow slots, widens without raising, to the digits unpack reads.
+    # narrow slots, widens without raising, to the digits dense reads.
     # A value just below a slot boundary, 2^(w k - 1) - 1, needs the one
     # slot read above its top one.
     narrow = PackedRing(2 ** narrow_bits, 1)
     wide = PackedRing(2 ** (narrow_bits + extra_bits), 1)
     packed = Packed(value, lo, narrow)
-    assert wide.unpack(wide.widen(packed)) == narrow.unpack(packed)
+    assert unpack(wide, wide.widen(packed)) == unpack(narrow, packed)
 
 
 def stride1_div(p, q):
