@@ -201,7 +201,14 @@ def line_peak(params, n):
 
 
 def brute_max_objective(params, n):
-    """Exhaustive maximum of the objective over the whole domain."""
+    """Exhaustive maximum of the objective over the whole domain.
+
+    degree_objective runs at every lattice point, so the scan shares
+    nothing with fast_max_objective or the closed form.  Its 6j leaf
+    degrees, dplus_delta6j, are memoized per process on their colors
+    alone: after the first tuple at a given n, a scan of another tuple
+    reads every one of them from the cache.
+    """
     return max(degree_objective(params, n, colors) for colors in domain_points(n))
 
 

@@ -30,6 +30,14 @@ leaf is ever a LaurentPoly.  theta_factors states theta as a quotient of
 quantum factorials, the binomial vector by which jones divides L into
 its cofactors.
 
+dplus_theta and dplus_delta6j give the leaves' maximal degrees from the
+colors alone, never the knot; the brute-force degree oracle
+(degopt.brute_max_objective) sums them at every lattice point of every
+tuple.  dplus_delta6j is memoized per process in a module-level
+functools cache keyed by its six colors, so the few hundred arguments
+that recur at every tuple of a verify grid are computed once.
+Exceptions are not cached: a bad argument raises on every call.
+
 The framing scalar f(a) = (sqrt(-1))^(-a) v^(-a(a+2)/2) is only ever needed
 in real combinations here (even colors, or fourth powers), so it is kept as
 an exact sign plus exponent and never as a polynomial with imaginary
@@ -234,13 +242,16 @@ def dplus_theta(a, b, c):
     return a * (1 - a) + b * (1 - b) + c * (1 - c) + (s * s) // 2
 
 
+@lru_cache(maxsize=None)
 def dplus_delta6j(a, b, c, alpha, beta, gamma):
     """Maximal degree of the 6j quotient.
 
     The degree is the top z-term's: the binomial degrees at the range end
     z = zhi, where 2*zhi = a+b+c+alpha+beta+gamma - max(a+alpha, b+beta, c+gamma).
     Raises InadmissibleColoring when the z-range is empty (zero value has
-    no degree).
+    no degree).  Memoized per process, keyed by the six colors alone;
+    the InadmissibleColoring and ArithmeticError raises are not cached,
+    so they fire on every bad call.
     """
     half, tops, offsets, zlo, zhi = _delta_frame(a, b, c, alpha, beta, gamma)
     if zlo > zhi:

@@ -22,7 +22,8 @@ from oracles import (
 )
 
 from knotslope import ktg
-from knotslope.jones import _triples
+from knotslope.degopt import brute_max_objective
+from knotslope.jones import KnotParams, _triples, domain_points
 from knotslope.ktg import (
     InadmissibleColoring,
     NonRealPhase,
@@ -327,6 +328,54 @@ def test_dplus_delta6j_example():
     assert dplus_delta6j(2, 2, 2, 2, 2, 2) == 8
     with pytest.raises(InadmissibleColoring):
         dplus_delta6j(4, 0, 0, 0, 2, 2)
+
+
+@pytest.fixture
+def empty_delta_memo():
+    """Empty the dplus_delta6j cache before and after a test."""
+    dplus_delta6j.cache_clear()
+    yield
+    dplus_delta6j.cache_clear()
+
+
+def test_delta_memo_equals_the_unwrapped_degree(empty_delta_memo):
+    # Every 6j shape degree_objective reads for n <= 9,
+    # delta6j(a,b,c,n,n,n) and delta6j(b,n,n,d,n,n): each distinct
+    # argument misses once, then hits once, and both reads equal the
+    # uncached body.
+    args = {shape for n in range(10) for a, b, c, d in domain_points(n)
+            for shape in ((a, b, c, n, n, n), (b, n, n, d, n, n))}
+    for arg in sorted(args):
+        assert dplus_delta6j(*arg) == dplus_delta6j.__wrapped__(*arg) == dplus_delta6j(*arg), arg
+    assert len(args) == 1900
+    info = dplus_delta6j.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1900, 1900, 1900)
+
+
+def test_delta_memo_keeps_no_errors(empty_delta_memo):
+    # An empty z-range raises on every call: lru_cache stores no
+    # exception, so nothing enters the memo.
+    for _ in range(2):
+        with pytest.raises(InadmissibleColoring):
+            dplus_delta6j(4, 0, 0, 0, 2, 2)
+    info = dplus_delta6j.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_delta_memo_is_knot_independent(empty_delta_memo):
+    # Nothing knot-dependent enters the key: after the exhaustive scan of
+    # one tuple for n <= 5, the scan of a tuple of another case reads
+    # both 6j degrees of every lattice point from the memo.
+    first, second = KnotParams(-3, 2, 3, -3), KnotParams(-3, 6, 5, -3)
+    for n in range(6):
+        brute_max_objective(first, n)
+    before = dplus_delta6j.cache_info()
+    assert before.misses == 313
+    for n in range(6):
+        brute_max_objective(second, n)
+    after = dplus_delta6j.cache_info()
+    points = sum(len(domain_points(n)) for n in range(6))
+    assert (after.misses, after.hits - before.hits) == (before.misses, 2 * points)
 
 
 def test_theta_degree_law_sweep():
