@@ -162,8 +162,8 @@ def _state_tables(n):
     (b, d) to delta6j(b,n,n,d,n,n), and factors, which maps each
     admissible sorted triple a <= b <= c to (theta(a,b,c),
     delta6j(a,b,c,n,n,n)).  Every leaf is a dense form (coeffs, lo) in
-    q = v^4, as ktg builds theta and delta6j and as LaurentPoly.dense
-    gives each product O^x times the cofactor, so PackedRing.pack and
+    q = v^4, as ktg builds theta and delta6j and as the LaurentPoly
+    product O^x times the cofactor is held, so PackedRing.pack and
     _l1_norm read its list directly.
     The product theta delta6j^2 is symmetric in (a, b, c): permuting the
     triple permutes the four quantum binomials of each z-term and leaves
@@ -185,13 +185,14 @@ def _state_tables(n):
     for x in evens:
         unit, binomials = theta_factors(x, n, n)
         cofactor = exact_div(lcm, {j: -e for j, e in binomials.items()})
-        base[x] = (circle(x) * cofactor.shift(-unit.exponent, unit.sign)).dense(4)
+        product = circle(x) * cofactor.shift(-unit.exponent, unit.sign)
+        base[x] = product.coeffs, product.lo
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
     table_bound, bound = _ring_bounds(*_fold(n, _l1_norm, base, bd, factors))
-    table = PackedRing(table_bound, 4)
-    return (table, PackedRing(bound, 4), *_fold(n, table.pack, base, bd, factors))
+    table = PackedRing(table_bound)
+    return (table, PackedRing(bound), *_fold(n, table.pack, base, bd, factors))
 
 
 def _l1_norm(dense):
@@ -293,5 +294,4 @@ def colored_jones(params, N):
     at_one = sign * sum(coeffs)
     if at_one != N:
         raise ArithmeticError(f"J_{N}(1) = {at_one}, not {N}")
-    lo += prefactor.exponent
-    return LaurentPoly({lo + 4 * k: sign * c for k, c in enumerate(coeffs)})
+    return LaurentPoly([sign * c for c in coeffs], lo + prefactor.exponent)

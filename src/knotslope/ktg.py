@@ -121,8 +121,7 @@ def theta(a, b, c):
 @lru_cache(maxsize=None)
 def _gaussian_row(m, width):
     """The Gaussian binomials G(m, k), k = 0..m, as Packed values of one
-    PackedRing of stride 4 and width-byte slots, shared by every row of
-    that width.
+    PackedRing of width-byte slots, shared by every row of that width.
 
     G(m, k) = v^(2k(m-k)) [m; k] is a polynomial in q = v^4 with
     nonnegative coefficients, built by the q-Pascal rule
@@ -132,7 +131,7 @@ def _gaussian_row(m, width):
     decides which products read back.
     """
     if m == 0:
-        return (PackedRing((1 << (8 * width - 1)) - 1, 4).pack(([1], 0)),)
+        return (PackedRing((1 << (8 * width - 1)) - 1).pack(([1], 0)),)
     prev = _gaussian_row(m - 1, width)
     ring = prev[0].ring
     half = [prev[0], *(prev[k - 1] + Packed(prev[k].value, 4 * k, ring)
@@ -158,7 +157,7 @@ def _gaussian_sum(terms):
     if not terms:
         return [], 0
     sizes = [prod(comb(m, k) for m, k in pairs) for _, pairs in terms]
-    width = PackedRing(sum(sizes), 4).width
+    width = PackedRing(sum(sizes)).width
     total = 0
     for parity, pairs in terms:
         factors = [_gaussian_row(m, width)[k] for m, k in pairs]

@@ -247,10 +247,13 @@ def cache_store(cache_dir, params, N, poly):
 def cache_load(cache_dir, params, N):
     """Load a cached polynomial, discarding corrupt records with a warning.
 
-    A record must carry format CACHE_FORMAT.  Besides the stored degree
-    and leading coefficient, it must meet two cheap invariants of every
-    colored Jones polynomial: the classical limit J_N(1) = N (the
-    coefficient sum) and even exponents only.
+    A record must carry format CACHE_FORMAT, and its polynomial must read
+    back through LaurentPoly.from_json, which rejects exponents outside
+    one coset mod 4 and a span too wide for the terms read.  Besides the
+    stored degree and leading coefficient, it must meet two cheap
+    invariants of every colored Jones polynomial: the classical limit
+    J_N(1) = N (the coefficient sum) and even exponents only, which in
+    one coset is an even lowest exponent.
     """
     path = cache_path(cache_dir, params, N)
     if not path.exists():
@@ -269,10 +272,9 @@ def cache_load(cache_dir, params, N):
             raise ValueError("degree mismatch")
         if str(poly.leading_coeff) != record["leading_coeff"]:
             raise ValueError("leading coefficient mismatch")
-        terms = poly.terms()
-        if sum(c for _, c in terms) != N:
+        if sum(poly.coeffs) != N:
             raise ValueError("coefficient sum is not N (classical limit)")
-        if any(e % 2 for e, _ in terms):
+        if poly.min_deg % 2:
             raise ValueError("odd exponent")
         return poly
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:

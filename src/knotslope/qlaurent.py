@@ -1,46 +1,50 @@
 """Exact Laurent polynomial and quantum integer arithmetic.
 
 Everything downstream (theta nets, 6j quotients, state sums, degree bounds)
-is built on a single value type: a sparse Laurent polynomial in one variable
-v with arbitrary-precision integer coefficients.  This module supplies its
-product, quantum integers, one exact division and the packed ring in
-which sums are formed.  There is no field of fractions: state sums bring
-their quotients over a known common denominator and clear it with
-exact_div, whose failure signals a fault.
+is built on polynomials of one kind: Laurent polynomials in one variable
+v with arbitrary-precision integer coefficients, each lying in one coset
+v^k Z[v^4].  J_N, L, every cofactor L / theta(x,n,n), every quantum
+integer [k] and every product of them lie in one such coset, so a
+polynomial is held as a dense coefficient list in q = v^4 and the
+exponent of its lowest term.  This module supplies the one polynomial
+type, LaurentPoly, its product, quantum integers, one exact division and
+the packed ring in which sums are formed.  There is no field of
+fractions: state sums bring their quotients over a known common
+denominator and clear it with an exact division, whose failure signals a
+fault.
 
-LaurentPoly has one ring operation, its product: the schoolbook loop
-over term pairs of the two dicts.  It has no sum; sums are packed.  In
-q = v^4 a quotient of quantum factorials is a monomial times a product
-of powers of binomials q^j - 1, and factorial_binomials states it as
-that monomial and binomial vector.  Every denominator of the state sum
-is a unit times such a product, so the one division, divide_binomials,
-divides a dense coefficient list in q by a product of binomials only,
-in one pass per binomial, with the remainder checked each time.  It
-builds L, the cofactors L / theta(x,n,n) and the final division by L^4
-(ktg builds the theta and 6j leaves from Gaussian binomials), and
-exact_div wraps it for the LaurentPoly dividends, L and the cofactors;
-the final division takes the packed total's dense list directly.
+LaurentPoly has one ring operation, its product: the convolution of the
+two coefficient tuples.  It has no sum; sums are packed.  In q = v^4 a
+quotient of quantum factorials is a monomial times a product of powers
+of binomials q^j - 1, and factorial_binomials states it as that monomial
+and binomial vector.  Every denominator of the state sum is a unit times
+such a product, so the one division, divide_binomials, divides a dense
+coefficient list in q by a product of binomials only, in one pass per
+binomial, with the remainder checked each time.  It builds L, the
+cofactors L / theta(x,n,n) and the final division by L^4 (ktg builds the
+theta and 6j leaves from Gaussian binomials), and exact_div wraps it for
+the LaurentPoly dividends, L and the cofactors; the final division takes
+the packed total's dense list directly.
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
-v^k Z[v^stride], held as integers evaluated at v^stride = 2^w, so that a
-sum of products is big-integer arithmetic from the packed factors to the
-one result that is read back from fixed-width slots, sized from a
-bound on the coefficients when the ring is built.  A ring packs dense
-coefficient lists, the form the building blocks are made in, and reads
-a packed value back into that form (PackedRing.dense); LaurentPoly.dense
-gives the form of any polynomial.
-Values with small coefficients can be summed in a ring of narrow slots
-and then widened into a ring of wider slots for the products whose
-coefficients are large, so that no big-integer product carries slot
-width it does not need.
+v^k Z[v^4], held as integers evaluated at v^4 = 2^w, so that a sum of
+products is big-integer arithmetic from the packed factors to the one
+result that is read back from fixed-width slots, sized from a bound on
+the coefficients when the ring is built.  A ring packs dense forms
+(coeffs, lo), the form the building blocks are made in and the fields of
+every LaurentPoly, and reads a packed value back into that form
+(PackedRing.dense).  Values with small coefficients can be summed in a
+ring of narrow slots and then widened into a ring of wider slots for the
+products whose coefficients are large, so that no big-integer product
+carries slot width it does not need.
 
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
     [1] = 1, [2] = v^2 + v^-2;
-  - the zero polynomial is the empty term map; nonzero coefficients only;
   - a dense form (coeffs, lo) lists the coefficients at exponents lo,
-    lo + stride, ..., ascending; zero is ([], 0);
+    lo + 4, ..., ascending; a LaurentPoly's coeffs are a tuple with
+    nonzero ends, and the zero polynomial is ((), 0);
   - canonical text form is "coeff*v^exp" terms joined by " + " in
     descending exponent order, e.g. "1*v^2 + 1*v^-2";
   - JSON form is a list of [exponent, "coefficient"] pairs, descending
@@ -55,6 +59,11 @@ from itertools import accumulate
 # A coefficient as to_json writes it: a decimal integer.
 _DECIMAL = re.compile(r"-?[0-9]+")
 
+# The most slots from_json allocates per [exponent, coefficient] pair it
+# reads.  Colored Jones polynomials fill at least 43% of their slots on
+# the slope grids, so a record needing more is corrupt.
+_SLOTS_PER_TERM = 4
+
 
 class ZeroPolynomial(ValueError):
     """Degree or leading coefficient requested for the zero polynomial."""
@@ -65,103 +74,99 @@ class NonExactDivision(ArithmeticError):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in v over the integers.
+    """Laurent polynomial over the integers in one coset v^lo Z[v^4].
 
-    Immutable after construction.  The term map never stores a zero
-    coefficient, so equal values always have identical term maps and
-    results of the ring operations are canonical.  The one ring
-    operation is *, on two polynomials; there is no sum, difference,
-    negation, int scalar or power (shift negates).
+    The record (coeffs, lo): coeffs is the tuple of the coefficients at
+    v^lo, v^(lo+4), ..., trimmed at both ends, so that equal values have
+    equal records; zero is ((), 0) however it is shifted.  The
+    constructor trims whatever coefficients it is given.  Immutable after
+    construction.  The one ring operation is *, on two polynomials; there
+    is no sum, difference, negation, int scalar or power (shift negates).
+    len() counts the nonzero coefficients.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("coeffs", "lo")
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    clean[int(e)] = c
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, clean_terms):
-        # Internal fast path: caller guarantees no zero coefficients.
-        p = object.__new__(cls)
-        p._terms = clean_terms
-        return p
+    def __init__(self, coeffs=(), lo=0):
+        coeffs = tuple(coeffs)
+        end = len(coeffs)
+        while end and not coeffs[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not coeffs[start]:
+            start += 1
+        self.coeffs = coeffs[start:end]
+        self.lo = lo + 4 * start if end else 0
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self):
-        return not self._terms
-
-    @property
-    def max_deg(self):
-        if not self._terms:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        return max(self._terms)
+        return not self.coeffs
 
     @property
     def min_deg(self):
-        if not self._terms:
+        if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no degree")
-        return min(self._terms)
+        return self.lo
+
+    @property
+    def max_deg(self):
+        return self.min_deg + 4 * (len(self.coeffs) - 1)
 
     @property
     def leading_coeff(self):
-        return self._terms[self.max_deg]
+        if not self.coeffs:
+            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
 
     def terms(self):
-        """Term list as (exponent, coefficient) pairs, descending exponent."""
-        return sorted(self._terms.items(), reverse=True)
+        """Term list as (exponent, coefficient) pairs, descending exponent,
+        nonzero coefficients only."""
+        coeffs, lo = self.coeffs, self.lo
+        return [(lo + 4 * k, coeffs[k]) for k in range(len(coeffs) - 1, -1, -1) if coeffs[k]]
 
     def __len__(self):
-        return len(self._terms)
+        return len(self.coeffs) - self.coeffs.count(0)
 
     # -- ring operations ----------------------------------------------
 
     def __mul__(self, other):
-        """Product of two polynomials, by the schoolbook loop over their
-        term pairs accumulating into one dict; the result is canonical.
+        """Product of two polynomials: the convolution of their coefficient
+        tuples, one slice update per nonzero coefficient of the shorter.
         Packed (Kronecker) products are PackedRing's job.
         """
-        a, b = self._terms, other._terms
+        a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        get = out.get
-        bitems = list(b.items())
-        for ea, ca in a.items():
-            for eb, cb in bitems:
-                e = ea + eb
-                s = get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        if not a:
+            return ZERO
+        m = len(b)
+        out = [0] * (len(a) + m - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + m] = [x + c * y for x, y in zip(out[i:i + m], b)]
+        return LaurentPoly(out, self.lo + other.lo)
 
     def shift(self, exponent, sign=1):
         """Multiply by sign * v^exponent (sign must be +1 or -1)."""
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return LaurentPoly._raw({e + exponent: sign * c for e, c in self._terms.items()})
+        coeffs = self.coeffs if sign > 0 else [-c for c in self.coeffs]
+        return LaurentPoly(coeffs, self.lo + exponent)
 
     # -- comparisons ----------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self._terms == other._terms
+        return (isinstance(other, LaurentPoly)
+                and self.lo == other.lo and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self.coeffs, self.lo))
 
     # -- serialization --------------------------------------------------
 
     def to_text(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(f"{c}*v^{e}" for e, c in self.terms())
+        return " + ".join(f"{c}*v^{e}" for e, c in self.terms()) or "0"
 
     def to_json(self):
         return [[e, str(c)] for e, c in self.terms()]
@@ -169,8 +174,10 @@ class LaurentPoly:
     @classmethod
     def from_json(cls, pairs):
         """Read to_json's form back: [int exponent, "decimal coefficient"]
-        pairs, each exponent once.  Anything else raises ValueError instead
-        of being coerced by int()."""
+        pairs, each exponent once, all in one coset mod 4.  Anything else
+        raises ValueError instead of being coerced by int(), and so does a
+        span of more than _SLOTS_PER_TERM slots per pair, before any slot
+        is allocated."""
         terms = {}
         for e, c in pairs:
             if type(e) is not int or type(c) is not str or not _DECIMAL.fullmatch(c):
@@ -178,44 +185,35 @@ class LaurentPoly:
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in JSON polynomial")
             terms[e] = int(c)
-        return cls(terms)
+        if not terms:
+            return ZERO
+        lo = min(terms)
+        slots = (max(terms) - lo) // 4 + 1
+        if slots > _SLOTS_PER_TERM * len(terms):
+            raise ValueError(f"{len(terms)} JSON terms span {slots} slots")
+        coeffs = [0] * slots
+        for e, c in terms.items():
+            k, rem = divmod(e - lo, 4)
+            if rem:
+                raise ValueError(f"JSON exponents {lo} and {e} lie in different cosets mod 4")
+            coeffs[k] = c
+        return cls(coeffs, lo)
 
     def __repr__(self):
         return f"<LaurentPoly {self.to_text()}>"
 
-    # -- dense form -----------------------------------------------------
 
-    def dense(self, stride):
-        """The dense form (coeffs, lo): ascending coefficients at exponents
-        lo, lo + stride, ..., from the lowest exponent lo; ([], 0) for zero.
-
-        Raises ArithmeticError unless every exponent lies in the coset of
-        the lowest one mod stride.
-        """
-        terms = self._terms
-        if not terms:
-            return [], 0
-        lo = min(terms)
-        out = [0] * ((max(terms) - lo) // stride + 1)
-        for e, c in terms.items():
-            k, rem = divmod(e - lo, stride)
-            if rem:
-                raise ArithmeticError(f"exponents outside one coset mod {stride}")
-            out[k] = c
-        return out, lo
-
-
-ZERO = LaurentPoly._raw({})
-ONE = LaurentPoly._raw({0: 1})
+ZERO = LaurentPoly()
+ONE = LaurentPoly((1,))
 
 
 class PackedRing:
-    """Laurent polynomials of one coset v^k Z[v^stride] as packed integers.
+    """Laurent polynomials of one coset v^k Z[v^4] as packed integers.
 
-    A packed value v^lo * P(v^stride), with P a polynomial, is held as
-    the integer P(2^w) and lo, w = 8 * width: the terms at exponents
-    lo + stride * k, k >= 0, become the integer sum of c * 2^(w k).
-    Evaluation at v^stride = 2^w is a ring homomorphism, so products and
+    A packed value v^lo * P(v^4), with P a polynomial, is held as the
+    integer P(2^w) and lo, w = 8 * width: the terms at exponents
+    lo + 4k, k >= 0, become the integer sum of c * 2^(w k).
+    Evaluation at v^4 = 2^w is a ring homomorphism, so products and
     sums of packed values take big-integer arithmetic only, and
     intermediate values may have any coefficients.
 
@@ -227,21 +225,20 @@ class PackedRing:
     for the sign, rounded up to whole bytes.  dense reads a result back
     exactly when its coefficients lie within the bound; pack raises
     OverflowError for a coefficient too wide for its slot.  widen
-    moves a value of a ring with narrower slots and the same stride into
-    this ring's slots, digit by digit, with no product.  The ring counts
+    moves a value of a ring with narrower slots into this ring's slots,
+    digit by digit, with no product.  The ring counts
     the products and sums it forms.
     """
 
-    def __init__(self, bound, stride):
+    def __init__(self, bound):
         self.bound = bound
         self.width = (bound.bit_length() + 8) // 8
-        self.stride = stride
         self.muls = 0
         self.adds = 0
 
     def pack(self, dense):
-        """The packed value of a dense form (coeffs, lo) at the ring's
-        stride, as LaurentPoly.dense gives it; ([], 0) packs to zero."""
+        """The packed value of a dense form (coeffs, lo), a list or a
+        LaurentPoly's tuple; an empty list packs to zero."""
         coeffs, lo = dense
         width = self.width
         half = 1 << (8 * width - 1)
@@ -267,9 +264,9 @@ class PackedRing:
         return (value + bias).to_bytes(count * width, "little"), count, half
 
     def dense(self, packed):
-        """The dense form (coeffs, lo) of a packed value at the ring's
-        stride, the form pack takes, from its lowest to its highest nonzero
-        slot; zero gives ([], 0).  Any value reads back (_biased_slots)."""
+        """The dense form (coeffs, lo) of a packed value, the form pack
+        takes, from its lowest to its highest nonzero slot; zero gives
+        ([], 0).  Any value reads back (_biased_slots)."""
         width = self.width
         raw, count, half = self._biased_slots(packed.value)
         from_bytes = int.from_bytes
@@ -280,11 +277,11 @@ class PackedRing:
         if not coeffs:
             return [], 0
         start = next(k for k, c in enumerate(coeffs) if c)
-        return coeffs[start:], packed.lo + start * self.stride
+        return coeffs[start:], packed.lo + 4 * start
 
     def widen(self, packed):
-        """The value packed of a ring with this stride and slots no wider
-        than this ring's, repacked in this ring's slots.
+        """The value packed of a ring with slots no wider than this
+        ring's, repacked in this ring's slots.
 
         The narrow ring reads the value into biased digits as dense does,
         so any value widens, one packed from coefficients too wide for the
@@ -306,7 +303,7 @@ class Packed:
 
     Supports * and + with values of the same ring, and + with the int 0,
     so that sum() works.  A sum aligns the two exponents by a left shift
-    of w bits per stride step and raises ArithmeticError when they lie in
+    of w bits per step of 4 and raises ArithmeticError when they lie in
     different cosets; zero belongs to every coset.
     """
 
@@ -333,11 +330,10 @@ class Packed:
             return other
         low, high = (self, other) if self.lo <= other.lo else (other, self)
         ring = self.ring
-        steps, rem = divmod(high.lo - low.lo, ring.stride)
+        steps, rem = divmod(high.lo - low.lo, 4)
         if rem:
             raise ArithmeticError(
-                f"adding v^{low.lo} and v^{high.lo} terms across cosets "
-                f"mod {ring.stride}")
+                f"adding v^{low.lo} and v^{high.lo} terms across cosets mod 4")
         ring.adds += 1
         return Packed(low.value + (high.value << (8 * ring.width * steps)),
                       low.lo, ring)
@@ -352,7 +348,7 @@ def qint(k):
     """Quantum integer [k] = (v^2k - v^-2k)/(v^2 - v^-2), k >= 0."""
     if k < 0:
         raise ValueError(f"quantum integer undefined for negative {k}")
-    return LaurentPoly._raw({2 * k - 2 - 4 * i: 1 for i in range(k)})
+    return LaurentPoly([1] * k, 2 - 2 * k)
 
 
 def factorial_binomials(numerator, denominator):
@@ -416,14 +412,8 @@ def divide_binomials(coeffs, binomials):
 
 def exact_div(p, binomials):
     """Exact quotient of the LaurentPoly p by prod (v^(4j) - 1)^e over the
-    (j, e) items of binomials: divide_binomials on p's dense form in
-    q = v^4.
-
-    p must lie in one coset v^k Z[v^4]; a nonzero remainder raises
-    NonExactDivision.
+    (j, e) items of binomials: divide_binomials on a copy of p's
+    coefficient list, so p is left as it was; the quotient keeps p's lo.
+    A nonzero remainder raises NonExactDivision.
     """
-    if p.is_zero():
-        return ZERO
-    coeffs, lo = p.dense(4)
-    return LaurentPoly._raw({lo + 4 * i: c for i, c in
-                             enumerate(divide_binomials(coeffs, binomials)) if c})
+    return LaurentPoly(divide_binomials(list(p.coeffs), binomials), p.lo)

@@ -1,17 +1,21 @@
 """Test-only oracles: independent computations that the package is checked against.
 
-  add, sub    the sum and difference of LaurentPolys, term by term: the
+  add, sub    the sum and difference of LaurentPolys, slot by slot: the
               polynomial arithmetic of the tests, as the package adds
-              only packed values
+              only packed values; adding across cosets mod 4 raises
+  from_terms  the LaurentPoly of a term map {exponent: coefficient}, a
+              sum of monomials, so a map across cosets raises
+  term_pair_product
+              the product by the loop over term pairs into one dict, the
+              reference for LaurentPoly's convolution of coefficient tuples
   schoolbook_div
               exact division by any polynomial: the schoolbook peel
-              (peel) on coefficient arrays compressed by the operands'
-              common stride (common_stride).  The reference that
-              qlaurent.exact_div, which divides by binomials v^(4j) - 1
-              only, is checked against, and the division for the tests
-              whose divisors are other polynomials
+              (peel) on the operands' coefficient lists in q = v^4.  The
+              reference that qlaurent.exact_div, which divides by
+              binomials v^(4j) - 1 only, is checked against, and the
+              division for the tests whose divisors are other polynomials
   binomial_product
-              prod (v^(4j) - 1)^e by the dict multiply, the products
+              prod (v^(4j) - 1)^e by the LaurentPoly product, the products
               that exact_div's divisors stand for
   cyclotomic  Phi_d(v^4), by exact division of v^(4d) - 1 by the
               Phi_e(v^4) of the proper divisors e of d: the reference
@@ -36,8 +40,8 @@
   leaf_poly, theta, delta6j
               the polynomial view of ktg's leaves: ktg.theta and
               ktg.delta6j return a dense coefficient list in q = v^4 and
-              its lowest exponent, and the tests read them as LaurentPoly
-              through leaf_poly
+              its lowest exponent, the fields of a LaurentPoly, and the
+              tests read them as LaurentPoly through leaf_poly
   factorial_theta, factorial_delta6j
               the factorial route to ktg's leaves, which ktg's packed
               Gaussian rows replaced: each theta and 6j z-term one
@@ -89,13 +93,36 @@ from knotslope.qlaurent import (
 
 
 def add(*polys):
-    """The sum of LaurentPolys, term by term; add() is zero.  The package
-    has no polynomial sum: the state sum adds packed values."""
-    terms = {}
+    """The sum of LaurentPolys, slot by slot from the lowest exponent;
+    add() is zero.  Like Packed.__add__, it raises ArithmeticError for
+    nonzero operands in different cosets mod 4.  The package has no
+    polynomial sum: the state sum adds packed values."""
+    polys = [p for p in polys if not p.is_zero()]
+    lo = min((p.lo for p in polys), default=0)
+    out = [0] * max(((p.lo - lo) // 4 + len(p.coeffs) for p in polys), default=0)
     for p in polys:
-        for e, c in p.terms():
-            terms[e] = terms.get(e, 0) + c
-    return LaurentPoly(terms)
+        start, rem = divmod(p.lo - lo, 4)
+        if rem:
+            raise ArithmeticError(f"adding v^{lo} and v^{p.lo} terms across cosets mod 4")
+        for i, c in enumerate(p.coeffs):
+            out[start + i] += c
+    return LaurentPoly(out, lo)
+
+
+def from_terms(terms):
+    """The LaurentPoly of a term map {exponent: coefficient}, as the sum
+    of its monomials: ArithmeticError unless its nonzero terms lie in one
+    coset mod 4."""
+    return add(*(LaurentPoly((c,), e) for e, c in terms.items()))
+
+
+def term_pair_product(p, q):
+    """p * q by the loop over the term pairs of p and q into one dict."""
+    out = {}
+    for ea, ca in p.terms():
+        for eb, cb in q.terms():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return from_terms(out)
 
 
 def sub(p, q):
@@ -107,14 +134,12 @@ def unpack(ring, packed):
     """The LaurentPoly of a value packed in ring, from ring.dense; zero
     gives the zero polynomial.  The package reads packed values back as
     dense lists only."""
-    coeffs, lo = ring.dense(packed)
-    return LaurentPoly({lo + k * ring.stride: c for k, c in enumerate(coeffs)})
+    return LaurentPoly(*ring.dense(packed))
 
 
 def leaf_poly(dense):
     """The LaurentPoly of a dense form (coeffs, lo) in q = v^4."""
-    coeffs, lo = dense
-    return LaurentPoly({lo + 4 * i: c for i, c in enumerate(coeffs)})
+    return LaurentPoly(*dense)
 
 
 def theta(a, b, c):
@@ -210,18 +235,18 @@ def orthogonality(a, b, c, d):
             clear[m] = max(clear.get(m, 0), -x)
     factor = {}
     for j, (unit, vector) in inverse.items():
-        coeffs, lo = circle(j).dense(4)
-        factor[j] = divide_binomials(coeffs, {m: -(vector.get(m, 0) + x)
-                                              for m, x in clear.items()}), lo
+        delta = circle(j)
+        factor[j] = divide_binomials(list(delta.coeffs), {m: -(vector.get(m, 0) + x)
+                                                          for m, x in clear.items()}), delta.lo
     common = divide_binomials([1], {m: -x for m, x in clear.items()}), 0
-    deltas = {i: circle(i).dense(4) for i in colors}
+    deltas = {i: (circle(i).coeffs, circle(i).lo) for i in colors}
     thetas = {i: (ktg.theta(i, a, b), ktg.theta(i, c, d)) for i in colors}
     leaves = {(i, j): ktg.delta6j(i, a, b, j, c, d) for i in colors for j in js}
     bound = max((max(l1(deltas[i]) * sum(l1(leaves[i, j]) * l1(leaves[k, j]) * l1(factor[j])
                                          for j in js) * l1(thetas[i][0]) * l1(thetas[k][0]),
                      l1(thetas[i][0]) * l1(thetas[i][1]) * l1(common))
                  for i in colors for k in colors), default=0)
-    ring = PackedRing(bound, 4)
+    ring = PackedRing(bound)
     pack = ring.pack
     tet = {(i, j): pack(leaf) * pack(thetas[i][0]) for (i, j), leaf in leaves.items()}
     weight = {j: pack(factor[j]).shift(inverse[j][0]) for j in js}
@@ -234,19 +259,6 @@ def orthogonality(a, b, c, d):
     return sides
 
 
-def common_stride(*term_maps):
-    """Common stride of nonzero term maps.
-
-    The gcd of every exponent's offset from its own map's lowest exponent,
-    or 1 when every map is a single term.
-    """
-    g = 0
-    for t in term_maps:
-        lo = min(t)
-        g = math.gcd(g, *[e - lo for e in t])
-    return g or 1
-
-
 def peel(num, den):
     """Schoolbook quotient of dense ascending coefficient lists.
 
@@ -257,7 +269,7 @@ def peel(num, den):
         raise NonExactDivision("dividend degree span below divisor")
     lead = den[-1]
     quot = [0] * (dn - dd + 1)
-    work = num[:]
+    work = list(num)
     for i in range(dn - dd, -1, -1):
         c = work[i + dd]
         if c == 0:
@@ -277,29 +289,26 @@ def schoolbook_div(p, q):
     """Exact quotient p / q in the Laurent ring, for any divisor q.
 
     Raises NonExactDivision if q does not divide p over Z[v, v^-1], and
-    ZeroDivisionError for a zero divisor.  Both operands are taken as
-    dense coefficient arrays compressed by their common stride, and peel
-    divides those.  An exact quotient has the same stride, so the
-    compressed peel performs the same nonzero steps and the same checks
-    as the uncompressed one.
+    ZeroDivisionError for a zero divisor.  peel divides the operands'
+    coefficient lists in q = v^4.  An exact quotient of p in
+    v^a Z[v^4] by q in v^b Z[v^4] lies in v^(a-b) Z[v^4], as its parts
+    in the other cosets times q would add to zero, so the peel in q
+    performs the same nonzero steps and the same checks as one over
+    every exponent.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return ZERO
-    g = common_stride(p._terms, q._terms)
-    num, num_off = p.dense(g)
-    den, den_off = q.dense(g)
-    shift = num_off - den_off
-    return LaurentPoly({shift + i * g: c for i, c in enumerate(peel(num, den))})
+    return LaurentPoly(peel(p.coeffs, q.coeffs), p.lo - q.lo)
 
 
 def binomial_product(binomials):
     """prod (v^(4j) - 1)^e over the items of binomials, every e >= 0, by
-    the dict multiply."""
+    the LaurentPoly product."""
     product = ONE
     for j, e in binomials.items():
-        product = math.prod([LaurentPoly({4 * j: 1, 0: -1})] * e, start=product)
+        product = math.prod([from_terms({4 * j: 1, 0: -1})] * e, start=product)
     return product
 
 
@@ -313,7 +322,7 @@ def cyclotomic(d):
     """
     if d < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {d}")
-    p = LaurentPoly({4 * d: 1, 0: -1})
+    p = from_terms({4 * d: 1, 0: -1})
     for e in range(1, d):
         if d % e == 0:
             p = schoolbook_div(p, cyclotomic(e))
@@ -412,7 +421,7 @@ def habiro_coefficients(polys):
     not the sequence of one knot.
     """
     def braces(m):
-        return LaurentPoly({2 * m: 1, -2 * m: -1})
+        return from_terms({2 * m: 1, -2 * m: -1})
 
     coeffs = []
     for N, poly in enumerate(polys, start=1):

@@ -12,6 +12,7 @@ from oracles import (
     binomial_product,
     cyclotomic,
     delta6j,
+    from_terms,
     habiro_coefficients,
     leaf_poly,
     schoolbook_div,
@@ -397,7 +398,7 @@ def test_l1_bound_covers_the_total(monkeypatch):
                     assert max(abs(c) for _, c in partial.terms()) <= table.bound, (n, b)
                 total = add(total, (qb * rb).shift(fs[b].exponent, fs[b].sign))
 
-            assert [d for rg, d in reads if rg is ring] == [total.dense(4)]
+            assert [d for rg, d in reads if rg is ring] == [(list(total.coeffs), total.lo)]
             reads.clear()
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
@@ -494,14 +495,18 @@ def seed_total(monkeypatch, fault):
     call left in colored_jones is the total's read-back."""
     _state_tables(3)
     dense = PackedRing.dense
-    monkeypatch.setattr(PackedRing, "dense",
-                        lambda ring, p: fault(leaf_poly(dense(ring, p))).dense(4))
+
+    def read_back(ring, packed):
+        total = fault(leaf_poly(dense(ring, packed)))
+        return list(total.coeffs), total.lo
+
+    monkeypatch.setattr(PackedRing, "dense", read_back)
 
 
 def test_colored_jones_checks_the_final_division(fresh_state_tables, monkeypatch):
     # A total off by 1 in its lowest slot is not divisible by L^4: the
     # final division's remainder check catches it, before J_N(1) = N.
-    seed_total(monkeypatch, lambda total: add(total, LaurentPoly({total.min_deg: 1})))
+    seed_total(monkeypatch, lambda total: add(total, LaurentPoly([1], total.min_deg)))
     with pytest.raises(NonExactDivision):
         colored_jones(KnotParams(-3, 2, 3, -3), 4)
 
@@ -527,13 +532,13 @@ def corruptions(poly):
     the first unequal one, and the top term moved down one slot."""
     terms = dict(poly.terms())
     top, bottom = poly.max_deg, poly.min_deg
-    pair = add(poly, LaurentPoly({top: 1, bottom: -1}))
+    pair = add(poly, from_terms({top: 1, bottom: -1}))
     other = next(e for e in sorted(terms, reverse=True) if terms[e] != terms[top])
     swapped = dict(terms)
     swapped[top], swapped[other] = terms[other], terms[top]
     moved = dict(terms)
     moved[top - 4] = moved.get(top - 4, 0) + moved.pop(top)
-    return [pair, LaurentPoly(swapped), LaurentPoly(moved)]
+    return [pair, from_terms(swapped), from_terms(moved)]
 
 
 def test_habiro_coefficients_across_colors():

@@ -25,8 +25,8 @@ PACKAGE = Path(knotslope.__file__).parent
 
 # Names that code outside the package calls, each with the caller.
 EXTERNAL_CALLERS = (
-    ("LaurentPoly.min_deg", "bench/tracing.py's on_exact_div reads it for the "
-     "dividend's span"),
+    ("LaurentPoly.is_zero", "bench/tracing.py's on_exact_div reads it before "
+     "the dividend's span"),
     ("_Parser.error", "argparse.ArgumentParser calls it on a usage error"),
 )
 

@@ -346,10 +346,12 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     assert cache_load(tmp_path, params, 2) is None
 
     # A record of another tuple, another color, with a wrong leading
-    # coefficient, with an exponent given twice or with a term outside the
-    # [int exponent, "decimal coefficient"] form is discarded, then
-    # recomputed and rewritten.  Coerced with int(), each malformed term
-    # below would read back as the stored polynomial.
+    # coefficient, with an exponent given twice, with a term outside the
+    # [int exponent, "decimal coefficient"] form, with exponents in two
+    # cosets mod 4, or with a span of 10^12 slots for a few terms is
+    # discarded, then recomputed and rewritten.  Coerced with int(), each
+    # malformed term below would read back as the stored polynomial; the
+    # span is refused before a slot is allocated.
     import knotslope.pipeline as pipeline_mod
 
     pristine = json.loads(cache_store(tmp_path, params, 2, poly).read_text())
@@ -367,7 +369,11 @@ def test_cache_discards_corrupt(tmp_path, caplog):
             ("polynomial", [[str(e), top[1]]] + rest, malformed),
             ("polynomial", [[True, "0"], top] + rest, malformed),
             ("polynomial", [[e, c + toward_zero[1] * 0.9]] + rest, malformed),
-            ("polynomial", [[e, c]] + rest, malformed)):
+            ("polynomial", [[e, c]] + rest, malformed),
+            ("polynomial", [top] + rest[:-1] + [[rest[-1][0] + 2, rest[-1][1]]],
+             "different cosets mod 4"),
+            ("polynomial", [top] + rest[:-1] + [[rest[-1][0] - 4 * 10 ** 12, rest[-1][1]]],
+             "span 1000000000")):
         path.write_text(json.dumps(dict(pristine, **{field: value})))
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -382,29 +388,43 @@ def test_cache_discards_corrupt(tmp_path, caplog):
 
 def test_cache_discards_records_failing_invariants(tmp_path, caplog):
     # Middle-term corruption keeps the stored degree and leading
-    # coefficient right; only J_N(1) = N and the even exponents catch it.
+    # coefficient right; only J_N(1) = N, the exponents' one coset mod 4
+    # and the even exponents catch it.  Moved by 2, a middle exponent
+    # keeps J_N(1), the degree, the leading coefficient and even
+    # exponents, and only its coset tells.  Every exponent moved by 1,
+    # with the stored degree, stays in one coset but is odd.  Each record
+    # is discarded with a warning, recomputed and rewritten.
+    import knotslope.pipeline as pipeline_mod
+
     params = KnotParams(-3, 2, 3, -3)
     poly = colored_jones(params, 4)
     path = cache_store(tmp_path, params, 4, poly)
-    pristine = json.loads(path.read_text())
+    stored = path.read_text()
+    pristine = json.loads(stored)
     mid = len(pristine["polynomial"]) // 2
 
     def corrupt(coeff_delta, exp_delta):
-        record = json.loads(json.dumps(pristine))
+        record = json.loads(stored)
         pairs = record["polynomial"]
         pairs[mid][1] = str(int(pairs[mid][1]) + coeff_delta)
         pairs[mid + 1][0] += exp_delta
-        path.write_text(json.dumps(record))
+        return record
 
-    corrupt(7, 1)
-    with caplog.at_level("WARNING"):
-        assert cache_load(tmp_path, params, 4) is None
-    assert "corrupt" in caplog.text
-    corrupt(7, 0)
-    assert cache_load(tmp_path, params, 4) is None
-    corrupt(0, 1)
-    assert cache_load(tmp_path, params, 4) is None
-    corrupt(0, 0)
+    odd = dict(pristine, max_deg=pristine["max_deg"] + 1,
+               polynomial=[[e + 1, c] for e, c in pristine["polynomial"]])
+    for record, reason in ((corrupt(7, 1), "different cosets mod 4"),
+                           (corrupt(7, 0), "classical limit"),
+                           (corrupt(0, 1), "different cosets mod 4"),
+                           (corrupt(0, 2), "different cosets mod 4"),
+                           (odd, "odd exponent")):
+        path.write_text(json.dumps(record))
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            assert cache_load(tmp_path, params, 4) is None
+        assert "discarding corrupt cache record" in caplog.text and reason in caplog.text
+        assert pipeline_mod.jones_cached(params, 4, tmp_path) == poly
+        assert path.read_text() == stored
+    path.write_text(json.dumps(corrupt(0, 0)))
     assert cache_load(tmp_path, params, 4) == poly
 
 

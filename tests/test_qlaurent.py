@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from oracles import (
     add,
     binomial_product,
-    common_stride,
     cyclotomic,
+    from_terms,
     peel,
     qbinom,
     qfact,
     schoolbook_div,
     sub,
+    term_pair_product,
     unpack,
 )
 
@@ -60,15 +61,15 @@ def naive_div(num, den):
 def test_qint_base_cases():
     assert qint(0) == ZERO
     assert qint(1) == ONE
-    assert qint(2) == LaurentPoly({2: 1, -2: 1})
+    assert qint(2) == from_terms({2: 1, -2: 1})
 
 
 def test_qint_4_by_long_division():
     # [4] = (v^8 - v^-8)/(v^2 - v^-2), divided out by the oracle.
     quot, rem = naive_div({8: 1, -8: -1}, {2: 1, -2: -1})
     assert not rem
-    assert LaurentPoly({e: int(c) for e, c in quot.items()}) == qint(4)
-    assert qint(4) == LaurentPoly({6: 1, 2: 1, -2: 1, -6: 1})
+    assert from_terms({e: int(c) for e, c in quot.items()}) == qint(4)
+    assert qint(4) == from_terms({6: 1, 2: 1, -2: 1, -6: 1})
 
 
 def test_qint_rejects_negative():
@@ -106,8 +107,8 @@ def test_qbinom_against_factorials():
 
 def test_ring_op_examples():
     p = qint(2)
-    assert p * p == LaurentPoly({4: 1, 0: 2, -4: 1})
-    assert ONE.shift(-4, -1) == LaurentPoly({-4: -1})
+    assert p * p == from_terms({4: 1, 0: 2, -4: 1})
+    assert ONE.shift(-4, -1) == from_terms({-4: -1})
     assert p.shift(0, -1) * p.shift(0, -1) == p * p
     assert ZERO.shift(5, -1) == ZERO
     # The one ring operation is *: sums are packed (PackedRing), and the
@@ -119,6 +120,9 @@ def test_ring_op_examples():
     assert add(p, p.shift(0, -1)) == ZERO == add()
     assert sub(p, p).is_zero()
     assert add(p, p.shift(0, -1), p) == p
+    # Like a packed sum, a sum across cosets mod 4 raises.
+    with pytest.raises(ArithmeticError):
+        add(p, ONE)
     # A polynomial equals only a polynomial, even the constant one.
     assert ONE != 1 and ZERO != 0
     with pytest.raises(ValueError):
@@ -131,20 +135,30 @@ def test_exact_div_examples():
     for k in range(2, 9):
         assert exact_div(qint(k), {k: 1, 1: -1}) == ONE.shift(-2 * (k - 1))
         assert exact_div(ONE, {k: -1, 1: 1}).shift(-2 * (k - 1)) == qint(k)
-    assert exact_div(qint(4), {2: 1, 1: -1}).shift(2) == LaurentPoly({4: 1, -4: 1})
+    assert exact_div(qint(4), {2: 1, 1: -1}).shift(2) == from_terms({4: 1, -4: 1})
     assert exact_div(qint(2) * qint(3), {}) == qint(2) * qint(3)
     # The sign: (q - 1)/(q^2 - 1) is 1/(q + 1), not its negative.
-    assert exact_div(LaurentPoly({4: 1, 0: -1}), {1: 1}) == ONE
-    assert exact_div(LaurentPoly({8: 1, 0: -1}), {2: 1, 1: -1}) == LaurentPoly({4: 1, 0: -1})
+    assert exact_div(from_terms({4: 1, 0: -1}), {1: 1}) == ONE
+    assert exact_div(from_terms({8: 1, 0: -1}), {2: 1, 1: -1}) == from_terms({4: 1, 0: -1})
     assert exact_div(ZERO, {3: 2, 1: -1}) == ZERO
     with pytest.raises(NonExactDivision):
         exact_div(qint(3), {2: 1})
     with pytest.raises(NonExactDivision):
-        exact_div(LaurentPoly({0: 3}), {1: 1})
-    # Not in one coset v^k Z[v^4]: no dense array in q to divide.
-    with pytest.raises(ArithmeticError) as info:
-        exact_div(LaurentPoly({0: 1, 2: 1}), {1: 1})
-    assert not isinstance(info.value, NonExactDivision)
+        exact_div(from_terms({0: 3}), {1: 1})
+
+
+def test_exact_div_leaves_its_dividend_unchanged():
+    # divide_binomials works in place on the list it is given; exact_div
+    # gives it a copy, so neither the shared ONE nor p changes.
+    p = qint(5) * qint(3)
+    records = [(x.coeffs, x.lo) for x in (ONE, p)]
+    assert exact_div(ONE, {2: -1, 3: -2}) == binomial_product({2: 1, 3: 2})
+    assert exact_div(p, {5: 1, 3: 1, 1: -2}) == ONE.shift(-12)
+    assert exact_div(p, {}) == p
+    with pytest.raises(NonExactDivision):
+        exact_div(p, {7: 1})
+    assert [(x.coeffs, x.lo) for x in (ONE, p)] == records
+    assert ONE == LaurentPoly([1]) and p == from_terms(dict(p.terms()))
 
 
 def test_schoolbook_div_examples():
@@ -152,15 +166,15 @@ def test_schoolbook_div_examples():
     # [4]/[2]: long-division oracle fixes the true quotient v^4 + v^-4.
     quot, rem = naive_div(dict(qint(4).terms()), dict(qint(2).terms()))
     assert not rem
-    expected = LaurentPoly({e: int(c) for e, c in quot.items()})
-    assert expected == LaurentPoly({4: 1, -4: 1})
+    expected = from_terms({e: int(c) for e, c in quot.items()})
+    assert expected == from_terms({4: 1, -4: 1})
     assert schoolbook_div(qint(4), qint(2)) == expected
     with pytest.raises(ZeroDivisionError):
         schoolbook_div(ONE, ZERO)
     with pytest.raises(NonExactDivision):
         schoolbook_div(qint(3), qint(2))
     with pytest.raises(NonExactDivision):
-        schoolbook_div(LaurentPoly({0: 3}), LaurentPoly({0: 2}))
+        schoolbook_div(from_terms({0: 3}), from_terms({0: 2}))
 
 
 def test_degree_accessors():
@@ -171,32 +185,59 @@ def test_degree_accessors():
         _ = ZERO.max_deg
     with pytest.raises(ZeroPolynomial):
         _ = ZERO.min_deg
+    with pytest.raises(ZeroPolynomial):
+        _ = ZERO.leading_coeff
+    # The record: coefficients at lo, lo + 4, ..., trimmed at both ends,
+    # with zero at lo = 0 however it was built or shifted.
+    assert (p.coeffs, p.lo) == ((1, 1), -2)
+    assert LaurentPoly([0, 0, 3, 0, -1, 0], 5) == from_terms({13: 3, 21: -1})
+    assert LaurentPoly([0, 0], 7) == ZERO == ZERO.shift(3) == LaurentPoly([], 9)
+    assert (ZERO.shift(3).coeffs, ZERO.shift(3).lo) == ((), 0)
+    assert len(from_terms({13: 3, 21: -1})) == 2 and len(ZERO) == 0
 
 
 def test_text_round_trip():
-    p = LaurentPoly({4: 2, 0: -1, -3: 7})
-    assert p.to_text() == "2*v^4 + -1*v^0 + 7*v^-3"
-    assert repr(p) == "<LaurentPoly 2*v^4 + -1*v^0 + 7*v^-3>"
+    p = from_terms({8: 2, 0: -1, -4: 7})
+    assert p.to_text() == "2*v^8 + -1*v^0 + 7*v^-4"
+    assert repr(p) == "<LaurentPoly 2*v^8 + -1*v^0 + 7*v^-4>"
     assert ZERO.to_text() == "0"
 
 
 def test_json_round_trip():
-    p = LaurentPoly({10: 123456789012345678901234567890, -2: -4})
+    p = from_terms({10: 123456789012345678901234567890, -2: -4})
     pairs = p.to_json()
     assert pairs[0][0] == 10 and isinstance(pairs[0][1], str)
     assert LaurentPoly.from_json(pairs) == p
+    # Every exponent in one coset mod 4, and no more than 4 slots per term
+    # read: at 4 per term the record reads back, one slot more raises
+    # before any slot is allocated.
+    assert LaurentPoly.from_json([[6, "1"], [-6, "2"]]) == from_terms({6: 1, -6: 2})
+    assert LaurentPoly.from_json([]) == ZERO
+    for pairs, reason in (([[6, "1"], [0, "2"]], "different cosets mod 4"),
+                          ([[4, "1"], [0, "0"], [3, "5"]], "different cosets mod 4"),
+                          ([[32, "1"], [0, "2"]], "span 9 slots"),
+                          ([[4 * 10 ** 12, "1"]] + p.to_json(), "span 1000000000001 slots")):
+        with pytest.raises(ValueError, match=reason):
+            LaurentPoly.from_json(pairs)
+    assert LaurentPoly.from_json([[28, "1"], [0, "2"]]) == from_terms({28: 1, 0: 2})
 
 
-small_polys = st.dictionaries(
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=-9, max_value=9),
-    max_size=6,
-).map(LaurentPoly)
+def small_polys(coset):
+    """Polynomials with up to 4 coefficients in [-9, 9] from the lowest
+    exponent coset + 4k, k in [-2, 2]: zero, single terms and inner zeros
+    included."""
+    return st.builds(LaurentPoly, st.lists(st.integers(-9, 9), max_size=4),
+                     st.integers(-2, 2).map(lambda k: coset + 4 * k))
+
+
+any_small_poly = st.integers(0, 3).flatmap(small_polys)
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_polys, small_polys, small_polys)
-def test_ring_axioms(p, q, r):
+@given(st.integers(0, 3).flatmap(lambda c: st.tuples(*[small_polys(c)] * 3)))
+def test_ring_axioms(polys):
+    # Sums need one coset, so the three operands share one.
+    p, q, r = polys
     assert add(p, q) == add(q, p)
     assert p * q == q * p
     assert add(add(p, q), r) == add(p, add(q, r))
@@ -205,7 +246,7 @@ def test_ring_axioms(p, q, r):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_polys, small_polys)
+@given(any_small_poly, any_small_poly)
 def test_mul_degree_is_additive(p, q):
     if p.is_zero() or q.is_zero():
         assert (p * q).is_zero()
@@ -215,17 +256,41 @@ def test_mul_degree_is_additive(p, q):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_polys, small_polys)
+@given(any_small_poly, any_small_poly)
 def test_exact_div_inverts_mul(p, q):
     # The schoolbook oracle inverts any product; exact_div inverts the
-    # product by binomials, here with the exponents of p stretched into
-    # one coset mod 4 and q's terms read as a binomial vector.
+    # product by binomials, here with q's terms read as a binomial vector.
     if not q.is_zero():
         assert schoolbook_div(p * q, q) == p
-    p4 = LaurentPoly({4 * e + 2: c for e, c in p.terms()})
     binomials = {abs(e) + 1: c % 3 for e, c in q.terms()}
-    product = exact_div(p4, {j: -e for j, e in binomials.items()})
-    assert exact_div(product, binomials) == p4
+    product = exact_div(p, {j: -e for j, e in binomials.items()})
+    assert exact_div(product, binomials) == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda c: st.tuples(small_polys(c), any_small_poly)),
+       st.sampled_from([1, -1]))
+@example((LaurentPoly([3], -2), ZERO), 1)
+@example((LaurentPoly([-2], 5), LaurentPoly([7], -3)), -1)
+@example((LaurentPoly([1, 0, 0, 2], 4), LaurentPoly([0, 5, -5], 1)), 1)
+def test_mul_matches_term_pairs(operands, sign):
+    # The convolution of coefficient tuples against the loop over term
+    # pairs, on one-coset operands including zero, single terms and
+    # inner zeros, and with the product in either order.
+    p, q = operands
+    q = q.shift(0, sign)
+    assert p * q == term_pair_product(p, q) == q * p
+    assert len(p * q) <= len(p) * len(q)
+    assert p * ONE == p and ZERO * p == ZERO
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9), st.integers(-2 ** 100, 2 ** 100)), max_size=12),
+       st.integers(-40, 40))
+def test_json_round_trips_one_coset_records(coeffs, lo):
+    p = LaurentPoly(coeffs, lo)
+    assert LaurentPoly.from_json(p.to_json()) == p
+    assert LaurentPoly.from_json(list(reversed(p.to_json()))) == p
 
 
 # -- packed ring and the division oracle against their references ---------
@@ -242,62 +307,53 @@ coefficients = st.one_of(
 
 @st.composite
 def strided_terms(draw, max_terms=24):
-    """A nonzero term map on offset + stride * k, stride 1 to 4."""
-    stride = draw(st.sampled_from([1, 2, 3, 4]))
+    """A nonzero term map on offset + stride * k, stride 4, 8 or 12: one
+    coset mod 4, with every second or third slot empty at strides 8
+    and 12."""
+    stride = draw(st.sampled_from([4, 8, 12]))
     offset = draw(st.integers(-12, 12))
     ks = draw(st.sets(st.integers(0, 30), min_size=1, max_size=max_terms))
     return {offset + stride * k: draw(coefficients) for k in sorted(ks)}
 
 
-def test_stride_examples():
-    assert common_stride({3: 1, 7: 2, 15: 1}) == 4
-    assert common_stride({3: 1, 7: 2}, {-2: 1, 6: 5}) == 4
-    assert common_stride({3: 1, 7: 2}, {-2: 1, 4: 5}) == 2
-    assert common_stride({5: 1}, {-2: 1}) == 1
-    assert common_stride({5: 1}, {-2: 1, 7: 1}) == 9
-
-
 def test_mul_small_and_sparse_operands_take_loop():
-    # Operands spread over a span far wider than their term count, which a
-    # dense representation would expand into billions of slots.  Every
-    # exponent sum (i - j) * 10^9 + i % 2 - 3j is distinct.
-    a = LaurentPoly({i * 10 ** 9 + (i % 2): 1 + i for i in range(40)})
-    b = LaurentPoly({-(j * 10 ** 9) - 3 * j: j - 17 for j in range(40)})
-    expected = LaurentPoly({(i - j) * 10 ** 9 + (i % 2) - 3 * j: (1 + i) * (j - 17)
+    # Operands of 40 terms each, spread over 3,901 and 118 slots: the
+    # product skips the empty slots of the shorter.  Every exponent sum
+    # 4 (100 i - 3 j) + 2 is distinct, so no two term pairs cancel.
+    a = from_terms({400 * i + 2: 1 + i for i in range(40)})
+    b = from_terms({-12 * j: j - 17 for j in range(40)})
+    expected = from_terms({400 * i + 2 - 12 * j: (1 + i) * (j - 17)
                             for i in range(40) for j in range(40)})
-    assert len(expected) == 40 * 39
+    assert len(expected) == 40 * 39 and (len(a.coeffs), len(b.coeffs)) == (3901, 118)
     assert a * b == expected
-    assert qint(2) * qint(2) == LaurentPoly({4: 1, 0: 2, -4: 1})
+    assert qint(2) * qint(2) == from_terms({4: 1, 0: 2, -4: 1})
 
 
 def pack(ring, p):
-    """The LaurentPoly p packed in ring, through its dense form."""
-    return ring.pack(p.dense(ring.stride))
+    """The LaurentPoly p packed in ring, from its record."""
+    return ring.pack((p.coeffs, p.lo))
 
 
 def l1_norm(p):
     return sum(abs(c) for _, c in p.terms())
 
 
-def packed_product(a, b, bound, stride):
-    """a * b for term maps a, b, through a PackedRing(bound, stride)."""
-    ring = PackedRing(bound, stride)
-    return unpack(ring, pack(ring, LaurentPoly(a)) * pack(ring, LaurentPoly(b)))
+def packed_product(a, b, bound):
+    """a * b for term maps a, b, through a PackedRing(bound)."""
+    ring = PackedRing(bound)
+    return unpack(ring, pack(ring, from_terms(a)) * pack(ring, from_terms(b)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([1, 2, 3, 4]), st.integers(-12, 12), st.integers(1, 40),
-       coefficients, coefficients)
-def test_packed_ring_cancellation(g, offset, k, c, d):
-    # c*(1 + x + ... + x^(k-1)) times d*(1 - x) with x = v^g: every
+@given(st.integers(-12, 12), st.integers(1, 40), coefficients, coefficients)
+def test_packed_ring_cancellation(offset, k, c, d):
+    # c*(1 + q + ... + q^(k-1)) times d*(1 - q) with q = v^4: every
     # middle coefficient of the product cancels to zero.
-    a = {offset + g * i: c for i in range(k)}
-    b = {0: d, g: -d}
-    expected = LaurentPoly({offset: c * d, offset + g * k: -c * d})
-    assert LaurentPoly(a) * LaurentPoly(b) == expected
-    bound = k * abs(c * d)
-    assert packed_product(a, b, bound, g) == expected
-    assert packed_product(a, b, bound, 1) == expected
+    a = {offset + 4 * i: c for i in range(k)}
+    b = {0: d, 4: -d}
+    expected = from_terms({offset: c * d, offset + 4 * k: -c * d})
+    assert from_terms(a) * from_terms(b) == expected
+    assert packed_product(a, b, k * abs(c * d)) == expected
 
 
 def test_packed_ring_at_the_slot_bound():
@@ -309,11 +365,10 @@ def test_packed_ring_at_the_slot_bound():
             for sign in (1, -1):
                 a = {4 * i: c for i in range(m)}
                 b = {4 * i + 1: sign * c for i in range(m)}
-                expected = LaurentPoly(a) * LaurentPoly(b)
+                expected = from_terms(a) * from_terms(b)
                 bound = m * c * c
                 assert max(abs(x) for _, x in expected.terms()) == bound
-                assert packed_product(a, b, bound, 4) == expected
-                assert packed_product(a, b, bound, 1) == expected
+                assert packed_product(a, b, bound) == expected
 
 
 WIDE = 2 ** 200
@@ -327,40 +382,36 @@ ring_coefficients = st.one_of(
 
 @st.composite
 def packed_ring_operands(draw):
-    """Sparse signed term maps p, q, r, stride 1 to 4, with p * q and r in
-    one coset mod the stride but at different lowest exponents."""
-    stride = draw(st.sampled_from([1, 2, 3, 4]))
+    """Sparse signed one-coset polynomials p, q, r, with p * q and r in
+    one coset mod 4 but at different lowest exponents."""
 
     def terms(coset):
-        lo = coset + stride * draw(st.integers(-6, 6))
+        lo = coset + 4 * draw(st.integers(-6, 6))
         ks = draw(st.sets(st.integers(0, 40), max_size=10))
-        return {lo + stride * k: draw(ring_coefficients) for k in ks}
+        return from_terms({lo + 4 * k: draw(ring_coefficients) for k in ks})
 
-    cp, cq = draw(st.integers(0, stride - 1)), draw(st.integers(0, stride - 1))
-    return stride, terms(cp), terms(cq), terms((cp + cq) % stride)
+    cp, cq = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return terms(cp), terms(cq), terms((cp + cq) % 4)
 
 
 @settings(max_examples=120, deadline=None)
 @given(packed_ring_operands())
 def test_packed_ring_matches_dict_arithmetic(operands):
-    stride, a, b, c = operands
-    p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    p, q, r = operands
     norms = [l1_norm(x) for x in (p, q, r)]
     bound = max(*norms, norms[0] * norms[1] + norms[2])
     product = p * q
-    # At the operands' stride and at stride 1, which holds every coset.
-    for ring_stride in {stride, 1}:
-        ring = PackedRing(bound, ring_stride)
-        pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
-        packed = pp * pq
-        assert unpack(ring, packed) == product
-        assert ring.dense(packed) == product.dense(ring_stride)
-        assert unpack(ring, pp * pq + pr) == add(product, r)
-        assert unpack(ring, sum([pr, pp * pq])) == add(product, r)
-        # Cancellation to zero, in the same coset and at another lowest exponent.
-        assert unpack(ring, pp * pq + pack(ring, product.shift(0, -1))) == ZERO
-        assert unpack(ring, pr + pack(ring, r.shift(0, -1))) == ZERO
-        assert ring.muls == 4
+    ring = PackedRing(bound)
+    pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
+    packed = pp * pq
+    assert unpack(ring, packed) == product
+    assert ring.dense(packed) == (list(product.coeffs), product.lo)
+    assert unpack(ring, pp * pq + pr) == add(product, r)
+    assert unpack(ring, sum([pr, pp * pq])) == add(product, r)
+    # Cancellation to zero, in the same coset and at another lowest exponent.
+    assert unpack(ring, pp * pq + pack(ring, product.shift(0, -1))) == ZERO
+    assert unpack(ring, pr + pack(ring, r.shift(0, -1))) == ZERO
+    assert ring.muls == 4
 
 
 @settings(max_examples=80, deadline=None)
@@ -368,11 +419,10 @@ def test_packed_ring_matches_dict_arithmetic(operands):
 def test_packed_shift_matches_laurent_shift(operands, sign, exponent):
     # A twist by a signed monomial is LaurentPoly.shift read back from the
     # ring, commutes with packed * and +, and forms no product.
-    stride, a, b, c = operands
-    p, q, r = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    p, q, r = operands
     m = SignedMonomial(sign, exponent)
     norms = [l1_norm(x) for x in (p, q, r)]
-    ring = PackedRing(max(*norms, norms[0] * norms[1] + norms[2]), stride)
+    ring = PackedRing(max(*norms, norms[0] * norms[1] + norms[2]))
     pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
     for x, packed in ((p, pp), (q, pq), (r, pr)):
         assert unpack(ring, packed.shift(m)) == x.shift(exponent, sign)
@@ -384,48 +434,44 @@ def test_packed_shift_matches_laurent_shift(operands, sign, exponent):
 
 
 def test_packed_sum_across_cosets_raises():
-    ring = PackedRing(3, 4)
+    ring = PackedRing(3)
     two, one = pack(ring, qint(2)), pack(ring, ONE)  # v^2 + v^-2 and 1
     with pytest.raises(ArithmeticError):
         two + one
-    with pytest.raises(ArithmeticError):
-        LaurentPoly({0: 1, 2: 1}).dense(4)
     # Zero lies in every coset; v^4 * 1 lies in the coset of 1.
-    assert ZERO.dense(4) == ([], 0)
     assert unpack(ring, two + pack(ring, ZERO)) == qint(2)
-    assert unpack(ring, one + pack(ring, LaurentPoly({4: -3}))) == LaurentPoly({0: 1, 4: -3})
+    assert unpack(ring, one + pack(ring, from_terms({4: -3}))) == from_terms({0: 1, 4: -3})
 
 
 @st.composite
 def widen_operands(draw):
-    """(stride, narrow bound, wide bound, forms): one to three dense forms
-    with lowest exponents in one coset mod stride, whose sum fits the
-    slots of PackedRing(narrow bound, stride); the wide bound is at least
-    the narrow one, and often of the same slot width."""
-    stride = draw(st.sampled_from([1, 4]))
+    """(narrow bound, wide bound, forms): one to three dense forms with
+    lowest exponents in one coset mod 4, whose sum fits the slots of
+    PackedRing(narrow bound); the wide bound is at least the narrow one,
+    and often of the same slot width."""
     narrow = draw(st.one_of(st.integers(0, 300), st.integers(0, 2 ** 130)))
     wide = narrow + draw(st.one_of(st.integers(0, 2), st.integers(0, 2 ** 200)))
     count = draw(st.integers(1, 3))
-    top = ((1 << (8 * PackedRing(narrow, stride).width - 1)) - 1) // count
+    top = ((1 << (8 * PackedRing(narrow).width - 1)) - 1) // count
     coefficient = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
-    coset = draw(st.integers(0, stride - 1))
+    coset = draw(st.integers(0, 3))
     forms = [(draw(st.lists(coefficient, max_size=12)),
-              coset + stride * draw(st.integers(-6, 6))) for _ in range(count)]
-    return stride, narrow, wide, forms
+              coset + 4 * draw(st.integers(-6, 6))) for _ in range(count)]
+    return narrow, wide, forms
 
 
 @settings(max_examples=150, deadline=None)
 @given(widen_operands())
-@example((4, 300, 2 ** 70, [([], 0)]))
-@example((4, 1, 1, [([127, -127, 0, 5], -3)]))
-@example((1, 2 ** 64, 2 ** 100, [([2 ** 71 - 1, -(2 ** 71 - 1), 0, 1], 7)]))
-@example((4, 1000, 2 ** 90, [([1, -2, 3], 0), ([-4, 5], 8), ([6], -4)]))
+@example((300, 2 ** 70, [([], 0)]))
+@example((1, 1, [([127, -127, 0, 5], -3)]))
+@example((2 ** 64, 2 ** 100, [([2 ** 71 - 1, -(2 ** 71 - 1), 0, 1], 7)]))
+@example((1000, 2 ** 90, [([1, -2, 3], 0), ([-4, 5], 8), ([6], -4)]))
 def test_widen_matches_packing_in_the_wide_ring(operands):
     # Widening a packed sum from the narrow ring gives the value and lo
     # that the sum of the same forms packed in the wide ring has: at the
     # slot edges +/-(2^(w-1) - 1), for zero, and at equal slot widths.
-    stride, narrow_bound, wide_bound, forms = operands
-    narrow, wide = PackedRing(narrow_bound, stride), PackedRing(wide_bound, stride)
+    narrow_bound, wide_bound, forms = operands
+    narrow, wide = PackedRing(narrow_bound), PackedRing(wide_bound)
     packed = sum(narrow.pack(d) for d in forms[1:]) + narrow.pack(forms[0])
     expected = sum(wide.pack(d) for d in forms[1:]) + wide.pack(forms[0])
     widened = wide.widen(packed)
@@ -443,18 +489,23 @@ def test_widen_reads_any_value(narrow_bits, extra_bits, value, lo):
     # narrow slots, widens without raising, to the digits dense reads.
     # A value just below a slot boundary, 2^(w k - 1) - 1, needs the one
     # slot read above its top one.
-    narrow = PackedRing(2 ** narrow_bits, 1)
-    wide = PackedRing(2 ** (narrow_bits + extra_bits), 1)
+    narrow = PackedRing(2 ** narrow_bits)
+    wide = PackedRing(2 ** (narrow_bits + extra_bits))
     packed = Packed(value, lo, narrow)
     assert unpack(wide, wide.widen(packed)) == unpack(narrow, packed)
 
 
 def stride1_div(p, q):
-    """The oracle's peel on uncompressed (stride 1) coefficient arrays."""
-    num, num_off = p.dense(1)
-    den, den_off = q.dense(1)
-    quot = peel(num, den)
-    return LaurentPoly({num_off - den_off + i: c for i, c in enumerate(quot)})
+    """The oracle's peel on uncompressed (stride 1) coefficient arrays,
+    one slot per exponent of v."""
+    def array(x):
+        out = [0] * (x.max_deg - x.min_deg + 1)
+        for e, c in x.terms():
+            out[e - x.min_deg] = c
+        return out
+
+    quot = peel(array(p), array(q))
+    return from_terms({p.min_deg - q.min_deg + i: c for i, c in enumerate(quot)})
 
 
 def division_outcome(divide, p, q):
@@ -467,14 +518,17 @@ def division_outcome(divide, p, q):
 @settings(max_examples=60, deadline=None)
 @given(strided_terms(12), strided_terms(12), strided_terms(6), st.booleans())
 def test_strided_exact_div_matches_stride1(a, b, c, perturb):
-    # The division oracle's stride compression against its own peel on
-    # uncompressed arrays.
-    p, q = LaurentPoly(a), LaurentPoly(b)
+    # The division oracle's peel in q = v^4 against its own peel on
+    # arrays over every exponent of v.
+    p, q = from_terms(a), from_terms(b)
     prod = p * q
     assert schoolbook_div(prod, q) == p == stride1_div(prod, q)
     # Near misses and unrelated pairs: both paths agree, including on
-    # raising NonExactDivision; dividend and divisor strides may differ.
-    other = add(prod, LaurentPoly(c)) if perturb else LaurentPoly(c)
+    # raising NonExactDivision; dividend and divisor cosets and strides
+    # may differ.  A near miss is moved into the product's coset.
+    other = from_terms(c)
+    if perturb:
+        other = add(prod, other.shift((prod.lo - other.lo) % 4))
     if other.is_zero():
         return
     outcome = division_outcome(schoolbook_div, other, q)
@@ -484,16 +538,16 @@ def test_strided_exact_div_matches_stride1(a, b, c, perturb):
 
 
 def test_strided_exact_div_examples():
-    q = qint(3)  # stride 4
-    p = qint(4) * q  # stride 4
+    q = qint(3)  # coset 0 mod 4
+    p = qint(4) * q  # coset 2 mod 4
     assert schoolbook_div(p, q) == qint(4)
-    # A dividend of stride 2 over a divisor of stride 4: common stride 2.
-    p2 = q * LaurentPoly({0: 1, 2: 3})
-    assert schoolbook_div(p2, q) == LaurentPoly({0: 1, 2: 3})
+    # A dividend at stride 8 over a divisor at stride 4, in another coset.
+    p2 = q * from_terms({1: 1, 9: 3})
+    assert schoolbook_div(p2, q) == from_terms({1: 1, 9: 3})
     with pytest.raises(NonExactDivision):
-        schoolbook_div(add(p2, LaurentPoly({1: 1})), q)
+        schoolbook_div(add(p2, from_terms({p2.max_deg: 1})), q)
     with pytest.raises(NonExactDivision):
-        schoolbook_div(add(p, LaurentPoly({p.min_deg + 2: 1})), q)
+        schoolbook_div(add(p, from_terms({p.min_deg + 4: 1})), q)
     with pytest.raises(NonExactDivision):
         schoolbook_div(qint(2), qint(3))
 
@@ -508,7 +562,7 @@ def binomial_quotients(draw):
     state sum divides by (q^j - 1)^(4 beta_j)."""
     offset = draw(st.integers(-12, 12))
     ks = draw(st.sets(st.integers(0, 20), min_size=1, max_size=12))
-    p = LaurentPoly({offset + 4 * k: draw(coefficients) for k in ks})
+    p = from_terms({offset + 4 * k: draw(coefficients) for k in ks})
     binomials = draw(st.dictionaries(st.integers(1, 7), st.integers(-4, 4), max_size=5))
     return p, binomials
 
@@ -528,9 +582,9 @@ def test_exact_div_matches_schoolbook(operands, where, delta):
         schoolbook_div(dividend * denom, numer)
     # One coefficient off by one: both paths agree, and both raise unless
     # N' divides D (a perturbation by a monomial m leaves m D to divide).
-    coeffs, lo = dividend.dense(4)
-    k = {"low": 0, "middle": len(coeffs) // 2, "top": len(coeffs) - 1}[where]
-    other = add(dividend, LaurentPoly({lo + 4 * k: delta}))
+    k = {"low": 0, "middle": len(dividend.coeffs) // 2,
+         "top": len(dividend.coeffs) - 1}[where]
+    other = add(dividend, LaurentPoly([delta], dividend.lo + 4 * k))
     if other.is_zero():
         return
     expected = division_outcome(schoolbook_div, other * denom, numer)
@@ -591,8 +645,7 @@ KNOWN_CYCLOTOMIC = {
 
 def test_cyclotomic_known_values():
     for d, coeffs in KNOWN_CYCLOTOMIC.items():
-        expected = LaurentPoly({4 * i: c for i, c in enumerate(coeffs)})
-        assert cyclotomic(d) == expected
+        assert cyclotomic(d) == LaurentPoly(coeffs)
     with pytest.raises(ValueError):
         cyclotomic(0)
 
