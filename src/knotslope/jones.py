@@ -295,3 +295,32 @@ def colored_jones(params, N):
     if at_one != N:
         raise ArithmeticError(f"J_{N}(1) = {at_one}, not {N}")
     return LaurentPoly([sign * c for c in coeffs], lo + prefactor.exponent)
+
+
+def exponent_window(params, N):
+    """Bounds (lo, hi) that hold every exponent of J_N, from the state
+    sum's shape alone, with no polynomial built.
+
+    With n = N - 1, each state (a, b, c, d) adds a sign times v^F T to
+    J_N.  F is the framing exponent, 2un(n+2) - sum w x(x+2)/2 over the
+    four pairs (x, w) of color and weight, and T is the quotient of the
+    theta, 6j and unknot values by the four theta(x,n,n).  Each of these
+    is symmetric under v -> 1/v, so the lowest degree of T is minus its
+    highest, deg T.  The terms v^F T L^4 are Laurent polynomials and
+    J_N L^4 is their sum, so every exponent of J_N lies within
+    max |F - 2un(n+2)| + max deg T of 2un(n+2).
+
+    On colors in [0, 2n], 0 <= x(x+2)/2 <= 2n(n+1), which bounds the
+    first by 2n(n+1) (|r| + |s| + |t| + |u|).  The second is at most
+    90n^2 + 34n + 2, by crude bounds: a quantum binomial [m; k] has
+    degree 2k(m-k) <= m^2/2; theta(a,b,c) has degree at most
+    (a+b+c)^2/2 <= 18n^2; each z-term of a 6j quotient of colors in
+    [0, 2n] has z <= 6n, so degree at most (6n+1)^2/2 + 3(2n)^2/2, and
+    the state has three; the four unknot values add 2x <= 4n each; and
+    each theta(x,n,n), symmetric and nonzero, has degree at least 0.
+    The window thus spans O(N^2) slots, however sparse J_N is.
+    """
+    n = N - 1
+    centre = 2 * params.u * n * (n + 2)
+    radius = 90 * n * n + 34 * n + 2 + 2 * n * (n + 1) * sum(map(abs, params.astuple()))
+    return centre - radius, centre + radius

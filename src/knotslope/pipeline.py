@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import degopt, edgepath
 from .degopt import NoQuadraticFit, fit_quasi
-from .jones import KnotParams, colored_jones
+from .jones import KnotParams, colored_jones, exponent_window
 from .qlaurent import LaurentPoly
 
 log = logging.getLogger(__name__)
@@ -249,11 +249,13 @@ def cache_load(cache_dir, params, N):
 
     A record must carry format CACHE_FORMAT, and its polynomial must read
     back through LaurentPoly.from_json, which rejects exponents outside
-    one coset mod 4 and a span too wide for the terms read.  Besides the
-    stored degree and leading coefficient, it must meet two cheap
-    invariants of every colored Jones polynomial: the classical limit
-    J_N(1) = N (the coefficient sum) and even exponents only, which in
-    one coset is an even lowest exponent.
+    one coset mod 4 and, before it allocates any slot, exponents outside
+    the state sum's exponent_window for the tuple and color, so that no
+    record asks for more slots than the window holds.  Besides the stored
+    degree and leading coefficient, it must meet two cheap invariants of
+    every colored Jones polynomial: the classical limit J_N(1) = N (the
+    coefficient sum) and even exponents only, which in one coset is an
+    even lowest exponent.
     """
     path = cache_path(cache_dir, params, N)
     if not path.exists():
@@ -267,7 +269,7 @@ def cache_load(cache_dir, params, N):
             raise ValueError("parameter mismatch")
         if record["N"] != N:
             raise ValueError("color mismatch")
-        poly = LaurentPoly.from_json(record["polynomial"])
+        poly = LaurentPoly.from_json(record["polynomial"], exponent_window(params, N))
         if poly.max_deg != record["max_deg"]:
             raise ValueError("degree mismatch")
         if str(poly.leading_coeff) != record["leading_coeff"]:

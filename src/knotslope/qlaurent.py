@@ -59,11 +59,6 @@ from itertools import accumulate
 # A coefficient as to_json writes it: a decimal integer.
 _DECIMAL = re.compile(r"-?[0-9]+")
 
-# The most slots from_json allocates per [exponent, coefficient] pair it
-# reads.  Colored Jones polynomials fill at least 43% of their slots on
-# the slope grids, so a record needing more is corrupt.
-_SLOTS_PER_TERM = 4
-
 
 class ZeroPolynomial(ValueError):
     """Degree or leading coefficient requested for the zero polynomial."""
@@ -172,26 +167,27 @@ class LaurentPoly:
         return [[e, str(c)] for e, c in self.terms()]
 
     @classmethod
-    def from_json(cls, pairs):
+    def from_json(cls, pairs, window):
         """Read to_json's form back: [int exponent, "decimal coefficient"]
-        pairs, each exponent once, all in one coset mod 4.  Anything else
-        raises ValueError instead of being coerced by int(), and so does a
-        span of more than _SLOTS_PER_TERM slots per pair, before any slot
-        is allocated."""
+        pairs, each exponent once, all in one coset mod 4 and within
+        window = (lo, hi), inclusive.  Anything else raises ValueError
+        instead of being coerced by int(); an exponent outside the window
+        raises as it is read, so at most (hi - lo)/4 + 1 slots are ever
+        allocated, whatever the pairs hold."""
+        low, high = window
         terms = {}
         for e, c in pairs:
             if type(e) is not int or type(c) is not str or not _DECIMAL.fullmatch(c):
                 raise ValueError(f"malformed JSON term {[e, c]!r}")
             if e in terms:
                 raise ValueError(f"duplicate exponent {e} in JSON polynomial")
+            if not low <= e <= high:
+                raise ValueError(f"JSON exponent {e} outside [{low}, {high}]")
             terms[e] = int(c)
         if not terms:
             return ZERO
         lo = min(terms)
-        slots = (max(terms) - lo) // 4 + 1
-        if slots > _SLOTS_PER_TERM * len(terms):
-            raise ValueError(f"{len(terms)} JSON terms span {slots} slots")
-        coeffs = [0] * slots
+        coeffs = [0] * ((max(terms) - lo) // 4 + 1)
         for e, c in terms.items():
             k, rem = divmod(e - lo, 4)
             if rem:

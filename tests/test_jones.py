@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import re
+import types
 
 import pytest
 from oracles import (
@@ -34,6 +35,7 @@ from knotslope.jones import (
     _state_tables,
     colored_jones,
     domain_points,
+    exponent_window,
     lcm_binomials,
     theta_lcm_exponents,
 )
@@ -213,6 +215,28 @@ def test_colored_jones_digest_pin():
     for (tup, N), digest in POLY_DIGESTS.items():
         text = colored_jones(KnotParams(*tup), N).to_text()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_exponent_window_holds_sparse_colored_jones():
+    # J_2 of (-3, 2, t, -1) keeps 6 terms while its span grows with t, so
+    # the share of its slots that it fills falls from 62% at t = 3 to 13%
+    # at t = 41: the window must follow the state sum's shape, not the
+    # term count.  Its leaf-degree bound is crude; the symmetry argument
+    # behind it also holds with the exact largest leaf degree, the knot-
+    # independent part of degree_objective, which is checked here too.
+    no_twist = types.SimpleNamespace(astuple=lambda: (0, 0, 0, 0))
+    tuples = [(-3, 2, t, -1) for t in range(3, 42, 6)]
+    for tup in tuples + [(-5, 6, 13, -1), (-3, 2, 25, -3), (-15, 12, 13, -9)]:
+        params = KnotParams(*tup)
+        for N in range(1, 8):
+            n = N - 1
+            poly = colored_jones(params, N)
+            lo, hi = exponent_window(params, N)
+            assert lo <= poly.min_deg <= poly.max_deg <= hi
+            leaves = max(degree_objective(no_twist, n, s) for s in domain_points(n))
+            radius = leaves + 2 * n * (n + 1) * sum(map(abs, tup))
+            assert abs(poly.min_deg - (lo + hi) // 2) <= radius
+            assert abs(poly.max_deg - (lo + hi) // 2) <= radius
 
 
 def cyclotomic_power_product(exponents):

@@ -320,7 +320,7 @@ def test_grid_case2_only_slopes_zero(tmp_path):
     assert all(doc["edgepath"]["slope"] == "0" for doc in docs)
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(tmp_path, caplog):
     params = KnotParams(-3, 2, 3, -3)
     poly = colored_jones(params, 3)
     assert cache_load(tmp_path, params, 3) is None
@@ -328,6 +328,17 @@ def test_cache_round_trip(tmp_path):
     assert path == tmp_path / "-3_2_3_-3" / "3.json"
     assert path.exists()
     assert cache_load(tmp_path, params, 3) == poly
+    # J_2 of (-3, 2, t, -1) has 6 terms over a span that grows with t: 20%
+    # of its slots filled at t = 25, 13% at t = 41.  Such sparse records
+    # are valid and are served too, with no discard warning.
+    for t in (25, 41):
+        params = KnotParams(-3, 2, t, -1)
+        poly = colored_jones(params, 2)
+        assert 5 * len(poly) <= len(poly.coeffs)
+        cache_store(tmp_path, params, 2, poly)
+        with caplog.at_level("WARNING"):
+            assert cache_load(tmp_path, params, 2) == poly
+    assert "discarding" not in caplog.text
 
 
 def test_cache_discards_corrupt(tmp_path, caplog):
@@ -348,10 +359,11 @@ def test_cache_discards_corrupt(tmp_path, caplog):
     # A record of another tuple, another color, with a wrong leading
     # coefficient, with an exponent given twice, with a term outside the
     # [int exponent, "decimal coefficient"] form, with exponents in two
-    # cosets mod 4, or with a span of 10^12 slots for a few terms is
+    # cosets mod 4, or with one exponent moved 10^12 slots down is
     # discarded, then recomputed and rewritten.  Coerced with int(), each
     # malformed term below would read back as the stored polynomial; the
-    # span is refused before a slot is allocated.
+    # moved exponent lies outside the tuple's exponent window and is
+    # refused before a slot is allocated.
     import knotslope.pipeline as pipeline_mod
 
     pristine = json.loads(cache_store(tmp_path, params, 2, poly).read_text())
@@ -373,7 +385,7 @@ def test_cache_discards_corrupt(tmp_path, caplog):
             ("polynomial", [top] + rest[:-1] + [[rest[-1][0] + 2, rest[-1][1]]],
              "different cosets mod 4"),
             ("polynomial", [top] + rest[:-1] + [[rest[-1][0] - 4 * 10 ** 12, rest[-1][1]]],
-             "span 1000000000")):
+             f"JSON exponent {rest[-1][0] - 4 * 10 ** 12} outside")):
         path.write_text(json.dumps(dict(pristine, **{field: value})))
         caplog.clear()
         with caplog.at_level("WARNING"):

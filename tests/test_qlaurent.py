@@ -207,19 +207,19 @@ def test_json_round_trip():
     p = from_terms({10: 123456789012345678901234567890, -2: -4})
     pairs = p.to_json()
     assert pairs[0][0] == 10 and isinstance(pairs[0][1], str)
-    assert LaurentPoly.from_json(pairs) == p
-    # Every exponent in one coset mod 4, and no more than 4 slots per term
-    # read: at 4 per term the record reads back, one slot more raises
-    # before any slot is allocated.
-    assert LaurentPoly.from_json([[6, "1"], [-6, "2"]]) == from_terms({6: 1, -6: 2})
-    assert LaurentPoly.from_json([]) == ZERO
+    assert LaurentPoly.from_json(pairs, (-2, 10)) == p
+    # Every exponent in one coset mod 4 and within the window, both ends
+    # included: an exponent outside raises as it is read, before any slot
+    # is allocated, however few terms the record holds.
+    assert LaurentPoly.from_json([[6, "1"], [-6, "2"]], (-6, 6)) == from_terms({6: 1, -6: 2})
+    assert LaurentPoly.from_json([], (0, 0)) == ZERO
     for pairs, reason in (([[6, "1"], [0, "2"]], "different cosets mod 4"),
                           ([[4, "1"], [0, "0"], [3, "5"]], "different cosets mod 4"),
-                          ([[32, "1"], [0, "2"]], "span 9 slots"),
-                          ([[4 * 10 ** 12, "1"]] + p.to_json(), "span 1000000000001 slots")):
+                          ([[10, "1"], [-6, "2"]], r"JSON exponent -6 outside \[-2, 10\]"),
+                          ([[4 * 10 ** 12, "1"]] + p.to_json(), "JSON exponent 4000000000000 outside")):
         with pytest.raises(ValueError, match=reason):
-            LaurentPoly.from_json(pairs)
-    assert LaurentPoly.from_json([[28, "1"], [0, "2"]]) == from_terms({28: 1, 0: 2})
+            LaurentPoly.from_json(pairs, (-2, 10))
+    assert LaurentPoly.from_json([[28, "1"], [0, "2"]], (0, 28)) == from_terms({28: 1, 0: 2})
 
 
 def small_polys(coset):
@@ -289,8 +289,9 @@ def test_mul_matches_term_pairs(operands, sign):
        st.integers(-40, 40))
 def test_json_round_trips_one_coset_records(coeffs, lo):
     p = LaurentPoly(coeffs, lo)
-    assert LaurentPoly.from_json(p.to_json()) == p
-    assert LaurentPoly.from_json(list(reversed(p.to_json()))) == p
+    window = (lo, lo + 4 * max(len(coeffs) - 1, 0))
+    assert LaurentPoly.from_json(p.to_json(), window) == p
+    assert LaurentPoly.from_json(list(reversed(p.to_json())), window) == p
 
 
 # -- packed ring and the division oracle against their references ---------
