@@ -33,10 +33,10 @@ its cofactors.
 dplus_theta and dplus_delta6j give the leaves' maximal degrees from the
 colors alone, never the knot; the brute-force degree oracle
 (degopt.brute_max_objective) sums them at every lattice point of every
-tuple.  dplus_delta6j is memoized per process in a module-level
-functools cache keyed by its six colors, so the few hundred arguments
-that recur at every tuple of a verify grid are computed once.
-Exceptions are not cached: a bad argument raises on every call.
+tuple.  Both are memoized per process in module-level functools caches
+keyed by their colors alone, so the few hundred arguments that recur at
+every tuple of a verify grid are computed once.  Exceptions are not
+cached: a bad argument raises on every call.
 
 The framing scalar f(a) = (sqrt(-1))^(-a) v^(-a(a+2)/2) is only ever needed
 in real combinations here (even colors, or fourth powers), so it is kept as
@@ -234,8 +234,14 @@ def binomial_max_deg(n, k):
     return 2 * k * (n - k)
 
 
+@lru_cache(maxsize=None)
 def dplus_theta(a, b, c):
-    """Maximal degree of theta(a,b,c): a(1-a)+b(1-b)+c(1-c)+(a+b+c)^2/2."""
+    """Maximal degree of theta(a,b,c): a(1-a)+b(1-b)+c(1-c)+(a+b+c)^2/2.
+
+    Memoized per process, keyed by the three colors alone; the
+    InadmissibleColoring raise is not cached, so it fires on every bad
+    call.
+    """
     require_admissible(a, b, c)
     s = a + b + c
     return a * (1 - a) + b * (1 - b) + c * (1 - c) + (s * s) // 2

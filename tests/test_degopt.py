@@ -126,7 +126,7 @@ def test_monotone_in_d_and_a():
 def test_fast_equals_brute_on_grid():
     for tup in CASE_EXAMPLES:
         params = KnotParams(*tup)
-        for n in range(0, 12):
+        for n in range(0, 14):
             assert fast_max_objective(params, n) == brute_max_objective(params, n), (
                 tup,
                 n,

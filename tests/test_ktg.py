@@ -331,14 +331,39 @@ def test_dplus_delta6j_example():
 
 
 @pytest.fixture
-def empty_delta_memo():
-    """Empty the dplus_delta6j cache before and after a test."""
+def empty_leaf_memos():
+    """Empty the dplus_theta and dplus_delta6j caches before and after a test."""
+    dplus_theta.cache_clear()
     dplus_delta6j.cache_clear()
     yield
+    dplus_theta.cache_clear()
     dplus_delta6j.cache_clear()
 
 
-def test_delta_memo_equals_the_unwrapped_degree(empty_delta_memo):
+def test_theta_memo_equals_the_unwrapped_degree(empty_leaf_memos):
+    # Every theta argument degree_objective reads for n <= 9, (a,b,c)
+    # and the four (x,n,n): each distinct argument misses once, then hits
+    # once, and both reads equal the uncached body.
+    args = {shape for n in range(10) for a, b, c, d in domain_points(n)
+            for shape in ((a, b, c), *((x, n, n) for x in (a, b, c, d)))}
+    for arg in sorted(args):
+        assert dplus_theta(*arg) == dplus_theta.__wrapped__(*arg) == dplus_theta(*arg), arg
+    assert len(args) == 535
+    info = dplus_theta.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (535, 535, 535)
+
+
+def test_theta_memo_keeps_no_errors(empty_leaf_memos):
+    # An odd color sum raises on every call: lru_cache stores no
+    # exception, so nothing enters the memo.
+    for _ in range(2):
+        with pytest.raises(InadmissibleColoring):
+            dplus_theta(1, 0, 0)
+    info = dplus_theta.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
+
+
+def test_delta_memo_equals_the_unwrapped_degree(empty_leaf_memos):
     # Every 6j shape degree_objective reads for n <= 9,
     # delta6j(a,b,c,n,n,n) and delta6j(b,n,n,d,n,n): each distinct
     # argument misses once, then hits once, and both reads equal the
@@ -352,7 +377,7 @@ def test_delta_memo_equals_the_unwrapped_degree(empty_delta_memo):
     assert (info.misses, info.hits, info.currsize) == (1900, 1900, 1900)
 
 
-def test_delta_memo_keeps_no_errors(empty_delta_memo):
+def test_delta_memo_keeps_no_errors(empty_leaf_memos):
     # An empty z-range raises on every call: lru_cache stores no
     # exception, so nothing enters the memo.
     for _ in range(2):
@@ -362,20 +387,25 @@ def test_delta_memo_keeps_no_errors(empty_delta_memo):
     assert (info.misses, info.hits, info.currsize) == (2, 0, 0)
 
 
-def test_delta_memo_is_knot_independent(empty_delta_memo):
-    # Nothing knot-dependent enters the key: after the exhaustive scan of
-    # one tuple for n <= 5, the scan of a tuple of another case reads
-    # both 6j degrees of every lattice point from the memo.
+def test_delta_memo_is_knot_independent(empty_leaf_memos):
+    # Nothing knot-dependent enters either key: after the exhaustive scan
+    # of one tuple for n <= 5, the scan of a tuple of another case reads
+    # the five theta degrees and both 6j degrees of every lattice point
+    # from the memos.
     first, second = KnotParams(-3, 2, 3, -3), KnotParams(-3, 6, 5, -3)
     for n in range(6):
         brute_max_objective(first, n)
-    before = dplus_delta6j.cache_info()
-    assert before.misses == 313
+    theta_before, delta_before = dplus_theta.cache_info(), dplus_delta6j.cache_info()
+    assert (theta_before.misses, delta_before.misses) == (123, 313)
     for n in range(6):
         brute_max_objective(second, n)
-    after = dplus_delta6j.cache_info()
+    theta_after, delta_after = dplus_theta.cache_info(), dplus_delta6j.cache_info()
     points = sum(len(domain_points(n)) for n in range(6))
-    assert (after.misses, after.hits - before.hits) == (before.misses, 2 * points)
+    assert points == 1183
+    assert (theta_after.misses, theta_after.hits - theta_before.hits) == (
+        theta_before.misses, 5 * points)
+    assert (delta_after.misses, delta_after.hits - delta_before.hits) == (
+        delta_before.misses, 2 * points)
 
 
 def test_theta_degree_law_sweep():
