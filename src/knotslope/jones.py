@@ -31,19 +31,19 @@ monomials.  Everything else folds, once per n (_state_tables), into two
 tables over L: q[b][a, c], the theta, the squared 6j quotient and the a-
 and c-cofactors, and r[b][d], the (b, d) 6j quotient and the b- and
 d-cofactors.  A knot then costs a two-level sum, over (a, c) and over d
-for each b, and one product per b.  The theta and 6j leaves come from
-ktg as dense coefficient lists in q = v^4, never as LaurentPoly: ktg
-builds each from packed Gaussian binomials and checks it against its
-value at q = 1 (ArithmeticError), while L, the cofactors and the final
-division stay exact divisions.  The sum is big-integer arithmetic in
-two PackedRings (qlaurent), each of whose values is a polynomial
-evaluated once at v^4 = 2^w: a framing factor is a Packed.shift with no
-multiply, and only the total is read back, once, as a dense list in q
-(PackedRing.dense).  That list is divided by L^4 (divide_binomials), its
-quotient's sum is checked against J_N(1) = N, and only then is the one
-LaurentPoly built, the result.  The tables and each b's two sums live
-in the table ring; PackedRing.widen repacks the two sums into the wider
-slots of the result ring, where their product and the total are formed.
+for each b, and one product per b.  Every polynomial that crosses a
+function boundary is a LaurentPoly: the theta and 6j leaves come from
+ktg, which builds each from packed Gaussian binomials and checks it
+against its value at q = 1 (ArithmeticError), and L, the cofactors and
+the final division are exact divisions (exact_div).  The sum is
+big-integer arithmetic in two PackedRings (qlaurent), each of whose
+values is a polynomial evaluated once at v^4 = 2^w: a framing factor is
+a Packed.shift with no multiply, and only the total is read back, once
+(PackedRing.dense).  exact_div divides it by L^4, the prefactor's shift
+gives the result, and its coefficient sum is checked against
+J_N(1) = N.  The tables and each b's two sums live in the table ring;
+PackedRing.widen repacks the two sums into the wider slots of the
+result ring, where their product and the total are formed.
 One fold (_fold) builds the tables from their leaves, and a twist keeps
 every l1 norm, so the same fold over the leaves' l1 norms, once per n,
 gives norm tables whose per-b sums bound the coefficients of each b's
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .ktg import circle, delta6j, framing_power, theta, theta_factors
-from .qlaurent import ONE, LaurentPoly, PackedRing, divide_binomials, exact_div
+from .qlaurent import ONE, PackedRing, exact_div
 
 log = logging.getLogger(__name__)
 
@@ -161,10 +161,9 @@ def _state_tables(n):
     which maps each even color x to O^x L / theta(x,n,n), bd, which maps
     (b, d) to delta6j(b,n,n,d,n,n), and factors, which maps each
     admissible sorted triple a <= b <= c to (theta(a,b,c),
-    delta6j(a,b,c,n,n,n)).  Every leaf is a dense form (coeffs, lo) in
-    q = v^4, as ktg builds theta and delta6j and as the LaurentPoly
-    product O^x times the cofactor is held, so PackedRing.pack and
-    _l1_norm read its list directly.
+    delta6j(a,b,c,n,n,n)).  Every leaf is a LaurentPoly, as ktg builds
+    theta and delta6j and as the product O^x times the cofactor is, so
+    PackedRing.pack and _l1_norm read its coefficients directly.
     The product theta delta6j^2 is symmetric in (a, b, c): permuting the
     triple permutes the four quantum binomials of each z-term and leaves
     the z-range unchanged.  _fold runs twice over these leaves: first
@@ -185,8 +184,7 @@ def _state_tables(n):
     for x in evens:
         unit, binomials = theta_factors(x, n, n)
         cofactor = exact_div(lcm, {j: -e for j, e in binomials.items()})
-        product = circle(x) * cofactor.shift(-unit.exponent, unit.sign)
-        base[x] = product.coeffs, product.lo
+        base[x] = circle(x) * cofactor.shift(-unit.exponent, unit.sign)
     bd = {(b, d): delta6j(b, n, n, d, n, n) for b in evens for d in evens}
     factors = {abc: (theta(*abc), delta6j(*abc, n, n, n))
                for abc in _triples(n) if abc[0] <= abc[1] <= abc[2]}
@@ -195,9 +193,9 @@ def _state_tables(n):
     return (table, PackedRing(bound), *_fold(n, table.pack, base, bd, factors))
 
 
-def _l1_norm(dense):
-    """The l1 norm of a dense form (coeffs, lo): the sum of |coeffs|."""
-    return sum(map(abs, dense[0]))
+def _l1_norm(poly):
+    """The l1 norm of a LaurentPoly: the sum of |coeffs|."""
+    return sum(map(abs, poly.coeffs))
 
 
 def _ring_bounds(norm_q, norm_r):
@@ -252,12 +250,10 @@ def colored_jones(params, N):
     by Packed.shift, so a call makes shifted adds, in the table ring for
     the two sums of each b, and n + 1 packed multiplies, one per b, in
     the result ring, into whose slots each of the 2(n + 1) sums is first
-    widened.  Only the total is read back, as a dense list in q.  It
-    carries L^4, and the final division of that list by L^4's binomials
-    and the classical limit J_N(1) = N, the quotient's coefficient sum
-    times the prefactor's sign, double as tripwires for the integrality
-    of the sum and for the slot width.  Both run before the one
-    LaurentPoly, the result, is built.
+    widened.  Only the total is read back, as a LaurentPoly.  It carries
+    L^4, and the final division by L^4's binomials (exact_div) and the
+    classical limit J_N(1) = N, the result's coefficient sum, double as
+    tripwires for the integrality of the sum and for the slot width.
     """
     if N < 1:
         raise ValueError(f"color N must be >= 1, got {N}")
@@ -266,7 +262,7 @@ def colored_jones(params, N):
     fr, fs, ft, fu = ({x: framing_power(x, w) for x in q} for w in params.astuple())
     muls, adds = table.muls + ring.muls, table.adds + ring.adds
     widen = ring.widen
-    coeffs, lo = ring.dense(sum(
+    total = ring.dense(sum(
         (widen(sum(v.shift(fr[a]).shift(ft[c]) for (a, c), v in q[b].items()))
          * widen(sum(v.shift(fu[d]) for d, v in r[b].items()))).shift(fs[b]) for b in q))
 
@@ -274,7 +270,7 @@ def colored_jones(params, N):
     if log.isEnabledFor(logging.DEBUG):
         # L = prod (v^(4j) - 1)^beta_j spans 4 sum j beta_j, and theta(x,n,n),
         # a unit over prod (v^(4j) - 1)^e, spans -4 sum j e over its
-        # binomial vector.  The total's dense list spans 4 per step.
+        # binomial vector.  The total's coefficients lie 4 apart in v.
         log.debug(
             "colored_jones n=%d: L has %d binomial factors, span %d "
             "(product of thetas %d); total span %d before the peel; "
@@ -282,19 +278,18 @@ def colored_jones(params, N):
             "total max |coef| %d bits; %d packed multiplies, %d packed adds",
             n, sum(map(abs, beta.values())), 4 * sum(j * b for j, b in beta.items()),
             sum(-4 * j * e for x in q for j, e in theta_factors(x, n, n)[1].items()),
-            4 * max(len(coeffs) - 1, 0), 8 * table.width, 8 * ring.width,
-            ring.bound.bit_length(), max(map(abs, coeffs), default=0).bit_length(),
+            4 * max(len(total.coeffs) - 1, 0), 8 * table.width, 8 * ring.width,
+            ring.bound.bit_length(), max(map(abs, total.coeffs), default=0).bit_length(),
             table.muls + ring.muls - muls, table.adds + ring.adds - adds,
         )
-    # coeffs, at v^lo, v^(lo+4), ..., is J_sum L^4; divide L^4 out exactly.
-    coeffs = divide_binomials(coeffs, {j: 4 * b for j, b in beta.items()})
-
+    # The total is J_sum L^4; divide L^4 out exactly.
     prefactor = framing_power(n, -4 * params.u)
     sign = prefactor.sign * (-1 if n % 2 else 1)
-    at_one = sign * sum(coeffs)
-    if at_one != N:
-        raise ArithmeticError(f"J_{N}(1) = {at_one}, not {N}")
-    return LaurentPoly([sign * c for c in coeffs], lo + prefactor.exponent)
+    poly = exact_div(total, {j: 4 * b for j, b in beta.items()}).shift(
+        prefactor.exponent, sign)
+    if sum(poly.coeffs) != N:
+        raise ArithmeticError(f"J_{N}(1) = {sum(poly.coeffs)}, not {N}")
+    return poly
 
 
 def exponent_window(params, N):

@@ -24,11 +24,10 @@ once.  The width is proven from the binomials' values at q = 1, which
 bound every coefficient, and the coefficients read back must sum to the
 leaf's signed value at q = 1, or ArithmeticError is raised.  theta and
 delta6j are the leaves of the state sum's tables, and they return the
-dense form (coeffs, lo) in q = v^4 that PackedRing.pack reads:
-coeffs[i] is the coefficient of v^(lo + 4i), and zero is ([], 0).  No
-leaf is ever a LaurentPoly.  theta_factors states theta as a quotient of
-quantum factorials, the binomial vector by which jones divides L into
-its cofactors.
+LaurentPoly that PackedRing.dense reads back and PackedRing.pack takes,
+with no conversion between the two.  theta_factors states theta as a
+quotient of quantum factorials, the binomial vector by which jones
+divides L into its cofactors.
 
 dplus_theta and dplus_delta6j give the leaves' maximal degrees from the
 colors alone, never the knot; the brute-force degree oracle
@@ -50,7 +49,7 @@ from functools import lru_cache
 from math import comb, prod
 from typing import NamedTuple
 
-from .qlaurent import Packed, PackedRing, factorial_binomials, qint
+from .qlaurent import ONE, ZERO, Packed, PackedRing, factorial_binomials, qint
 
 
 class InadmissibleColoring(ValueError):
@@ -92,7 +91,7 @@ def circle(k):
 
 def theta_factors(a, b, c):
     """theta(a,b,c) as (unit, binomials), with theta = unit times the
-    quotient of 1 by divide_binomials(.., binomials).
+    quotient of 1 by exact_div(.., binomials).
 
     With h = (a+b+c)/2, theta = O^h [h]! / ([h-a]! [h-b]! [h-c]!)
     = (-1)^h [h+1]! / ([h-a]! [h-b]! [h-c]!), as O^h = (-1)^h [h+1].  The
@@ -105,7 +104,7 @@ def theta_factors(a, b, c):
 
 
 def theta(a, b, c):
-    """Theta net value, symmetric in a, b, c, in dense form (coeffs, lo).
+    """Theta net value, symmetric in a, b, c, as a LaurentPoly.
 
     With h = (a+b+c)/2, theta = (-1)^h [h+1] [h; h-a] [a; h-b], the
     factorial quotient of theta_factors regrouped into three quantum
@@ -131,7 +130,7 @@ def _gaussian_row(m, width):
     decides which products read back.
     """
     if m == 0:
-        return (PackedRing((1 << (8 * width - 1)) - 1).pack(([1], 0)),)
+        return (PackedRing((1 << (8 * width - 1)) - 1).pack(ONE),)
     prev = _gaussian_row(m - 1, width)
     ring = prev[0].ring
     half = [prev[0], *(prev[k - 1] + Packed(prev[k].value, 4 * k, ring)
@@ -140,9 +139,9 @@ def _gaussian_row(m, width):
 
 
 def _gaussian_sum(terms):
-    """The dense form (coeffs, lo) of the sum over terms (parity, pairs)
-    of (-1)^parity times the product of the quantum binomials [m; k] over
-    pairs; no terms give zero, ([], 0).
+    """The LaurentPoly sum over terms (parity, pairs) of (-1)^parity
+    times the product of the quantum binomials [m; k] over pairs; no
+    terms give ZERO.
 
     Each [m; k] is v^(-2k(m-k)) G(m, k), with G from _gaussian_row, so a
     term is a product of Packed rows shifted by a signed monomial, and
@@ -155,7 +154,7 @@ def _gaussian_sum(terms):
     ArithmeticError is raised.
     """
     if not terms:
-        return [], 0
+        return ZERO
     sizes = [prod(comb(m, k) for m, k in pairs) for _, pairs in terms]
     width = PackedRing(sum(sizes)).width
     total = 0
@@ -164,12 +163,12 @@ def _gaussian_sum(terms):
         monomial = SignedMonomial(-1 if parity else 1,
                                   -2 * sum(k * (m - k) for m, k in pairs))
         total = prod(factors[1:], start=factors[0]).shift(monomial) + total
-    coeffs, lo = total.ring.dense(total)
+    poly = total.ring.dense(total)
     at_one = sum(-size if parity else size for (parity, _), size in zip(terms, sizes))
-    if sum(coeffs) != at_one:
+    if sum(poly.coeffs) != at_one:
         raise ArithmeticError(
-            f"coefficient sum {sum(coeffs)} is not the value {at_one} at q = 1")
-    return coeffs, lo
+            f"coefficient sum {sum(poly.coeffs)} is not the value {at_one} at q = 1")
+    return poly
 
 
 def framing_power(a, w):
@@ -210,14 +209,14 @@ def _delta_frame(a, b, c, alpha, beta, gamma):
 
 def delta6j(a, b, c, alpha, beta, gamma):
     """The 6j/theta quotient of the triangle move, as an alternating z-sum,
-    in dense form (coeffs, lo).
+    a LaurentPoly.
 
     The z-term is (-1)^(z+half) [z+1; half+1] times the product of the
     [tops[i]; z - offsets[i]], with [m; k] = [m]! / ([k]! [m-k]!), and
     _gaussian_sum builds and adds the terms.  z runs over exactly the
     indices for which all four quantum binomials have in-range arguments;
-    an empty range gives zero, ([], 0), so that state sums can skip
-    vanishing summands uniformly.
+    an empty range gives ZERO, so that state sums can skip vanishing
+    summands uniformly.
 
     The z-terms lie in one coset mod 4, as their packed sum requires: from
     z to z + 1 the lowest exponent of the term moves by

@@ -18,23 +18,21 @@ two coefficient tuples.  It has no sum; sums are packed.  In q = v^4 a
 quotient of quantum factorials is a monomial times a product of powers
 of binomials q^j - 1, and factorial_binomials states it as that monomial
 and binomial vector.  Every denominator of the state sum is a unit times
-such a product, so the one division, divide_binomials, divides a dense
-coefficient list in q by a product of binomials only, in one pass per
-binomial, with the remainder checked each time.  It builds L, the
-cofactors L / theta(x,n,n) and the final division by L^4 (ktg builds the
-theta and 6j leaves from Gaussian binomials), and exact_div wraps it for
-the LaurentPoly dividends, L and the cofactors; the final division takes
-the packed total's dense list directly.
+such a product, so the one division, exact_div, divides a LaurentPoly
+by a product of binomials only, in one pass per binomial over its
+coefficients in q, with the remainder checked each time.  It builds L,
+the cofactors L / theta(x,n,n) and the final division of the state
+sum's total by L^4 (ktg builds the theta and 6j leaves from Gaussian
+binomials).
 
 Kronecker substitution lives only in PackedRing, which keeps whole
 computations packed: its values are Laurent polynomials of one coset
 v^k Z[v^4], held as integers evaluated at v^4 = 2^w, so that a sum of
 products is big-integer arithmetic from the packed factors to the one
 result that is read back from fixed-width slots, sized from a bound on
-the coefficients when the ring is built.  A ring packs dense forms
-(coeffs, lo), the form the building blocks are made in and the fields of
-every LaurentPoly, and reads a packed value back into that form
-(PackedRing.dense).  Values with small coefficients can be summed in a
+the coefficients when the ring is built.  A ring packs LaurentPolys, the
+form the building blocks are made in, and reads a packed value back into
+one (PackedRing.dense).  Values with small coefficients can be summed in a
 ring of narrow slots and then widened into a ring of wider slots for the
 products whose coefficients are large, so that no big-integer product
 carries slot width it does not need.
@@ -42,9 +40,9 @@ carries slot width it does not need.
 Conventions:
   - the quantum integer [k] is sum_{i=0..k-1} v^(2k-2-4i), so [0] = 0,
     [1] = 1, [2] = v^2 + v^-2;
-  - a dense form (coeffs, lo) lists the coefficients at exponents lo,
-    lo + 4, ..., ascending; a LaurentPoly's coeffs are a tuple with
-    nonzero ends, and the zero polynomial is ((), 0);
+  - a LaurentPoly (coeffs, lo) lists the coefficients at exponents lo,
+    lo + 4, ..., ascending, in a tuple with nonzero ends, and the zero
+    polynomial is ((), 0);
   - canonical text form is "coeff*v^exp" terms joined by " + " in
     descending exponent order, e.g. "1*v^2 + 1*v^-2";
   - JSON form is a list of [exponent, "coefficient"] pairs, descending
@@ -232,16 +230,15 @@ class PackedRing:
         self.muls = 0
         self.adds = 0
 
-    def pack(self, dense):
-        """The packed value of a dense form (coeffs, lo), a list or a
-        LaurentPoly's tuple; an empty list packs to zero."""
-        coeffs, lo = dense
+    def pack(self, poly):
+        """The packed value of the LaurentPoly poly; zero packs to zero."""
+        coeffs = poly.coeffs
         width = self.width
         half = 1 << (8 * width - 1)
         biased = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
         bias = half.to_bytes(width, "little") * len(coeffs)
         value = int.from_bytes(biased, "little") - int.from_bytes(bias, "little")
-        return Packed(value, lo, self)
+        return Packed(value, poly.lo, self)
 
     def _biased_slots(self, value):
         """(raw, count, half): value plus the bias, as the bytes of count
@@ -260,20 +257,14 @@ class PackedRing:
         return (value + bias).to_bytes(count * width, "little"), count, half
 
     def dense(self, packed):
-        """The dense form (coeffs, lo) of a packed value, the form pack
-        takes, from its lowest to its highest nonzero slot; zero gives
-        ([], 0).  Any value reads back (_biased_slots)."""
+        """The LaurentPoly of a packed value, the form pack takes, read
+        from every slot; the constructor trims the zero ends.  Any value
+        reads back (_biased_slots)."""
         width = self.width
         raw, count, half = self._biased_slots(packed.value)
         from_bytes = int.from_bytes
-        coeffs = [from_bytes(raw[i:i + width], "little") - half
-                  for i in range(0, count * width, width)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if not coeffs:
-            return [], 0
-        start = next(k for k, c in enumerate(coeffs) if c)
-        return coeffs[start:], packed.lo + 4 * start
+        return LaurentPoly([from_bytes(raw[i:i + width], "little") - half
+                            for i in range(0, count * width, width)], packed.lo)
 
     def widen(self, packed):
         """The value packed of a ring with slots no wider than this
@@ -350,9 +341,9 @@ def qint(k):
 def factorial_binomials(numerator, denominator):
     """The quotient prod [m]! over numerator / prod [m]! over denominator,
     as (exponent, binomials): the quotient is v^exponent times the
-    quotient of 1 by divide_binomials, when it is a Laurent polynomial.
+    quotient of 1 by exact_div, when it is a Laurent polynomial.
 
-    The vector is the divisor's, the sign convention of divide_binomials:
+    The vector is the divisor's, the sign convention of exact_div:
     (j, e) stands for (q^j - 1)^(-e) in the quotient, q = v^4.  It
     follows from [m]! = v^(-m(m-1)) (q - 1)^(-m) prod_{j<=m} (q^j - 1), as
     [j] = v^(-2(j-1)) (q^j - 1)/(q - 1).  Entries that cancel are left out.
@@ -370,18 +361,17 @@ def factorial_binomials(numerator, denominator):
 # -- exact division -----------------------------------------------------
 
 
-def divide_binomials(coeffs, binomials):
-    """The dense quotient of the dense coeffs, in q = v^4, by
-    prod (q^j - 1)^e over the (j, e) items of binomials, j >= 1; a
-    negative e multiplies.
+def exact_div(p, binomials):
+    """Exact quotient of the LaurentPoly p by prod (v^(4j) - 1)^e over the
+    (j, e) items of binomials, j >= 1; a negative e multiplies.  The
+    quotient keeps p's lo, and p is left as it was.
 
-    Every product is applied, and then every division.  Over 1 - q^j
-    instead of q^j - 1, a product is a subtraction of the list shifted by
-    j, and a quotient is a running sum along each residue class mod j,
-    whose top j entries are the remainder and must be zero; each factor's
-    sign flip is applied once at the end.  A nonzero remainder raises
-    NonExactDivision.  The division works in place on coeffs, which the
-    caller gives up.
+    Every product is applied, and then every division, to a copy of p's
+    coefficients in q = v^4.  Over 1 - q^j instead of q^j - 1, a product
+    is a subtraction of the list shifted by j, and a quotient is a running
+    sum along each residue class mod j, whose top j entries are the
+    remainder and must be zero; each factor's sign flip is applied once at
+    the end.  A nonzero remainder raises NonExactDivision.
 
     The division stays the integrality tripwire of the state sum.  Write
     the divisor as N'/D, with N' and D the products of the binomials of
@@ -390,6 +380,7 @@ def divide_binomials(coeffs, binomials):
     division of the chain on T D is exact: each factor of N' divides what
     is left of T D exactly when the rest of N' divides the quotient.
     """
+    coeffs = list(p.coeffs)
     sign = 1
     for j, e in binomials.items():
         for _ in range(-e):
@@ -403,13 +394,4 @@ def divide_binomials(coeffs, binomials):
                 raise NonExactDivision(f"nonzero remainder mod v^{4 * j} - 1")
             del coeffs[-j:]
             sign = -sign
-    return coeffs if sign > 0 else [-c for c in coeffs]
-
-
-def exact_div(p, binomials):
-    """Exact quotient of the LaurentPoly p by prod (v^(4j) - 1)^e over the
-    (j, e) items of binomials: divide_binomials on a copy of p's
-    coefficient list, so p is left as it was; the quotient keeps p's lo.
-    A nonzero remainder raises NonExactDivision.
-    """
-    return LaurentPoly(divide_binomials(list(p.coeffs), binomials), p.lo)
+    return LaurentPoly(coeffs if sign > 0 else [-c for c in coeffs], p.lo)

@@ -35,26 +35,19 @@
   summand     one exact state-sum term, which the flat oracle of
               tests/test_jones.py sums term by term against the packed
               two-level sum of colored_jones
-  unpack      a packed value read back as a LaurentPoly, through
-              PackedRing.dense: the tests' view of a packed result
-  leaf_poly, theta, delta6j
-              the polynomial view of ktg's leaves: ktg.theta and
-              ktg.delta6j return a dense coefficient list in q = v^4 and
-              its lowest exponent, the fields of a LaurentPoly, and the
-              tests read them as LaurentPoly through leaf_poly
   factorial_theta, factorial_delta6j
               the factorial route to ktg's leaves, which ktg's packed
               Gaussian rows replaced: each theta and 6j z-term one
-              exact divide_binomials of [+/-1] by the binomial vector of
-              its quotient of quantum factorials, so a wrong vector
-              raises NonExactDivision
+              exact_div of +/-v^exponent by the binomial vector of its
+              quotient of quantum factorials, so a wrong vector raises
+              NonExactDivision
   bd_tetrahedron
               Tet(b,n,n,d,n,n) = delta6j(b,n,n,d,n,n) theta(b,n,n), ktg's
-              two leaves multiplied by the schoolbook convolution of their
-              dense lists: the tetrahedral-symmetry oracle, whose
-              identity Tet(b,n,n,d,n,n) = Tet(d,n,n,b,n,n) checks the
-              z-sum's faces and signs without the factorial or qbinom
-              products that the other 6j oracles share with it
+              two leaves multiplied by term_pair_product: the
+              tetrahedral-symmetry oracle, whose identity
+              Tet(b,n,n,d,n,n) = Tet(d,n,n,b,n,n) checks the z-sum's
+              faces and signs without the factorial or qbinom products
+              that the other 6j oracles share with it
   orthogonality
               both sides of the orthogonality of the 6j quotients,
               sum_j Delta_j Tet Tet / (theta theta) = delta_ik theta
@@ -79,14 +72,21 @@ from functools import lru_cache
 
 from knotslope import ktg
 from knotslope.degopt import classify
-from knotslope.ktg import SignedMonomial, circle, framing_power, is_admissible
+from knotslope.ktg import (
+    SignedMonomial,
+    circle,
+    delta6j,
+    framing_power,
+    is_admissible,
+    theta,
+)
 from knotslope.qlaurent import (
     ONE,
     ZERO,
     LaurentPoly,
     NonExactDivision,
     PackedRing,
-    divide_binomials,
+    exact_div,
     factorial_binomials,
     qint,
 )
@@ -130,41 +130,18 @@ def sub(p, q):
     return add(p, q.shift(0, -1))
 
 
-def unpack(ring, packed):
-    """The LaurentPoly of a value packed in ring, from ring.dense; zero
-    gives the zero polynomial.  The package reads packed values back as
-    dense lists only."""
-    return LaurentPoly(*ring.dense(packed))
-
-
-def leaf_poly(dense):
-    """The LaurentPoly of a dense form (coeffs, lo) in q = v^4."""
-    return LaurentPoly(*dense)
-
-
-def theta(a, b, c):
-    """ktg.theta as a LaurentPoly."""
-    return leaf_poly(ktg.theta(a, b, c))
-
-
-def delta6j(a, b, c, alpha, beta, gamma):
-    """ktg.delta6j as a LaurentPoly."""
-    return leaf_poly(ktg.delta6j(a, b, c, alpha, beta, gamma))
-
-
 def factorial_theta(a, b, c):
-    """theta(a,b,c) in dense form by the factorial route: theta_factors'
-    quotient of quantum factorials as one divide_binomials of [+/-1], so
-    a wrong binomial vector raises NonExactDivision."""
+    """theta(a,b,c) by the factorial route: theta_factors' quotient of
+    quantum factorials as one exact_div of its unit, so a wrong binomial
+    vector raises NonExactDivision."""
     unit, binomials = ktg.theta_factors(a, b, c)
-    return divide_binomials([unit.sign], binomials), unit.exponent
+    return exact_div(LaurentPoly((unit.sign,), unit.exponent), binomials)
 
 
 def factorial_delta6j(a, b, c, alpha, beta, gamma):
-    """delta6j in dense form by the factorial route: each z-term is one
-    divide_binomials of [+/-1] by its factorial quotient's binomial
-    vector, added into one list at the offset (exponent - lo) / 4 from
-    the lowest exponent lo."""
+    """delta6j by the factorial route: each z-term is one exact_div of
+    +/-v^exponent by its factorial quotient's binomial vector, and the
+    terms are added."""
     half, tops, offsets, zlo, zhi = ktg._delta_frame(a, b, c, alpha, beta, gamma)
     terms = []
     for z in range(zlo, zhi + 1):
@@ -172,27 +149,15 @@ def factorial_delta6j(a, b, c, alpha, beta, gamma):
         exponent, binomials = factorial_binomials((z + 1, *tops),
                                                   (half + 1, z - half, *bottoms))
         sign = -1 if (z + half) % 2 else 1
-        terms.append((divide_binomials([sign], binomials), exponent))
-    lo = min((exponent for _, exponent in terms), default=0)
-    acc = [0] * max(((exponent - lo) // 4 + len(coeffs) for coeffs, exponent in terms),
-                    default=0)
-    for coeffs, exponent in terms:
-        start = (exponent - lo) // 4
-        for i, x in enumerate(coeffs):
-            acc[start + i] += x
-    return acc, lo
+        terms.append(exact_div(LaurentPoly((sign,), exponent), binomials))
+    return add(*terms)
 
 
 def bd_tetrahedron(b, d, n):
-    """The dense form of delta6j(b,n,n,d,n,n) theta(b,n,n) in q = v^4,
-    the tetrahedron with faces (b,n,n), (b,n,n), (d,n,n) and (d,n,n).
-    Both leaves are nonzero for even b, d in [0, 2n]."""
-    (x, lx), (y, ly) = ktg.delta6j(b, n, n, d, n, n), ktg.theta(b, n, n)
-    out = [0] * (len(x) + len(y) - 1)
-    for i, c in enumerate(x):
-        for j, e in enumerate(y):
-            out[i + j] += c * e
-    return out, lx + ly
+    """delta6j(b,n,n,d,n,n) theta(b,n,n), the tetrahedron with faces
+    (b,n,n), (b,n,n), (d,n,n) and (d,n,n).  Both leaves are nonzero for
+    even b, d in [0, 2n]."""
+    return term_pair_product(delta6j(b, n, n, d, n, n), theta(b, n, n))
 
 
 def orthogonality(a, b, c, d):
@@ -214,13 +179,13 @@ def orthogonality(a, b, c, d):
     binomials (q^m - 1)^e, q = v^4, with e of either sign.  D is the
     product of (q^m - 1)^M_m with M_m the largest -e over j, so that
     Delta_j D / (theta(j,a,d) theta(j,b,c)) is Delta_j times binomials
-    only, which divide_binomials multiplies out.  Both sides times
-    Delta_i D are then products of ktg's leaves and these lists, formed in
-    one PackedRing whose bound is an l1 bound of either side, so each
-    side reads back exactly.  Nothing here evaluates a z-sum.
+    only, which exact_div multiplies out.  Both sides times Delta_i D
+    are then products of ktg's leaves and these quotients, formed in one
+    PackedRing whose bound is an l1 bound of either side, so each side
+    reads back exactly.  Nothing here evaluates a z-sum.
     """
-    def l1(dense):
-        return sum(map(abs, dense[0]))
+    def l1(poly):
+        return sum(map(abs, poly.coeffs))
 
     colors = [i for i in range(abs(a - b), a + b + 1, 2) if is_admissible(i, c, d)]
     js = [j for j in range(abs(a - d), a + d + 1, 2) if is_admissible(j, b, c)]
@@ -235,13 +200,12 @@ def orthogonality(a, b, c, d):
             clear[m] = max(clear.get(m, 0), -x)
     factor = {}
     for j, (unit, vector) in inverse.items():
-        delta = circle(j)
-        factor[j] = divide_binomials(list(delta.coeffs), {m: -(vector.get(m, 0) + x)
-                                                          for m, x in clear.items()}), delta.lo
-    common = divide_binomials([1], {m: -x for m, x in clear.items()}), 0
-    deltas = {i: (circle(i).coeffs, circle(i).lo) for i in colors}
-    thetas = {i: (ktg.theta(i, a, b), ktg.theta(i, c, d)) for i in colors}
-    leaves = {(i, j): ktg.delta6j(i, a, b, j, c, d) for i in colors for j in js}
+        factor[j] = exact_div(circle(j), {m: -(vector.get(m, 0) + x)
+                                          for m, x in clear.items()})
+    common = exact_div(ONE, {m: -x for m, x in clear.items()})
+    deltas = {i: circle(i) for i in colors}
+    thetas = {i: (theta(i, a, b), theta(i, c, d)) for i in colors}
+    leaves = {(i, j): delta6j(i, a, b, j, c, d) for i in colors for j in js}
     bound = max((max(l1(deltas[i]) * sum(l1(leaves[i, j]) * l1(leaves[k, j]) * l1(factor[j])
                                          for j in js) * l1(thetas[i][0]) * l1(thetas[k][0]),
                      l1(thetas[i][0]) * l1(thetas[i][1]) * l1(common))
@@ -252,10 +216,10 @@ def orthogonality(a, b, c, d):
     weight = {j: pack(factor[j]).shift(inverse[j][0]) for j in js}
     sides = {}
     for i in colors:
-        rhs = unpack(ring, pack(thetas[i][0]) * pack(thetas[i][1]) * pack(common))
+        rhs = ring.dense(pack(thetas[i][0]) * pack(thetas[i][1]) * pack(common))
         for k in colors:
             lhs = pack(deltas[i]) * sum(tet[i, j] * tet[k, j] * weight[j] for j in js)
-            sides[i, k] = unpack(ring, lhs), rhs if i == k else ZERO
+            sides[i, k] = ring.dense(lhs), rhs if i == k else ZERO
     return sides
 
 

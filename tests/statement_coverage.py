@@ -10,6 +10,8 @@ line tracer (the standard library has no coverage tool) with
 --hypothesis-seed=0.  It prints every never-run line that no TRIPWIRES
 entry covers, and every TRIPWIRES statement that did run (a reachable
 statement needs a test, not an entry), and exits 1 if there is either.
+Its summary also prints the executable lines of each module, the
+package's size as the interpreter counts it.
 The tracer makes the suite about four times slower, so pytest does not
 collect this file; run it as
 
@@ -217,10 +219,10 @@ def main(argv):
         print("statement coverage: src/knotslope changed during the run")
         return 1
     missed, reached = [], []
-    total = 0
+    sizes = {}
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
-        total += len(lines)
+        sizes[path.stem] = len(lines)
         ran = executed.get(str(path.resolve()), set())
         source = path.read_text().splitlines()
         excused = set()
@@ -235,8 +237,9 @@ def main(argv):
         print(entry)
     for entry in reached:
         print(f"{entry}  (on TRIPWIRES, but ran)")
-    print(f"statement coverage: {len(missed)} of {total} executable lines in "
-          f"src/knotslope never ran and are not on TRIPWIRES; "
+    print("executable lines: " + ", ".join(f"{name} {n}" for name, n in sizes.items()))
+    print(f"statement coverage: {len(missed)} of {sum(sizes.values())} executable lines "
+          f"in src/knotslope never ran and are not on TRIPWIRES; "
           f"{len(reached)} TRIPWIRES statements ran")
     return 1 if missed or reached else 0
 

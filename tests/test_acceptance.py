@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from oracles import delta6j, ending_u, theta
+from oracles import ending_u
 
 from knotslope.cli import main
 from knotslope.degopt import (
@@ -28,7 +28,7 @@ from knotslope.edgepath import (
     twist,
 )
 from knotslope.jones import KnotParams, colored_jones
-from knotslope.ktg import dplus_delta6j, dplus_theta
+from knotslope.ktg import delta6j, dplus_delta6j, dplus_theta, theta
 from knotslope.pipeline import predict
 from knotslope.qlaurent import ONE
 

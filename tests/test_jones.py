@@ -12,13 +12,10 @@ from oracles import (
     add,
     binomial_product,
     cyclotomic,
-    delta6j,
     from_terms,
     habiro_coefficients,
-    leaf_poly,
     schoolbook_div,
     summand,
-    theta,
     theta_exponents,
 )
 
@@ -39,7 +36,7 @@ from knotslope.jones import (
     lcm_binomials,
     theta_lcm_exponents,
 )
-from knotslope.ktg import circle, framing_power, theta_factors
+from knotslope.ktg import circle, delta6j, framing_power, theta, theta_factors
 from knotslope.qlaurent import (
     ONE,
     ZERO,
@@ -386,6 +383,30 @@ def test_colored_jones_debug_line_pins(caplog):
         assert debug_counts(KnotParams(*tup), 8, caplog)[0] == line, tup
 
 
+def test_every_division_is_an_exact_div_call(fresh_state_tables, monkeypatch, caplog):
+    # colored_jones divides only through exact_div, the one binding the
+    # benchmark's tracer wraps.  A cold call at N = 4 makes n + 3 = 6
+    # calls: L out of 1, L by each theta(x,3,3) for its n + 1 cofactors,
+    # then the total by L^4.  The last dividend is the total, whose span
+    # the DEBUG line logs; warm, at N = 8, it is the only call, and its
+    # span is the one DEBUG_LINES pins.
+    dividends = []
+    divide = jones_mod.exact_div
+    monkeypatch.setattr(jones_mod, "exact_div",
+                        lambda p, binomials: dividends.append(p) or divide(p, binomials))
+    line = debug_counts(KnotParams(-3, 2, 3, -3), 4, caplog)[0]
+    lcm = cyclotomic_power_product(theta_lcm_exponents(3))
+    assert dividends[:5] == [ONE] + [lcm] * 4 and len(dividends) == 6
+    total = dividends[-1]
+    assert f"; total span {total.max_deg - total.min_deg} before the peel;" in line
+    _state_tables(7)
+    for tup, pinned in DEBUG_LINES.items():
+        dividends.clear()
+        colored_jones(KnotParams(*tup), 8)
+        [total] = dividends
+        assert f"; total span {total.max_deg - total.min_deg} before the peel;" in pinned
+
+
 def test_l1_bound_covers_the_total(monkeypatch):
     # The same fold over dict-arithmetic factors (the identity leaf map),
     # each term twisted by its framing as a LaurentPoly shift, is the
@@ -422,7 +443,7 @@ def test_l1_bound_covers_the_total(monkeypatch):
                     assert max(abs(c) for _, c in partial.terms()) <= table.bound, (n, b)
                 total = add(total, (qb * rb).shift(fs[b].exponent, fs[b].sign))
 
-            assert [d for rg, d in reads if rg is ring] == [(list(total.coeffs), total.lo)]
+            assert [d for rg, d in reads if rg is ring] == [total]
             reads.clear()
             assert max(abs(c) for _, c in total.terms()) <= ring.bound
 
@@ -514,17 +535,12 @@ def test_colored_jones_rejects_too_narrow_table_slots(fresh_state_tables, monkey
 
 
 def seed_total(monkeypatch, fault):
-    """Make colored_jones at N = 4 read back fault(T) for its total T, as
-    LaurentPolys.  The tables are built first, so the one PackedRing.dense
-    call left in colored_jones is the total's read-back."""
+    """Make colored_jones at N = 4 read back fault(T) for its total T.  The
+    tables are built first, so the one PackedRing.dense call left in
+    colored_jones is the total's read-back."""
     _state_tables(3)
     dense = PackedRing.dense
-
-    def read_back(ring, packed):
-        total = fault(leaf_poly(dense(ring, packed)))
-        return list(total.coeffs), total.lo
-
-    monkeypatch.setattr(PackedRing, "dense", read_back)
+    monkeypatch.setattr(PackedRing, "dense", lambda ring, packed: fault(dense(ring, packed)))
 
 
 def test_colored_jones_checks_the_final_division(fresh_state_tables, monkeypatch):

@@ -8,17 +8,13 @@ from hypothesis import strategies as st
 from oracles import (
     add,
     bd_tetrahedron,
-    delta6j,
     factorial_delta6j,
     factorial_theta,
-    leaf_poly,
     orthogonality,
     qbinom,
     qfact,
     schoolbook_div,
     sub,
-    theta,
-    unpack,
 )
 
 from knotslope import ktg
@@ -28,10 +24,12 @@ from knotslope.ktg import (
     InadmissibleColoring,
     NonRealPhase,
     circle,
+    delta6j,
     dplus_delta6j,
     dplus_theta,
     framing_power,
     is_admissible,
+    theta,
 )
 from knotslope.qlaurent import (
     ONE,
@@ -151,31 +149,40 @@ def test_bd_leaves_have_tetrahedral_symmetry():
                 assert bd_tetrahedron(b, d, n) == bd_tetrahedron(d, b, n), (b, d, n)
 
 
+# Values at the edges of pack and dense besides the leaves: zero slots at
+# either end, which the constructor trims, zero itself, and negative top
+# coefficients.
+EDGE_VALUES = (LaurentPoly([0, 0, 5, -3, 0], -6), LaurentPoly([0, 7, 0, 0], 3), ZERO,
+               LaurentPoly([4, 0, -9], 2), LaurentPoly([0, -1, 0], -8))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_packing_a_leaf_equals_packing_its_polynomial(data):
-    # The state sum packs each theta and 6j leaf straight from its dense
-    # list; the packed value is the one its LaurentPoly packs to, so the
-    # leaf's list has nonzero ends and its lo is the lowest exponent.
+    # The state sum packs each theta and 6j leaf as it comes from ktg; the
+    # packed value is the leaf's polynomial evaluated at v^4 = 2^w, and
+    # dense reads the leaf back, so its coefficients have nonzero ends and
+    # its lo is the lowest exponent.  The same holds for EDGE_VALUES.
     n = data.draw(st.integers(0, 7))
     color = st.integers(0, n).map(lambda k: 2 * k)
     a, b, c, d = (data.draw(color) for _ in range(4))
-    leaves = [ktg.delta6j(b, n, n, d, n, n)]
+    leaves = [ktg.delta6j(b, n, n, d, n, n), *EDGE_VALUES]
     if is_admissible(a, b, c):
         leaves += [ktg.theta(a, b, c), ktg.delta6j(a, b, c, n, n, n)]
     for leaf in leaves:
-        poly = leaf_poly(leaf)
-        norm = sum(abs(x) for _, x in poly.terms())
+        norm = sum(abs(x) for _, x in leaf.terms())
         ring = PackedRing(max(norm, 1) * data.draw(st.integers(1, 2 ** 70)))
-        packed, reference = ring.pack(leaf), ring.pack((poly.coeffs, poly.lo))
-        assert (packed.value, packed.lo) == (reference.value, reference.lo)
-        assert unpack(ring, packed) == poly
+        packed = ring.pack(leaf)
+        w = 8 * ring.width
+        assert packed.value == sum(x << (w * k) for k, x in enumerate(leaf.coeffs))
+        assert packed.lo == leaf.lo
+        assert ring.dense(packed) == leaf
 
 
 def test_leaves_match_the_factorial_route_on_state_sum_shapes():
     # The Gaussian-row leaves against the factorial route they replaced,
-    # one exact division of [+/-1] per theta and per 6j z-term, as dense
-    # forms, on every leaf shape of the state sum for n <= 9.
+    # one exact division of +/-v^exponent per theta and per 6j z-term, on
+    # every leaf shape of the state sum for n <= 9.
     shapes = 0
     for n in range(10):
         evens = range(0, 2 * n + 1, 2)
@@ -221,7 +228,7 @@ def test_leaves_raise_on_a_wrong_gaussian_row(monkeypatch):
 
     def one_too_many(m, width):
         entries = row(m, width)
-        return tuple(g if k in (0, m) else g + g.ring.pack(([1], 0))
+        return tuple(g if k in (0, m) else g + g.ring.pack(ONE)
                      for k, g in enumerate(entries))
 
     row.cache_clear()

@@ -17,7 +17,6 @@ from oracles import (
     schoolbook_div,
     sub,
     term_pair_product,
-    unpack,
 )
 
 from knotslope.ktg import SignedMonomial
@@ -148,8 +147,8 @@ def test_exact_div_examples():
 
 
 def test_exact_div_leaves_its_dividend_unchanged():
-    # divide_binomials works in place on the list it is given; exact_div
-    # gives it a copy, so neither the shared ONE nor p changes.
+    # exact_div works in place on a copy of p's coefficients, so neither
+    # the shared ONE nor p changes.
     p = qint(5) * qint(3)
     records = [(x.coeffs, x.lo) for x in (ONE, p)]
     assert exact_div(ONE, {2: -1, 3: -2}) == binomial_product({2: 1, 3: 2})
@@ -330,11 +329,6 @@ def test_mul_small_and_sparse_operands_take_loop():
     assert qint(2) * qint(2) == from_terms({4: 1, 0: 2, -4: 1})
 
 
-def pack(ring, p):
-    """The LaurentPoly p packed in ring, from its record."""
-    return ring.pack((p.coeffs, p.lo))
-
-
 def l1_norm(p):
     return sum(abs(c) for _, c in p.terms())
 
@@ -342,7 +336,7 @@ def l1_norm(p):
 def packed_product(a, b, bound):
     """a * b for term maps a, b, through a PackedRing(bound)."""
     ring = PackedRing(bound)
-    return unpack(ring, pack(ring, from_terms(a)) * pack(ring, from_terms(b)))
+    return ring.dense(ring.pack(from_terms(a)) * ring.pack(from_terms(b)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,15 +397,13 @@ def test_packed_ring_matches_dict_arithmetic(operands):
     bound = max(*norms, norms[0] * norms[1] + norms[2])
     product = p * q
     ring = PackedRing(bound)
-    pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
-    packed = pp * pq
-    assert unpack(ring, packed) == product
-    assert ring.dense(packed) == (list(product.coeffs), product.lo)
-    assert unpack(ring, pp * pq + pr) == add(product, r)
-    assert unpack(ring, sum([pr, pp * pq])) == add(product, r)
+    pp, pq, pr = ring.pack(p), ring.pack(q), ring.pack(r)
+    assert ring.dense(pp * pq) == product
+    assert ring.dense(pp * pq + pr) == add(product, r)
+    assert ring.dense(sum([pr, pp * pq])) == add(product, r)
     # Cancellation to zero, in the same coset and at another lowest exponent.
-    assert unpack(ring, pp * pq + pack(ring, product.shift(0, -1))) == ZERO
-    assert unpack(ring, pr + pack(ring, r.shift(0, -1))) == ZERO
+    assert ring.dense(pp * pq + ring.pack(product.shift(0, -1))) == ZERO
+    assert ring.dense(pr + ring.pack(r.shift(0, -1))) == ZERO
     assert ring.muls == 4
 
 
@@ -424,29 +416,29 @@ def test_packed_shift_matches_laurent_shift(operands, sign, exponent):
     m = SignedMonomial(sign, exponent)
     norms = [l1_norm(x) for x in (p, q, r)]
     ring = PackedRing(max(*norms, norms[0] * norms[1] + norms[2]))
-    pp, pq, pr = pack(ring, p), pack(ring, q), pack(ring, r)
+    pp, pq, pr = ring.pack(p), ring.pack(q), ring.pack(r)
     for x, packed in ((p, pp), (q, pq), (r, pr)):
-        assert unpack(ring, packed.shift(m)) == x.shift(exponent, sign)
+        assert ring.dense(packed.shift(m)) == x.shift(exponent, sign)
     total = add(p * q, r).shift(exponent, sign)
-    assert unpack(ring, (pp * pq + pr).shift(m)) == total
-    assert unpack(ring, pp.shift(m) * pq + pr.shift(m)) == total
-    assert unpack(ring, pp * pq.shift(m) + pr.shift(m)) == total
+    assert ring.dense((pp * pq + pr).shift(m)) == total
+    assert ring.dense(pp.shift(m) * pq + pr.shift(m)) == total
+    assert ring.dense(pp * pq.shift(m) + pr.shift(m)) == total
     assert ring.muls == 3
 
 
 def test_packed_sum_across_cosets_raises():
     ring = PackedRing(3)
-    two, one = pack(ring, qint(2)), pack(ring, ONE)  # v^2 + v^-2 and 1
+    two, one = ring.pack(qint(2)), ring.pack(ONE)  # v^2 + v^-2 and 1
     with pytest.raises(ArithmeticError):
         two + one
     # Zero lies in every coset; v^4 * 1 lies in the coset of 1.
-    assert unpack(ring, two + pack(ring, ZERO)) == qint(2)
-    assert unpack(ring, one + pack(ring, from_terms({4: -3}))) == from_terms({0: 1, 4: -3})
+    assert ring.dense(two + ring.pack(ZERO)) == qint(2)
+    assert ring.dense(one + ring.pack(from_terms({4: -3}))) == from_terms({0: 1, 4: -3})
 
 
 @st.composite
 def widen_operands(draw):
-    """(narrow bound, wide bound, forms): one to three dense forms with
+    """(narrow bound, wide bound, forms): one to three LaurentPolys with
     lowest exponents in one coset mod 4, whose sum fits the slots of
     PackedRing(narrow bound); the wide bound is at least the narrow one,
     and often of the same slot width."""
@@ -456,17 +448,18 @@ def widen_operands(draw):
     top = ((1 << (8 * PackedRing(narrow).width - 1)) - 1) // count
     coefficient = st.one_of(st.sampled_from([top, -top]), st.integers(-top, top))
     coset = draw(st.integers(0, 3))
-    forms = [(draw(st.lists(coefficient, max_size=12)),
-              coset + 4 * draw(st.integers(-6, 6))) for _ in range(count)]
+    forms = [LaurentPoly(draw(st.lists(coefficient, max_size=12)),
+                         coset + 4 * draw(st.integers(-6, 6))) for _ in range(count)]
     return narrow, wide, forms
 
 
 @settings(max_examples=150, deadline=None)
 @given(widen_operands())
-@example((300, 2 ** 70, [([], 0)]))
-@example((1, 1, [([127, -127, 0, 5], -3)]))
-@example((2 ** 64, 2 ** 100, [([2 ** 71 - 1, -(2 ** 71 - 1), 0, 1], 7)]))
-@example((1000, 2 ** 90, [([1, -2, 3], 0), ([-4, 5], 8), ([6], -4)]))
+@example((300, 2 ** 70, [ZERO]))
+@example((1, 1, [LaurentPoly([127, -127, 0, 5], -3)]))
+@example((2 ** 64, 2 ** 100, [LaurentPoly([2 ** 71 - 1, -(2 ** 71 - 1), 0, 1], 7)]))
+@example((1000, 2 ** 90, [LaurentPoly([1, -2, 3], 0), LaurentPoly([-4, 5], 8),
+                          LaurentPoly([6], -4)]))
 def test_widen_matches_packing_in_the_wide_ring(operands):
     # Widening a packed sum from the narrow ring gives the value and lo
     # that the sum of the same forms packed in the wide ring has: at the
@@ -493,7 +486,7 @@ def test_widen_reads_any_value(narrow_bits, extra_bits, value, lo):
     narrow = PackedRing(2 ** narrow_bits)
     wide = PackedRing(2 ** (narrow_bits + extra_bits))
     packed = Packed(value, lo, narrow)
-    assert unpack(wide, wide.widen(packed)) == unpack(narrow, packed)
+    assert wide.dense(wide.widen(packed)) == narrow.dense(packed)
 
 
 def stride1_div(p, q):
