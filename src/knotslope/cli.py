@@ -3,7 +3,7 @@
 Subcommands:
   jones    compute one colored Jones polynomial
   degree   tabulate degrees by one of the four methods
-  slope    edgepath report (twists, slope, Euler ratios, admissibility)
+  slope    edgepath report (twists, slope, Euler ratios, E1-E4 flags)
   verify   run the identity checks over a parameter grid
 
 Each subparser names its handler with set_defaults(run=...), and main
@@ -139,7 +139,7 @@ def _cmd_slope(args):
     params = _params_from(args)
     side = edgepath.slope_report(params)
     print(json.dumps(side.report, sort_keys=True, indent=2))
-    failed = side.admissibility.failed()
+    failed = edgepath.failed_conditions(side.report["admissibility"])
     if failed:
         _print_mismatch(params.astuple(), failed)
         return 2

@@ -13,8 +13,8 @@ at the interpolated point.  Only the last edge can be partial in the
 systems built here.  Its traversal points are the uv of every vertex but
 the last, then the ending point; edge i runs from point i to point i+1.
 The sign of an edge is +1/-1 as v increases/decreases along it and its
-length is 1, or the fraction for the last edge.  A system is one edgepath
-per tangle; the admissibility conditions are
+length is 1, or the fraction for the last edge.  A system is the tuple
+of its edgepaths, one per tangle; the admissibility conditions are
 
   E1  each path starts at the vertex of its tangle fraction,
   E2  paths are minimal (every step is a diagram edge, no stopping,
@@ -22,6 +22,10 @@ per tangle; the admissibility conditions are
   E3  ending points share one u-coordinate and their v-coordinates sum
       to zero,
   E4  paths proceed monotonically right to left.
+
+check_admissible states them once, as the report's flags, a dict of
+booleans keyed "E1".."E4" and "lemma41"; failed_conditions lists the
+false names among E1-E4.
 
 The twist of a system is the sum of -2 * sign * length over its edges;
 boundary slopes are twist differences against the Seifert system.
@@ -89,38 +93,9 @@ class Edgepath:
         return -2 * (sum(whole) + last * self.fraction)
 
 
-@dataclass(frozen=True)
-class EdgepathSystem:
-    paths: tuple
-
-    def ending_u(self):
-        return self.paths[0].points[-1][0]
-
-    def total_length(self):
-        return sum((p.length() for p in self.paths), Fraction(0))
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    e1: bool
-    e2: bool
-    e3: bool
-    e4: bool
-    lemma41: bool
-
-    def failed(self):
-        """The names of the conditions among E1-E4 that fail, in order."""
-        return [name for name, ok in (("E1", self.e1), ("E2", self.e2),
-                                      ("E3", self.e3), ("E4", self.e4)) if not ok]
-
-    def to_json(self):
-        return {"E1": self.e1, "E2": self.e2, "E3": self.e3, "E4": self.e4,
-                "lemma41": self.lemma41}
-
-
-def twist(system):
+def twist(paths):
     """Total twist: sum of -2 * sign * length over all edges."""
-    return sum((p.twist() for p in system.paths), Fraction(0))
+    return sum((p.twist() for p in paths), Fraction(0))
 
 
 def _seifert_chain(s, u):
@@ -136,11 +111,11 @@ def seifert_system(params):
     <1/t> to <0>; all three paths end at the origin vertex <0>.
     """
     r, s, t, u = params.astuple()
-    return EdgepathSystem((
+    return (
         Edgepath(Fraction(1, r), (Fraction(1, r), Fraction(0))),
         Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u)),
         Edgepath(Fraction(1, t), (Fraction(1, t), Fraction(0))),
-    ))
+    )
 
 
 def _chain_cut(params):
@@ -177,16 +152,16 @@ def gamma_system(params):
 
     chain1 = tuple(Fraction(1, r + i) for i in range(k + 2))
     zero = Fraction(0)
-    return EdgepathSystem((
+    return (
         Edgepath(Fraction(1, r), chain1, final_frac),
         Edgepath(Fraction(u, s * u - 1), _seifert_chain(s, u), Fraction(s, s + t - 1)),
         Edgepath(Fraction(1, t), (Fraction(1, t), zero), Fraction(t - 1, s + t - 1)),
-    ))
+    )
 
 
-def check_admissible(system):
-    """Evaluate E1-E4 and the essentiality direction test, without throwing."""
-    paths = system.paths
+def check_admissible(paths):
+    """Evaluate E1-E4 and the essentiality direction test, without
+    throwing: the report's flags {"E1", "E2", "E3", "E4", "lemma41"}."""
     e1 = all(p.vertices[0] == p.tangle for p in paths)
     e2 = all(_is_minimal(p.vertices) for p in paths)
     endings = [p.points[-1] for p in paths]
@@ -195,7 +170,12 @@ def check_admissible(system):
 
     signs = {p.signs()[-1] for p in paths}
     lemma41 = e3 and endings[0][0] > 0 and len(signs) == 1
-    return AdmissibilityReport(e1, e2, e3, e4, lemma41)
+    return {"E1": e1, "E2": e2, "E3": e3, "E4": e4, "lemma41": lemma41}
+
+
+def failed_conditions(flags):
+    """The names of the conditions among E1-E4 that fail, in order."""
+    return [name for name in ("E1", "E2", "E3", "E4") if not flags[name]]
 
 
 def _joined(x, y):
@@ -211,7 +191,7 @@ def _is_minimal(vertices):
             and not any(_joined(x, z) for x, z in zip(vertices, vertices[2:])))
 
 
-def euler_ratio(system):
+def euler_ratio(paths):
     """The ratio (Euler characteristic)/(number of sheets) of the surface.
 
     For a system whose paths end at u-coordinate u0 it is
@@ -221,8 +201,8 @@ def euler_ratio(system):
     with N = 3 tangles here.  The Seifert system ends at the origin vertex,
     u0 = 0, where this is 2 minus the total length.
     """
-    n_paths = len(system.paths)
-    return n_paths - system.total_length() - (n_paths - 2) / (1 - system.ending_u())
+    total_length = sum((p.length() for p in paths), Fraction(0))
+    return len(paths) - total_length - (len(paths) - 2) / (1 - paths[0].points[-1][0])
 
 
 def boundary_slope(seifert_twist, gamma_twist):
@@ -239,13 +219,12 @@ def boundary_slope(seifert_twist, gamma_twist):
 
 @dataclass(frozen=True)
 class SurfaceSide:
-    """Boundary slope, Euler ratio and E1-E4 check of the distinguished
-    surface, plus the JSON-ready report fragment of the slope CLI and the
-    verification report."""
+    """Boundary slope and Euler ratio of the distinguished surface, plus
+    the JSON-ready report fragment of the slope CLI and the verification
+    report, whose "admissibility" entry holds the E1-E4 flags."""
 
     slope: Fraction
     euler: Fraction
-    admissibility: AdmissibilityReport
     report: dict
 
 
@@ -266,7 +245,6 @@ def slope_report(params):
     seifert_euler = euler_ratio(seifert)
     surface = seifert if gamma is None else gamma
     euler = seifert_euler if gamma is None else euler_ratio(gamma)
-    admissibility = check_admissible(surface)
     slope = boundary_slope(seifert_twist, gamma_twist)
     report = {
         "u0": None,
@@ -276,12 +254,12 @@ def slope_report(params):
         "slope": str(slope),
         "euler_ratio_seifert": str(seifert_euler),
         "euler_ratio_gamma": None,
-        "admissibility": admissibility.to_json(),
+        "admissibility": check_admissible(surface),
     }
     if gamma is not None:
-        report["u0"] = str(gamma.ending_u())
+        report["u0"] = str(gamma[0].points[-1][0])
         report["k"] = k
-        report["gamma_lengths"] = [str(p.length()) for p in gamma.paths]
+        report["gamma_lengths"] = [str(p.length()) for p in gamma]
         report["twists"]["gamma"] = str(gamma_twist)
         report["euler_ratio_gamma"] = str(euler)
-    return SurfaceSide(slope, euler, admissibility, report)
+    return SurfaceSide(slope, euler, report)

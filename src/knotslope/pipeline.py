@@ -52,7 +52,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Prediction:
-    """The degree model of one tuple next to its surface side."""
+    """The degree model of one tuple next to its surface side (slope,
+    Euler ratio and the edgepath report, whose "admissibility" dict holds
+    the E1-E4 flags)."""
 
     model: degopt.DegreeModel
     surface: edgepath.SurfaceSide
@@ -118,7 +120,7 @@ class Report:
         false), then those of the conditions E1-E4 that the distinguished
         edgepath system fails; empty when the tuple verifies."""
         return ([name for name, value in self.flags.items() if value is False]
-                + self.prediction.surface.admissibility.failed())
+                + edgepath.failed_conditions(self.prediction.surface.report["admissibility"]))
 
     def to_json(self):
         model = self.prediction.model
@@ -255,7 +257,10 @@ def cache_load(cache_dir, params, N):
     degree and leading coefficient, it must meet two cheap invariants of
     every colored Jones polynomial: the classical limit J_N(1) = N (the
     coefficient sum) and even exponents only, which in one coset is an
-    even lowest exponent.
+    even lowest exponent.  Whatever text the record file holds, this
+    returns None or a polynomial and never raises on it: text that json
+    cannot parse, nested past the recursion limit included, is discarded
+    like any other corrupt record.
     """
     path = cache_path(cache_dir, params, N)
     if not path.exists():
@@ -279,7 +284,7 @@ def cache_load(cache_dir, params, N):
         if poly.min_deg % 2:
             raise ValueError("odd exponent")
         return poly
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         log.warning("discarding corrupt cache record %s: %s", path, exc)
         return None
 

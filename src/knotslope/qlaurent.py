@@ -153,9 +153,6 @@ class LaurentPoly:
         return (isinstance(other, LaurentPoly)
                 and self.lo == other.lo and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.lo))
-
     # -- serialization --------------------------------------------------
 
     def to_text(self):

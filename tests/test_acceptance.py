@@ -23,6 +23,7 @@ from knotslope.degopt import (
 )
 from knotslope.edgepath import (
     check_admissible,
+    failed_conditions,
     gamma_system,
     seifert_system,
     twist,
@@ -206,9 +207,9 @@ def test_criterion_8_edgepath_consistency():
             continue
         r, s, t, u = tup
         system = gamma_system(params)
-        report = check_admissible(system)
-        ok = ok and report.failed() == [] and report.lemma41
-        endings = [p.points[-1] for p in system.paths]
+        flags = check_admissible(system)
+        ok = ok and failed_conditions(flags) == [] and flags["lemma41"]
+        endings = [p.points[-1] for p in system]
         ok = ok and sum(v for _, v in endings) == 0
         u0 = ending_u(params)
         ok = ok and all(pu == u0 for pu, _ in endings)

@@ -11,11 +11,11 @@ from knotslope.cli import main
 from knotslope.degopt import classify
 from knotslope.edgepath import (
     Edgepath,
-    EdgepathSystem,
     _chain_cut,
     boundary_slope,
     check_admissible,
     euler_ratio,
+    failed_conditions,
     gamma_system,
     interp_point,
     seifert_system,
@@ -64,22 +64,22 @@ def test_edge_signs_and_lengths():
 
 def test_seifert_system_shapes():
     system = seifert_system(KnotParams(-3, 2, 3, -1))
-    assert [len(p.vertices) - 1 for p in system.paths] == [1, 1, 1]
-    assert system.total_length() == 3
-    assert system.paths[1].vertices[0] == F(1, 3)
+    assert [len(p.vertices) - 1 for p in system] == [1, 1, 1]
+    assert sum(p.length() for p in system) == 3
+    assert system[1].vertices[0] == F(1, 3)
 
     system = seifert_system(KnotParams(-3, 2, 3, -3))
-    chain = system.paths[1]
+    chain = system[1]
     assert len(chain.vertices) - 1 == 3
     assert chain.vertices == (F(3, 7), F(2, 5), F(1, 3), F(0))
     assert chain.vertices[0] == chain.tangle == F(3, 7)
-    assert system.ending_u() == 0
+    assert system[0].points[-1][0] == 0
 
 
 def test_seifert_chain_determinants():
     for tup in [(-3, 2, 3, -5), (-5, 4, 3, -3), (-3, 6, 5, -1)]:
         system = seifert_system(KnotParams(*tup))
-        for path in system.paths:
+        for path in system:
             for x, y in zip(path.vertices, path.vertices[1:]):
                 assert abs(x.numerator * y.denominator - x.denominator * y.numerator) == 1
 
@@ -90,20 +90,19 @@ def test_seifert_twist_and_euler():
         system = seifert_system(params)
         assert twist(system) == -2 * params.u
         assert euler_ratio(system) == params.u
-        report = check_admissible(system)
-        assert report.failed() == []
+        assert failed_conditions(check_admissible(system)) == []
 
 
 def test_gamma_system_collapsed_partial():
     params = KnotParams(-3, 2, 3, -3)
     system = gamma_system(params)
-    gamma1 = system.paths[0]
+    gamma1 = system[0]
     assert len(gamma1.vertices) - 1 == 1
     assert gamma1.fraction == 1
     assert gamma1.vertices == (F(-1, 3), F(-1, 2))
     assert gamma1.points[-1] == (F(1, 2), F(-1, 2))
-    assert system.ending_u() == ending_u(params) == F(1, 2)
-    endings = [p.points[-1] for p in system.paths]
+    assert system[0].points[-1][0] == ending_u(params) == F(1, 2)
+    endings = [p.points[-1] for p in system]
     assert [v for _, v in endings] == [F(-1, 2), F(1, 4), F(1, 4)]
     assert sum(v for _, v in endings) == 0
 
@@ -111,13 +110,13 @@ def test_gamma_system_collapsed_partial():
 def test_gamma_system_longer_chain():
     params = KnotParams(-5, 2, 3, -1)
     system = gamma_system(params)
-    gamma1 = system.paths[0]
+    gamma1 = system[0]
     # total length 3 = two complete edges plus a final whole "partial" edge
     assert gamma1.length() == 3
     assert gamma1.vertices[-2:] == (F(-1, 3), F(-1, 2))
     assert gamma1.fraction == 1
     assert gamma1.vertices[0] == F(1, -5)
-    assert system.ending_u() == F(1, 2)
+    assert gamma1.points[-1][0] == F(1, 2)
 
 
 def test_gamma_partial_fractions_match_u0():
@@ -125,7 +124,7 @@ def test_gamma_partial_fractions_match_u0():
         params = KnotParams(*tup)
         u0 = ending_u(params)
         system = gamma_system(params)
-        for path in system.paths:
+        for path in system:
             assert path.points[-1][0] == u0
 
 
@@ -138,8 +137,8 @@ def test_gamma_twist_euler_slope():
         assert euler_ratio(system) == u + r + 3
         slope = F(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
         assert boundary_slope(twist(seifert_system(params)), twist(system)) == slope
-        report = check_admissible(system)
-        assert report.failed() == [] and report.lemma41
+        flags = check_admissible(system)
+        assert failed_conditions(flags) == [] and flags["lemma41"]
 
 
 def test_gamma_rejects_linear_cases():
@@ -171,41 +170,47 @@ def test_ending_u_and_line_check():
 def test_euler_ratio_fixture():
     params = KnotParams(-3, 2, 3, -3)
     system = gamma_system(params)
-    assert system.total_length() == 4
+    assert sum(p.length() for p in system) == 4
     assert euler_ratio(system) == -3
+
+
+@pytest.mark.parametrize("lemma41", [False, True])
+@pytest.mark.parametrize("pattern", list(itertools.product([False, True], repeat=4)))
+def test_failed_conditions_lists_the_false_names_in_order(pattern, lemma41):
+    names = ["E1", "E2", "E3", "E4"]
+    flags = dict(zip(names, pattern), lemma41=lemma41)
+    assert failed_conditions(flags) == [n for n, ok in zip(names, pattern) if not ok]
 
 
 def test_retraced_path_fails_minimality():
     path = Edgepath(F(1, 3), (F(1, 3), F(0), F(1, 3)))
-    system = EdgepathSystem((path, path, path))
-    report = check_admissible(system)
-    assert not report.e2
+    flags = check_admissible((path, path, path))
+    assert not flags["E2"]
     # the way back runs left to right
-    assert not report.e4
-    assert report.failed() == ["E2", "E3", "E4"]
+    assert not flags["E4"]
+    assert failed_conditions(flags) == ["E2", "E3", "E4"]
 
 
 def test_two_triangle_sides_fail_minimality():
     # <1/3> -> <1/2> -> <0>: all three pairs are diagram edges, so the
     # second step runs along two sides of one triangle.
     path = Edgepath(F(1, 3), (F(1, 3), F(1, 2), F(0)))
-    system = EdgepathSystem((path, path, path))
-    assert not check_admissible(system).e2
+    assert not check_admissible((path, path, path))["E2"]
 
 
 def test_unchained_edges_fail_minimality():
     # <1/3> -> <1/2> -> <1/5> -> <1/4>: no vertex repeats and no step runs
     # along two sides of a triangle, but <1/2> and <1/5> are not joined.
     path = Edgepath(F(1, 3), (F(1, 3), F(1, 2), F(1, 5), F(1, 4)))
-    assert check_admissible(EdgepathSystem((path, path, path))).failed()[:1] == ["E2"]
+    assert failed_conditions(check_admissible((path, path, path)))[:1] == ["E2"]
 
 
 def test_edge_rejects_non_adjacent_vertices():
     # A single step between vertices that no diagram edge joins builds,
     # and fails E2 alone among the path conditions.
     path = Edgepath(F(1, 5), (F(1, 5), F(1, 3)))
-    report = check_admissible(EdgepathSystem((path, path, path)))
-    assert (report.e1, report.e2, report.e4) == (True, False, True)
+    flags = check_admissible((path, path, path))
+    assert (flags["E1"], flags["E2"], flags["E4"]) == (True, False, True)
 
 
 def test_slope_report_shape():
@@ -234,9 +239,9 @@ def test_chain_length_decides_the_quadratic_case(monkeypatch):
         # final fraction (on these partial edges the ending's u strictly
         # decreases in it), and the ending v-coordinates cancel.
         u0 = ending_u(params)
-        for path in system.paths:
+        for path in system:
             assert path.points[-1][0] == u0, params
-        assert sum(path.points[-1][1] for path in system.paths) == 0, params
+        assert sum(path.points[-1][1] for path in system) == 0, params
         return system
 
     monkeypatch.setattr(edgepath_mod, "gamma_system", counted)
@@ -263,7 +268,7 @@ def test_missed_chain_cut_fails_e3(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(edgepath_mod, "_chain_cut", halved)
     side = slope_report(KnotParams(-3, 2, 3, -3))
-    assert "E3" in side.admissibility.failed()
+    assert "E3" in failed_conditions(side.report["admissibility"])
     rc = main(["verify", "--grid", "r=-3;s=2;t=3;u=-3", "--n-max", "4",
                "--out", str(tmp_path / "e3.json")])
     assert rc == 2

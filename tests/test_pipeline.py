@@ -1,7 +1,6 @@
 """Prediction assembly, verification runs, grids, caching, CLI, determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import itertools
@@ -14,20 +13,31 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import knotslope
 from knotslope.cli import main
-from knotslope.degopt import degree_model
-from knotslope.edgepath import slope_report
+from knotslope.degopt import classify, degree_model
+from knotslope.edgepath import (
+    check_admissible,
+    failed_conditions,
+    gamma_system,
+    seifert_system,
+    slope_report,
+)
 from knotslope.jones import KnotParams, colored_jones
 from knotslope.pipeline import (
+    CACHE_FORMAT,
     CSV_COLUMNS,
     _csv_row,
     cache_load,
+    cache_path,
     cache_store,
     grid_run,
     least_period,
     parse_grid,
+    poly_record,
     predict,
     run_verification,
 )
@@ -65,6 +75,18 @@ def test_slope_report_digest_pin():
                "predict": predict(params).to_json()}
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == SLOPE_DIGEST
+
+
+def test_report_admissibility_is_check_admissible_of_the_distinguished_system():
+    # The report states the E1-E4 flags once: check_admissible's dict of
+    # the interior-ending system in the quadratic case, of the Seifert
+    # system otherwise.
+    for tup in itertools.product(*SLOPE_GRID):
+        params = KnotParams(*tup)
+        build = gamma_system if classify(params).quadratic else seifert_system
+        flags = check_admissible(build(params))
+        assert slope_report(params).report["admissibility"] == flags, tup
+        assert failed_conditions(flags) == [] and flags["lemma41"] == (build is gamma_system)
 
 
 # SHA-256 of the whole verification report, one sorted-key JSON line per
@@ -465,6 +487,77 @@ def test_cache_discards_records_of_another_format(tmp_path, caplog):
         assert not caplog.text
 
 
+def test_cache_discards_nested_record(tmp_path, caplog):
+    # 100,000 nested brackets make json.loads raise RecursionError; the
+    # record is discarded like any other corrupt one, then recomputed and
+    # rewritten.
+    import knotslope.pipeline as pipeline_mod
+
+    params = KnotParams(-3, 2, 3, -3)
+    poly = colored_jones(params, 2)
+    path = cache_store(tmp_path, params, 2, poly)
+    stored = path.read_bytes()
+    path.write_text("[" * 100_000)
+    with caplog.at_level("WARNING"):
+        assert cache_load(tmp_path, params, 2) is None
+    assert "discarding corrupt cache record" in caplog.text
+    assert pipeline_mod.jones_cached(params, 2, tmp_path) == poly
+    assert path.read_bytes() == stored
+
+
+_CACHED_PARAMS = KnotParams(-3, 2, 3, -3)
+_CACHED_RECORD = json.dumps(dict(json.loads(poly_record(
+    _CACHED_PARAMS, 2, colored_jones(_CACHED_PARAMS, 2))), format=CACHE_FORMAT), sort_keys=True)
+
+
+def _spliced(i, j, insert):
+    return _CACHED_RECORD[:i] + insert + _CACHED_RECORD[j:]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.one_of(
+    st.text(),
+    st.just(_CACHED_RECORD),
+    st.builds(_spliced, st.integers(0, len(_CACHED_RECORD)),
+              st.integers(0, len(_CACHED_RECORD)), st.text(max_size=8)),
+    st.builds(str.__mul__, st.sampled_from(["[", "{\"a\":", "[[", "-"]),
+              st.integers(0, 200_000)),
+))
+def test_cache_load_never_raises_on_any_record_text(tmp_path, caplog, text):
+    # Whatever text the record file holds, cache_load never raises: it
+    # returns None with the discard warning, or a polynomial that meets
+    # the record invariants, and the valid one for the pristine record.
+    # Which altered records are refused is the next test's concern.
+    path = cache_path(tmp_path, _CACHED_PARAMS, 2)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        poly = cache_load(tmp_path, _CACHED_PARAMS, 2)
+    if poly is None:
+        assert "discarding corrupt cache record" in caplog.text
+    else:
+        assert sum(poly.coeffs) == 2 and poly.min_deg % 2 == 0
+    if text == _CACHED_RECORD:
+        assert poly == colored_jones(_CACHED_PARAMS, 2)
+
+
+@pytest.mark.xfail(strict=True, reason="the record checks keep degree, leading "
+                   "coefficient, J_N(1) and the coset; a middle exponent moved by "
+                   "a multiple of 4 inside the window keeps all four")
+def test_cache_refuses_a_middle_exponent_moved_within_its_coset(tmp_path):
+    # One inserted digit turns the v^-14 term of J_2 into v^-114.
+    record = json.loads(_CACHED_RECORD)
+    pairs = record["polynomial"]
+    assert pairs[2] == [-14, "-1"]
+    pairs[2][0] = -114
+    path = cache_path(tmp_path, _CACHED_PARAMS, 2)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(record))
+    assert cache_load(tmp_path, _CACHED_PARAMS, 2) is None
+
+
 def test_cache_store_is_atomic(tmp_path, monkeypatch):
     import knotslope.pipeline as pipeline_mod
 
@@ -551,7 +644,7 @@ def test_cli_slope_exit_code_on_inadmissible_system(capsys, monkeypatch):
     real = edgepath_mod.check_admissible
 
     def failing_e3(system):
-        return dataclasses.replace(real(system), e3=False)
+        return {**real(system), "E3": False}
 
     monkeypatch.setattr(edgepath_mod, "check_admissible", failing_e3)
     assert main(["slope", "-r", "-3", "-s", "2", "-t", "3", "-u", "-3"]) == 2
@@ -686,7 +779,7 @@ def test_verify_counts_inadmissible_system_as_mismatch(tmp_path, capsys, monkeyp
     real = edgepath_mod.check_admissible
 
     def failing_e2(system):
-        return dataclasses.replace(real(system), e2=False)
+        return {**real(system), "E2": False}
 
     monkeypatch.setattr(edgepath_mod, "check_admissible", failing_e2)
     report = run_verification(KnotParams(-3, 2, 3, -1), 4)
