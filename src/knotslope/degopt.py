@@ -4,7 +4,9 @@ The maximal degree of the N-colored invariant equals the maximum over the
 summation domain of an integer-valued objective assembled from the
 building-block degrees.  This module evaluates that objective, maximizes
 it three independent ways (exhaustive scan, case analysis, closed form),
-and fits quadratic quasi-polynomials to computed degree sequences.
+and fits quadratic quasi-polynomials to computed degree sequences.  It
+holds no report format: the verification report's one writer is
+pipeline.Report.to_json.
 
 Writing A = -(r+s+1)/2, B = -(r+1), C = -(r+t)/2 and disc = 4AC - B^2 for
 the quadratic form of the objective restricted to the face a = b+c,
@@ -29,9 +31,10 @@ coefficient: it evaluates face_objective on the boundary line c = 2n - b
 near the real peak (line_peak), so it stays an oracle independent of the
 closed form.
 
-The closed form and a fitted quasi-polynomial share one layout, a tuple
-of (a, two_b, c) per residue class, one evaluator (quasi_value) and one
-walk for the N from which samples agree with it (stabilization_threshold).
+The closed form (DegreeModel.coeffs) and a fit (fit_quasi's result) are
+one value, a tuple of (a, two_b, c) per residue class, so they compare
+with ==; they share one evaluator (quasi_value) and one walk for the N
+from which samples agree with them (stabilization_threshold).
 """
 
 from __future__ import annotations
@@ -67,10 +70,6 @@ class Classification:
         """True when the degree is quadratic in the color (tags 1 and 2.1)."""
         return self.tag in ("1", "2.1")
 
-    def to_json(self):
-        return {"A": self.bb, "B": self.bc, "C": self.cc, "Delta": self.disc,
-                "case": self.tag}
-
 
 @dataclass(frozen=True)
 class ResidueData:
@@ -87,10 +86,6 @@ class ResidueData:
     nearest_odd: int
     offset: Fraction
     constant: Fraction
-
-    def to_json(self):
-        return {"j": self.j, "v_j": self.nearest_odd,
-                "beta_j": str(self.offset), "c_j": str(self.constant)}
 
 
 @dataclass(frozen=True)
@@ -114,21 +109,8 @@ class DegreeModel:
 
     @property
     def coeffs(self):
-        """(growth, two_b, constant) per residue, the QuasiPolynomial layout."""
+        """(growth, two_b, constant) per residue: the layout fit_quasi returns."""
         return tuple((self.growth, self.two_b, c) for c in self.constants)
-
-
-@dataclass(frozen=True)
-class QuasiPolynomial:
-    """Per-residue quadratic model of a degree sequence.
-
-    coeffs[j] is (a, two_b, c): the value at N = j mod len(coeffs) is
-    a*N^2 + two_b*N + c, so the period is len(coeffs).  n0 is the least
-    sample from which the model reproduces every later sample exactly.
-    """
-
-    coeffs: tuple
-    n0: int
 
 
 def classify(params):
@@ -288,11 +270,11 @@ def closed_form_dplus(model, N):
 def fit_quasi(samples, p):
     """Fit a period-p quadratic quasi-polynomial to (N, degree) samples.
 
-    Each residue class needs at least three samples; the quadratic through
-    its last three is taken.  n0 is the least sample N from which every
-    later sample (all classes merged) matches its class model; it always
-    exists, because the last sample is one of the three its class model
-    passes through.
+    Returns the (a, two_b, c) of each residue class j = N mod p, the layout
+    of DegreeModel.coeffs: a*N^2 + two_b*N + c is the quadratic through the
+    class's last three samples, so each class needs at least three.  The
+    fit always reproduces the last sample, so stabilization_threshold of
+    the fit over the same samples is never None.
     """
     if p < 1:
         raise ValueError(f"period must be positive, got {p}")
@@ -304,8 +286,7 @@ def fit_quasi(samples, p):
             raise NoQuadraticFit(
                 f"residue class {j} has {len(pts)} samples, need at least 3"
             )
-    coeffs = tuple(_quadratic_through(pts[-3:]) for pts in by_class)
-    return QuasiPolynomial(coeffs, stabilization_threshold(coeffs, samples))
+    return tuple(_quadratic_through(pts[-3:]) for pts in by_class)
 
 
 def _quadratic_through(pts):

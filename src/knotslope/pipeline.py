@@ -1,20 +1,23 @@
 """Verification pipeline: predictions, exact runs, grids, caching, reports.
 
-A prediction pairs the degree side (the tuple's one DegreeModel: growth
-rate, linear coefficient and per-residue constants) with the surface side
-(one SurfaceSide from a single build of each edgepath system: boundary
-slope, Euler ratio and the edgepath report) and records whether the two
-identities
+predict builds the two sides of one tuple once each: the degree side
+(the tuple's one DegreeModel: growth rate, linear coefficient and
+per-residue constants) and the surface side (one SurfaceSide from a
+single build of each edgepath system: boundary slope, Euler ratio and
+the edgepath report).  A verification run states the two identities
 
     growth rate  == boundary slope
     half the linear coefficient == Euler characteristic / sheet count
 
-hold exactly.  A verification run additionally computes the invariant
-itself for N = 1..N_max, checks the degrees against the closed form and
-the exhaustive maximization, and fits a quadratic quasi-polynomial when
-enough samples exist per residue class.  The closed form, the report's
-classification, least period and edgepath fragment all read the
-prediction's model and surface side; nothing is rebuilt per report.
+as its first two flags, and nowhere else.  It also computes the
+invariant itself for N = 1..N_max, checks the degrees against the closed
+form and the exhaustive maximization, and fits a quadratic
+quasi-polynomial when enough samples exist per residue class; the fit is
+a coefficient tuple in the layout of the model's, so the two compare
+with ==.  Report.to_json is the one writer of the verify report: the
+classification, residue table, prediction, edgepath fragment, degrees,
+least period, fit and flags all read the run's model, surface side and
+flags; nothing is rebuilt per report.
 
 grid_run checks jobs and n_max before it expands the grid and each
 output's parent directory before any tuple runs, runs one verification
@@ -45,48 +48,16 @@ from pathlib import Path
 from . import degopt, edgepath
 from .degopt import NoQuadraticFit, fit_quasi
 from .jones import KnotParams, colored_jones, exponent_window
-from .qlaurent import LaurentPoly
+from .qlaurent import ONE, LaurentPoly, NonExactDivision, exact_div
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """The degree model of one tuple next to its surface side (slope,
-    Euler ratio and the edgepath report, whose "admissibility" dict holds
-    the E1-E4 flags)."""
-
-    model: degopt.DegreeModel
-    surface: edgepath.SurfaceSide
-
-    @property
-    def slope_match(self):
-        return self.model.growth == self.surface.slope
-
-    @property
-    def euler_match(self):
-        return Fraction(self.model.two_b, 2) == self.surface.euler
-
-    def to_json(self):
-        model = self.model
-        return {
-            "case": model.classification.tag,
-            "period": model.period,
-            "a": str(model.growth),
-            "two_b": str(Fraction(model.two_b)),
-            "b": str(Fraction(model.two_b, 2)),
-            "constants": {str(j): str(c) for j, c in enumerate(model.constants)},
-            "residues": [r.to_json() for r in model.residues],
-            "edgepath_slope": str(self.surface.slope),
-            "euler_ratio": str(self.surface.euler),
-            "slope_match": self.slope_match,
-            "euler_match": self.euler_match,
-        }
-
-
 def predict(params):
-    """The degree model and the surface side of one tuple, each built once."""
-    return Prediction(degopt.degree_model(params), edgepath.slope_report(params))
+    """(model, surface): the DegreeModel and the SurfaceSide of one tuple,
+    each built once; the surface side's report holds the E1-E4 flags under
+    "admissibility"."""
+    return degopt.degree_model(params), edgepath.slope_report(params)
 
 
 def least_period(model):
@@ -105,14 +76,17 @@ class Report:
     """Everything one verification run produced.
 
     It holds no timings, so that repeated runs emit byte-identical documents.
-    degrees holds one entry per color N = 1..n_max.
+    model and surface are predict's pair, degrees holds one entry per
+    color N = 1..n_max and fitted is fit_quasi's coefficient tuple, or
+    None when a residue class has too few samples.
     """
 
     params: KnotParams
-    prediction: Prediction
+    model: degopt.DegreeModel
+    surface: edgepath.SurfaceSide
     degrees: list
     n0: int | None
-    fitted: object | None
+    fitted: tuple | None
     flags: dict
 
     def failed_checks(self):
@@ -120,30 +94,47 @@ class Report:
         false), then those of the conditions E1-E4 that the distinguished
         edgepath system fails; empty when the tuple verifies."""
         return ([name for name, value in self.flags.items() if value is False]
-                + edgepath.failed_conditions(self.prediction.surface.report["admissibility"]))
+                + edgepath.failed_conditions(self.surface.report["admissibility"]))
 
     def to_json(self):
-        model = self.prediction.model
-        prediction = self.prediction.to_json()
-        classification = model.classification.to_json()
-        classification.update(period=model.period,
-                              residues=prediction["residues"], N0=self.n0)
+        """The verify report of this run, every section of it."""
+        model, surface, cls = self.model, self.surface, self.model.classification
+        residues = [{"j": res.j, "v_j": res.nearest_odd,
+                     "beta_j": str(res.offset), "c_j": str(res.constant)}
+                    for res in model.residues]
         fitted = None
         if self.fitted is not None:
+            samples = [(N, d) for N, d, *_ in self.degrees]
             fitted = {
-                "period": len(self.fitted.coeffs),
-                "n0": self.fitted.n0,
+                "period": len(self.fitted),
+                "n0": degopt.stabilization_threshold(self.fitted, samples),
                 "coeffs": {
                     str(j): [str(a), str(tb), str(c)]
-                    for j, (a, tb, c) in enumerate(self.fitted.coeffs)
+                    for j, (a, tb, c) in enumerate(self.fitted)
                 },
             }
         return {
             "params": self.params.as_dict(),
             "n_max": len(self.degrees),
-            "classification": classification,
-            "prediction": prediction,
-            "edgepath": self.prediction.surface.report,
+            "classification": {
+                "A": cls.bb, "B": cls.bc, "C": cls.cc, "Delta": cls.disc,
+                "case": cls.tag, "period": model.period, "residues": residues,
+                "N0": self.n0,
+            },
+            "prediction": {
+                "case": cls.tag,
+                "period": model.period,
+                "a": str(model.growth),
+                "two_b": str(model.two_b),
+                "b": str(Fraction(model.two_b, 2)),
+                "constants": {str(j): str(c) for j, c in enumerate(model.constants)},
+                "residues": residues,
+                "edgepath_slope": str(surface.slope),
+                "euler_ratio": str(surface.euler),
+                "slope_match": self.flags["slope_match"],
+                "euler_match": self.flags["euler_match"],
+            },
+            "edgepath": surface.report,
             "degrees": [
                 {"N": N, "dplus": d, "leading": str(lead), "brute": bm,
                  "closed_form": cf}
@@ -164,8 +155,7 @@ def _check_n_max(n_max):
 def run_verification(params, n_max, cache_dir=None):
     """Exact degrees against every prediction for N = 1..n_max."""
     _check_n_max(n_max)
-    prediction = predict(params)
-    model = prediction.model
+    model, surface = predict(params)
 
     degrees = []
     for N in range(1, n_max + 1):
@@ -178,25 +168,21 @@ def run_verification(params, n_max, cache_dir=None):
     samples = [(N, d) for N, d, *_ in degrees]
     n0 = degopt.stabilization_threshold(model.coeffs, samples)
 
-    fitted = None
-    fit_matches = None
     try:
         fitted = fit_quasi(samples, model.period)
     except NoQuadraticFit:
-        pass
-    else:
-        fit_matches = fitted.coeffs == model.coeffs
+        fitted = None
 
     flags = {
-        "slope_match": prediction.slope_match,
-        "euler_match": prediction.euler_match,
+        "slope_match": model.growth == surface.slope,
+        "euler_match": Fraction(model.two_b, 2) == surface.euler,
         "degrees_match_closed_form": n0 is not None,
         "no_cancellation": all(d == bm for _, d, _, bm, _ in degrees),
         "leading_positive": all(lead > 0 for _, _, lead, _, _ in degrees),
         "j1_is_one": degrees[0][1] == 0 and degrees[0][2] == 1,
-        "fit_matches_prediction": fit_matches,
+        "fit_matches_prediction": None if fitted is None else fitted == model.coeffs,
     }
-    return Report(params, prediction, degrees, n0, fitted, flags)
+    return Report(params, model, surface, degrees, n0, fitted, flags)
 
 
 # -- polynomial cache -----------------------------------------------------
@@ -257,10 +243,17 @@ def cache_load(cache_dir, params, N):
     degree and leading coefficient, it must meet two cheap invariants of
     every colored Jones polynomial: the classical limit J_N(1) = N (the
     coefficient sum) and even exponents only, which in one coset is an
-    even lowest exponent.  Whatever text the record file holds, this
+    even lowest exponent.  Last, it must have Habiro's form
+    J_N = [N] (1 + {N+1}{N-1} X) with X a Laurent polynomial in q = v^4
+    and {m} = v^(2m) - v^(-2m) (K. Habiro, Invent. Math. 171, 2008): J_1
+    is 1, and for N > 1 two exact_div calls check that [N] divides J_N and
+    that {N+1}{N-1}, a monomial times (q^(N+1) - 1)(q^(N-1) - 1), divides
+    J_N/[N] - 1.  It holds for every knot and uses no other color, and it
+    refuses a middle term moved within its coset, which keeps every check
+    before it.  Whatever text the record file holds, this
     returns None or a polynomial and never raises on it: text that json
     cannot parse, nested past the recursion limit included, is discarded
-    like any other corrupt record.
+    like any other corrupt record, and so is a failed division.
     """
     path = cache_path(cache_dir, params, N)
     if not path.exists():
@@ -283,8 +276,22 @@ def cache_load(cache_dir, params, N):
             raise ValueError("coefficient sum is not N (classical limit)")
         if poly.min_deg % 2:
             raise ValueError("odd exponent")
+        if N == 1:
+            if poly != ONE:
+                raise ValueError("J_1 is not 1")
+        else:
+            # h = J_N/[N], as [N] = v^(-2(N-1)) (q^N - 1)/(q - 1); then h - 1,
+            # its list padded to reach exponent 0 where h's span does not.
+            h = exact_div(poly.shift(2 * (N - 1)), {N: 1, 1: -1})
+            if h.lo % 4:
+                raise ValueError("J_N/[N] is not a Laurent polynomial in v^4")
+            low = min(h.lo, 0)
+            coeffs = [0] * ((h.lo - low) // 4) + list(h.coeffs)
+            coeffs += [0] * (1 - low // 4 - len(coeffs))
+            coeffs[-low // 4] -= 1
+            exact_div(LaurentPoly(coeffs, low), {N + 1: 1, N - 1: 1})
         return poly
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, NonExactDivision) as exc:
         log.warning("discarding corrupt cache record %s: %s", path, exc)
         return None
 

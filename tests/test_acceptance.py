@@ -176,14 +176,13 @@ def test_criterion_6_slope_identity():
     ok = True
     for tup in GRID:
         params = KnotParams(*tup)
-        pred = predict(params)
-        ok = ok and pred.slope_match
+        model, surface = predict(params)
         r, s, t, u = tup
         if classify(params).quadratic:
             expected = Fraction(2 * (t - 1) ** 2, s + t - 1) - 2 * (r + t)
         else:
             expected = Fraction(0)
-        ok = ok and pred.surface.slope == expected == pred.model.growth
+        ok = ok and surface.slope == expected == model.growth
     _report("criterion 6 (quadratic coefficient = boundary slope on the grid)", ok)
 
 
@@ -191,11 +190,10 @@ def test_criterion_7_euler_identity():
     ok = True
     for tup in GRID:
         params = KnotParams(*tup)
-        pred = predict(params)
-        ok = ok and pred.euler_match
+        model, surface = predict(params)
         r, s, t, u = tup
         expected = r + u + 3 if classify(params).quadratic else u
-        ok = ok and pred.surface.euler == expected == Fraction(pred.model.two_b, 2)
+        ok = ok and surface.euler == expected == Fraction(model.two_b, 2)
     _report("criterion 7 (half linear coefficient = Euler ratio on the grid)", ok)
 
 

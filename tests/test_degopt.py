@@ -224,26 +224,39 @@ def test_fit_quasi_on_generator():
     model = degree_model(KnotParams(-3, 2, 3, -3))
     samples = [(N, closed_form_dplus(model, N)) for N in range(2, 10)]
     fitted = fit_quasi(samples, 2)
-    assert fitted.n0 == 2
+    assert stabilization_threshold(fitted, samples) == 2
     for j, constant in ((0, 2), (1, 4)):
-        a, two_b, c = fitted.coeffs[j]
+        a, two_b, c = fitted[j]
         assert (a, two_b, c) == (2, -6, constant)
-    assert quasi_value(fitted.coeffs, 12) == closed_form_dplus(model, 12)
+    assert quasi_value(fitted, 12) == closed_form_dplus(model, 12)
+
+
+@pytest.mark.parametrize("tup", [(-5, 4, 9, -1), (-3, 4, 5, -1)])
+def test_fit_of_the_closed_form_is_the_model_coeffs(tup):
+    # A fit and DegreeModel.coeffs share one layout, so a verification run
+    # compares them with ==: fitted over a tuple's own closed-form degrees,
+    # three per residue class, the fit is the model's tuple.  One quadratic
+    # tuple of period 6 and one linear tuple.
+    model = degree_model(KnotParams(*tup))
+    samples = [(N, closed_form_dplus(model, N)) for N in range(1, 3 * model.period + 1)]
+    fitted = fit_quasi(samples, model.period)
+    assert type(fitted) is tuple and fitted == model.coeffs
+    assert stabilization_threshold(fitted, samples) == 1
 
 
 def test_fit_quasi_linear_and_constant():
-    fitted = fit_quasi([(N, -2 * (N - 1)) for N in range(1, 8)], 1)
-    assert fitted.coeffs[0] == (0, -2, 2)
-    assert fitted.n0 == 1
-    fitted = fit_quasi([(N, 7) for N in range(1, 6)], 1)
-    assert fitted.coeffs[0] == (0, 0, 7)
+    samples = [(N, -2 * (N - 1)) for N in range(1, 8)]
+    fitted = fit_quasi(samples, 1)
+    assert fitted == ((0, -2, 2),)
+    assert stabilization_threshold(fitted, samples) == 1
+    assert fit_quasi([(N, 7) for N in range(1, 6)], 1) == ((0, 0, 7),)
 
 
 def test_fit_quasi_prefix_deviation_moves_n0():
     samples = [(1, 99)] + [(N, N * N) for N in range(2, 8)]
     fitted = fit_quasi(samples, 1)
-    assert fitted.coeffs[0] == (1, 0, 0)
-    assert fitted.n0 == 2
+    assert fitted == ((1, 0, 0),)
+    assert stabilization_threshold(fitted, samples) == 2
 
 
 @st.composite
@@ -263,13 +276,14 @@ def class_samples(draw):
 @given(class_samples())
 def test_fit_quasi_reproduces_its_last_sample(case):
     # Each class model passes through its last three samples, so the last
-    # sample always agrees and n0 always exists.
+    # sample always agrees and the threshold always exists.
     p, samples = case
     fitted = fit_quasi(samples, p)
     last_N, last_value = max(samples)
-    assert len(fitted.coeffs) == p
-    assert type(fitted.n0) is int and fitted.n0 <= last_N
-    assert quasi_value(fitted.coeffs, last_N) == last_value
+    assert len(fitted) == p
+    n0 = stabilization_threshold(fitted, samples)
+    assert type(n0) is int and n0 <= last_N
+    assert quasi_value(fitted, last_N) == last_value
 
 
 def test_fit_quasi_needs_three_per_class():

@@ -1,4 +1,4 @@
-"""Prediction assembly, verification runs, grids, caching, CLI, determinism."""
+"""predict, verification runs and their report, grids, caching, CLI, determinism."""
 
 import csv
 import hashlib
@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import knotslope
@@ -41,38 +42,43 @@ from knotslope.pipeline import (
     predict,
     run_verification,
 )
+from knotslope.qlaurent import LaurentPoly
 
 
 def test_predict_examples():
-    pred = predict(KnotParams(-3, 2, 3, -3))
-    assert pred.model.growth == 2 and pred.model.two_b == -6
-    assert pred.surface.slope == 2 and pred.surface.euler == -3
-    assert pred.slope_match and pred.euler_match
+    model, surface = predict(KnotParams(-3, 2, 3, -3))
+    assert model.growth == 2 and model.two_b == -6
+    assert surface.slope == 2 and surface.euler == -3
 
-    pred = predict(KnotParams(-3, 4, 5, -1))
-    assert pred.model.growth == 0 and pred.model.two_b == -2
-    assert pred.surface.slope == 0 and pred.surface.euler == -1
-    assert pred.slope_match and pred.euler_match
+    model, surface = predict(KnotParams(-3, 4, 5, -1))
+    assert model.growth == 0 and model.two_b == -2
+    assert surface.slope == 0 and surface.euler == -1
 
-    pred = predict(KnotParams(-5, 2, 3, -1))
-    assert pred.model.growth == 6 == pred.surface.slope
-    assert Fraction(pred.model.two_b, 2) == -3 == pred.surface.euler
-    assert pred.slope_match and pred.euler_match
+    model, surface = predict(KnotParams(-5, 2, 3, -1))
+    assert model.growth == 6 == surface.slope
+    assert Fraction(model.two_b, 2) == -3 == surface.euler
 
 
-# SHA-256 of the slope report and the prediction, one sorted-key JSON line
-# per tuple, over a grid that reaches all five case tags and the chain
-# cuts k = 0..6 of the interior-ending system.
+# SHA-256 of the slope report and the report's prediction section, one
+# sorted-key JSON line per tuple, over a grid that reaches all five case
+# tags and the chain cuts k = 0..6 of the interior-ending system.
 SLOPE_GRID = ((-3, -5, -7, -9), (2, 4, 6, 8), (3, 5, 7, 9), (-1, -3, -5))
 SLOPE_DIGEST = "b495091ac883953ad7992db5bc0a1bd4630fbaba1ede1900aa0cf30baa171ab8"
 
 
-def test_slope_report_digest_pin():
+@pytest.fixture(scope="module")
+def slope_grid_reports():
+    """(params, verify report at n_max = 4) of every SLOPE_GRID tuple, in
+    grid order, shared by the two digest pins."""
+    grid = [KnotParams(*tup) for tup in itertools.product(*SLOPE_GRID)]
+    return [(params, run_verification(params, 4).to_json()) for params in grid]
+
+
+def test_slope_report_digest_pin(slope_grid_reports):
     digest = hashlib.sha256()
-    for tup in itertools.product(*SLOPE_GRID):
-        params = KnotParams(*tup)
+    for params, report in slope_grid_reports:
         doc = {"slope_report": slope_report(params).report,
-               "predict": predict(params).to_json()}
+               "predict": report["prediction"]}
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == SLOPE_DIGEST
 
@@ -98,13 +104,12 @@ REPORT_DIGEST = "4ffb2742c7ac9910f547a34ce862fb4a20e807f79492a5f85843219f0aba30c
 CSV_DIGEST = "6f6d662ed7d8c801a89bb4f25c7af52f63085badaeab9b9323a4b1bd4d07af7a"
 
 
-def test_verification_report_digest_pin():
+def test_verification_report_digest_pin(slope_grid_reports):
     digest = hashlib.sha256()
     rows = io.StringIO()
     writer = csv.writer(rows, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for tup in itertools.product(*SLOPE_GRID):
-        doc = run_verification(KnotParams(*tup), 4).to_json()
+    for _, doc in slope_grid_reports:
         digest.update((json.dumps(doc, sort_keys=True) + "\n").encode())
         writer.writerow(_csv_row(doc))
     assert digest.hexdigest() == REPORT_DIGEST
@@ -426,8 +431,9 @@ def test_cache_discards_records_failing_invariants(tmp_path, caplog):
     # and the even exponents catch it.  Moved by 2, a middle exponent
     # keeps J_N(1), the degree, the leading coefficient and even
     # exponents, and only its coset tells.  Every exponent moved by 1,
-    # with the stored degree, stays in one coset but is odd.  Each record
-    # is discarded with a warning, recomputed and rewritten.
+    # with the stored degree, stays in one coset but is odd; moved by 2,
+    # it is even, and only Habiro's form tells: J_N/[N] leaves Z[v^4].
+    # Each record is discarded with a warning, recomputed and rewritten.
     import knotslope.pipeline as pipeline_mod
 
     params = KnotParams(-3, 2, 3, -3)
@@ -444,13 +450,16 @@ def test_cache_discards_records_failing_invariants(tmp_path, caplog):
         pairs[mid + 1][0] += exp_delta
         return record
 
-    odd = dict(pristine, max_deg=pristine["max_deg"] + 1,
-               polynomial=[[e + 1, c] for e, c in pristine["polynomial"]])
+    def moved(exp_delta):
+        return dict(pristine, max_deg=pristine["max_deg"] + exp_delta,
+                    polynomial=[[e + exp_delta, c] for e, c in pristine["polynomial"]])
+
     for record, reason in ((corrupt(7, 1), "different cosets mod 4"),
                            (corrupt(7, 0), "classical limit"),
                            (corrupt(0, 1), "different cosets mod 4"),
                            (corrupt(0, 2), "different cosets mod 4"),
-                           (odd, "odd exponent")):
+                           (moved(1), "odd exponent"),
+                           (moved(2), "J_N/[N] is not a Laurent polynomial in v^4")):
         path.write_text(json.dumps(record))
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -514,6 +523,11 @@ def _spliced(i, j, insert):
     return _CACHED_RECORD[:i] + insert + _CACHED_RECORD[j:]
 
 
+# One inserted digit moves the v^-14 term of J_2 to v^-114: every check
+# before Habiro's form holds, and [2] does not divide the result.
+_MOVED_TERM_RECORD = _CACHED_RECORD.replace("[-14, ", "[-114, ")
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=st.one_of(
@@ -524,6 +538,7 @@ def _spliced(i, j, insert):
     st.builds(str.__mul__, st.sampled_from(["[", "{\"a\":", "[[", "-"]),
               st.integers(0, 200_000)),
 ))
+@example(text=_MOVED_TERM_RECORD)
 def test_cache_load_never_raises_on_any_record_text(tmp_path, caplog, text):
     # Whatever text the record file holds, cache_load never raises: it
     # returns None with the discard warning, or a polynomial that meets
@@ -543,19 +558,79 @@ def test_cache_load_never_raises_on_any_record_text(tmp_path, caplog, text):
         assert poly == colored_jones(_CACHED_PARAMS, 2)
 
 
-@pytest.mark.xfail(strict=True, reason="the record checks keep degree, leading "
-                   "coefficient, J_N(1) and the coset; a middle exponent moved by "
-                   "a multiple of 4 inside the window keeps all four")
-def test_cache_refuses_a_middle_exponent_moved_within_its_coset(tmp_path):
-    # One inserted digit turns the v^-14 term of J_2 into v^-114.
-    record = json.loads(_CACHED_RECORD)
-    pairs = record["polynomial"]
-    assert pairs[2] == [-14, "-1"]
-    pairs[2][0] = -114
+def test_cache_refuses_a_middle_exponent_moved_within_its_coset(tmp_path, caplog):
+    # The degree, leading coefficient, J_N(1), the coset mod 4 and the
+    # window all hold for _MOVED_TERM_RECORD; the division by [2] fails.
+    assert _MOVED_TERM_RECORD != _CACHED_RECORD
     path = cache_path(tmp_path, _CACHED_PARAMS, 2)
     path.parent.mkdir(parents=True)
-    path.write_text(json.dumps(record))
-    assert cache_load(tmp_path, _CACHED_PARAMS, 2) is None
+    path.write_text(_MOVED_TERM_RECORD)
+    with caplog.at_level("WARNING"):
+        assert cache_load(tmp_path, _CACHED_PARAMS, 2) is None
+    assert "discarding corrupt cache record" in caplog.text
+    assert "nonzero remainder mod v^8 - 1" in caplog.text
+
+
+def test_cache_refuses_coefficient_swaps_that_keep_every_earlier_check(tmp_path, caplog):
+    # +d on one inner slot and -d on another keeps J_N(1), the coset, the
+    # degree, the leading coefficient and the lowest exponent, so only
+    # Habiro's form can refuse the record, and it always does: the change
+    # d v^e (q^k - 1), divided by [N], keeps one factor q - 1, while
+    # {N+1}{N-1} has two.
+    rng = random.Random(0)
+    for tup in ((-3, 2, 3, -3), (-3, 6, 5, -3)):
+        params = KnotParams(*tup)
+        for N in range(2, 7):
+            poly = colored_jones(params, N)
+            for _ in range(40):
+                i, j = rng.sample(range(1, len(poly.coeffs) - 1), 2)
+                d = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(0, 6))
+                coeffs = list(poly.coeffs)
+                coeffs[i] += d
+                coeffs[j] -= d
+                cache_store(tmp_path, params, N, LaurentPoly(coeffs, poly.lo))
+                caplog.clear()
+                with caplog.at_level("WARNING"):
+                    assert cache_load(tmp_path, params, N) is None, (tup, N, i, j, d)
+                assert "nonzero remainder" in caplog.text
+
+
+def test_cache_refuses_a_j1_other_than_one(tmp_path, caplog):
+    # v^2 in place of J_1 = 1 keeps J_N(1), one coset, an even exponent
+    # and the degree and leading coefficient as stored; Habiro's form
+    # needs J_1 = 1.  It is discarded, recomputed and rewritten.
+    import knotslope.pipeline as pipeline_mod
+
+    params = KnotParams(-3, 2, 3, -3)
+    stored = cache_store(tmp_path, params, 1, colored_jones(params, 1)).read_text()
+    path = cache_store(tmp_path, params, 1, LaurentPoly((1,), 2))
+    with caplog.at_level("WARNING"):
+        assert cache_load(tmp_path, params, 1) is None
+    assert "discarding corrupt cache record" in caplog.text and "J_1 is not 1" in caplog.text
+    assert pipeline_mod.jones_cached(params, 1, tmp_path) == colored_jones(params, 1)
+    assert path.read_text() == stored
+
+
+# One tuple of each case tag: 1, 2.2, 2.1, 2.3 and 2.4.
+TAG_TUPLES = ((-3, 2, 3, -3), (-3, 6, 5, -3), (-5, 6, 7, -1), (-5, 8, 9, -1), (-3, 4, 5, -3))
+
+
+def test_cache_loads_every_valid_record(tmp_path, caplog):
+    # Habiro's form holds for every knot, so no valid record is discarded:
+    # each of the 16-tuple bench grid for N <= 6, and of one tuple of each
+    # tag for N <= 9, loads back as stored, with no warning.
+    grid, _ = parse_grid("r=-5..-3;s=2..4;t=3..5;u=-3..-1")
+    assert len(grid) == 16
+    cases = [(params, N) for params in grid for N in range(1, 7)]
+    cases += [(KnotParams(*tup), N) for tup in TAG_TUPLES for N in range(1, 10)]
+    assert sorted({degree_model(params).classification.tag for params, _ in cases}) == [
+        "1", "2.1", "2.2", "2.3", "2.4"]
+    with caplog.at_level("WARNING"):
+        for params, N in cases:
+            poly = colored_jones(params, N)
+            cache_store(tmp_path, params, N, poly)
+            assert cache_load(tmp_path, params, N) == poly, (params, N)
+    assert not caplog.text
 
 
 def test_cache_store_is_atomic(tmp_path, monkeypatch):
